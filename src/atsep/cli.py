@@ -2,8 +2,10 @@
 
 Subcommands: gen, separate, verify, oracle, lt, bench. Vertex IDs are
 1-based on the wire (matching the edge-list format) and 0-based
-internally. Exit codes: 0 success, 1 input or usage error, 2 internal
-verification failure.
+internally. Exit codes: 0 success, 1 input or usage error (including a
+beta outside (1/2, 1) for separate and lt), 2 internal verification
+failure or internal fault (RepairCapExceeded, which signals a bug rather
+than bad input).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from fractions import Fraction
 from time import perf_counter_ns
 
-from .errors import AtsepError
+from .errors import AtsepError, RepairCapExceeded
 from .fileformat import format_graph, load_graph, parse_vertex_list, save_graph
 from .gen import GenSpec, generate
 from .graph import verify_separator
@@ -231,6 +233,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except RepairCapExceeded as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (AtsepError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,6 +9,10 @@ class BadVertexId(AtsepError):
     pass
 
 
+class BadBeta(AtsepError):
+    """Balance parameter outside the open interval (1/2, 1)."""
+
+
 class SelfLoop(AtsepError):
     pass
 

@@ -14,6 +14,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import (
+    BadBeta,
     BadVertexId,
     DuplicateEdge,
     Disconnected,
@@ -110,6 +111,8 @@ class SpanningTree:
     root: int
     parent: list[int]
     order: list[int] = field(default_factory=list)  # BFS visit order from root
+    # level d of the BFS is order[levels[d]:levels[d + 1]]
+    levels: list[int] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -249,6 +252,19 @@ def is_connected(G: Graph) -> bool:
     if G.n == 0:
         return True
     return max(connected_components(G)) == 0
+
+
+def check_beta(beta) -> Fraction:
+    """Beta as a Fraction; raises BadBeta unless 1/2 < beta < 1.
+
+    The pipeline's balance argument needs beta > 1/2 (at beta = 0 its
+    repair loop cannot converge), and from 1 on the empty set is
+    trivially balanced.
+    """
+    beta = Fraction(beta)
+    if not Fraction(1, 2) < beta < 1:
+        raise BadBeta(f"beta must lie strictly between 1/2 and 1, got {beta}")
+    return beta
 
 
 @dataclass

@@ -20,9 +20,11 @@ from time import perf_counter_ns
 import numpy as np
 
 from .errors import (
+    BadVertexId,
     Disconnected,
     EmptyTerminals,
     EmptyTree,
+    NotPlanar,
     RepairCapExceeded,
     ZeroTotalWeight,
 )
@@ -31,6 +33,7 @@ from .graph import (
     EdgeSet,
     Graph,
     SpanningTree,
+    check_beta,
     component_weights,
     connected_components,
     verify_separator,
@@ -59,7 +62,8 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
 
     Levels are visited in ascending vertex-ID order; within a level, the
     parent of a newly found vertex is its first discoverer. Big frontiers
-    run as vectorized level steps over the CSR adjacency.
+    run as vectorized level steps over the CSR adjacency. The tree keeps
+    the visit order and the offsets of the levels in it.
     """
     parent = np.full(G.n, -1, dtype=np.int64)
     parent[root] = root
@@ -67,7 +71,7 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
     indptr = indices = None
     frontier = [root]
     order = [root]
-    visited = 1
+    levels = [0, 1]
     while frontier:
         if len(frontier) < _VEC_MIN_FRONTIER:
             new = []
@@ -90,10 +94,11 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
             parent[uniq] = sr[first]
             frontier = uniq.tolist()
         order.extend(frontier)
-        visited += len(frontier)
-    if visited != G.n:
-        raise Disconnected(f"only {visited} of {G.n} vertices reachable from {root}")
-    return SpanningTree(root=root, parent=parent.tolist(), order=order)
+        levels.append(len(order))
+    levels.pop()  # the empty frontier that ended the walk
+    if len(order) != G.n:
+        raise Disconnected(f"only {len(order)} of {G.n} vertices reachable from {root}")
+    return SpanningTree(root=root, parent=parent.tolist(), order=order, levels=levels)
 
 
 def extra_edges(G: Graph, T: SpanningTree) -> EdgeSet:
@@ -237,56 +242,29 @@ class CollapsedWeights:
     attach: list[int]
 
 
-def _tree_csr(T: SpanningTree):
-    n = T.n
-    parent = np.asarray(T.parent, dtype=np.int64)
-    child = np.flatnonzero(parent != np.arange(n, dtype=np.int64))
-    src = np.concatenate((child, parent[child]))
-    dst = np.concatenate((parent[child], child))
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order]
-
-
 def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> CollapsedWeights:
-    """Multi-source BFS over T from the subtree; exact weight conservation.
+    """Each vertex donates its weight to its nearest subtree vertex in T.
 
-    Each vertex attaches to its nearest subtree vertex by tree distance,
-    distance ties going to the lowest attachment ID. Levels propagate the
-    minimum attachment among same-level discoverers, which keeps that
-    tie-break exact; big frontiers run vectorized over the tree's CSR.
+    T1 is connected, so that vertex is unique: the first T1 vertex on the
+    vertex's root path, or T1's top vertex if the path misses T1 (every
+    path from the vertex into T1 then enters through the top). One
+    top-down pass over T's BFS levels finds it: a vertex outside T1 takes
+    its parent's attachment. Weight conservation is exact.
     """
-    n = G.n
-    attach = np.full(n, -1, dtype=np.int64)
-    indptr, indices = _tree_csr(T)
-    frontier = T1.vertices()
-    attach[frontier] = frontier
-    while frontier:
-        if len(frontier) < _VEC_MIN_FRONTIER:
-            new: dict[int, int] = {}
-            for u in frontier:
-                au = int(attach[u])
-                for v in indices[indptr[u]:indptr[u + 1]]:
-                    if attach[v] == -1:
-                        prev = new.get(v)
-                        if prev is None or au < prev:
-                            new[v] = au
-            frontier = sorted(new)
-            for v in frontier:
-                attach[v] = new[v]
-        else:
-            fr = np.asarray(frontier, dtype=np.int64)
-            nbrs, counts = _frontier_neighbors(indptr, indices, fr)
-            att = np.repeat(attach[fr], counts)
-            undisc = attach[nbrs] == -1
-            nb, at = nbrs[undisc], att[undisc]
-            order = np.lexsort((at, nb))
-            nb, at = nb[order], at[order]
-            uniq, first = np.unique(nb, return_index=True)
-            attach[uniq] = at[first]
-            frontier = uniq.tolist()
-    wprime = np.zeros(n, dtype=np.int64)
+    parent = np.asarray(T.parent, dtype=np.int64)
+    order = np.asarray(T.order, dtype=np.int64)
+    member = np.zeros(G.n, dtype=bool)
+    member[list(T1.adjacency)] = True
+    top = next(iter(T1.adjacency))
+    while T.parent[top] != top and T1.member[T.parent[top]]:
+        top = T.parent[top]
+    attach = np.empty(G.n, dtype=np.int64)
+    attach[T.root] = T.root if member[T.root] else top
+    inside = member[order]
+    up = parent[order]
+    for lo, hi in zip(T.levels[1:], T.levels[2:]):
+        attach[order[lo:hi]] = np.where(inside[lo:hi], order[lo:hi], attach[up[lo:hi]])
+    wprime = np.zeros(G.n, dtype=np.int64)
     np.add.at(wprime, attach, G.weight_array())
     return CollapsedWeights(wprime=wprime.tolist(), attach=attach.tolist())
 
@@ -490,19 +468,25 @@ def heavy_vertex_fixup(
     fragments: list[PathFragment] = (),
     cap: int | None = None,
 ) -> Separator:
-    """Repair loop for the lifted separator.
+    """Repair loop for the lifted separator; its last check is the verification.
 
-    While a component is too heavy: a tree component gets its weighted
-    centroid added; otherwise the heaviest leftover path fragment inside
-    the component is cut at its weighted median. The loop is capped; the
-    cap signals an algorithmic bug, it is never expected to fire.
+    Each round computes the components of G - S and compares the heaviest
+    exactly against beta * W. While it is too heavy: a tree component gets
+    its weighted centroid added; otherwise the heaviest leftover path
+    fragment inside the component is cut at its weighted median. The round
+    that passes is the exact verification of the returned separator, so
+    G - S is searched once when no repair fires. The loop is capped
+    (default from G's excess r); the cap signals an algorithmic bug, it is
+    never expected to fire.
     """
     S = set(S)
+    for v in S:
+        if not (0 <= v < G.n):
+            raise BadVertexId(f"separator vertex {v} out of range")
     beta = Fraction(beta)
     W = G.total_weight
     if cap is None:
-        r = max(G.excess, 0)
-        cap = 2 + ceil(4 * sqrt(r + 1))
+        cap = _repair_cap(G.excess)
     repairs = 0
     while True:
         comp = connected_components(G, removed=S)
@@ -561,14 +545,18 @@ def heavy_vertex_fixup(
                             queue.append(v)
                 S.add(tree_centroid(heaviest, adj, G.weights))
         repairs += 1
-    report = verify_separator(G, S, beta)
     return Separator(
         vertices=S,
         size=len(S),
-        max_component_weight=report.max_component_weight,
+        max_component_weight=max(hw, 0),
         total_weight=W,
         repairs=repairs,
     )
+
+
+def _repair_cap(r: int) -> int:
+    """The size bound 4 sqrt(r + 1) + 2, rounded up."""
+    return 2 + ceil(4 * sqrt(max(r, 0) + 1))
 
 
 @dataclass
@@ -609,6 +597,9 @@ def separate(
 ):
     """Full pipeline; returns a verified Separator (and a StageTrace if asked).
 
+    Raises BadBeta unless 1/2 < beta < 1, and NotPlanar, with the input's
+    vertex and edge counts, for a non-planar input.
+
     Pass a dict as ``timings`` to collect per-stage wall times in ns.
     """
     clock = perf_counter_ns if timings is not None else None
@@ -618,7 +609,7 @@ def separate(
             timings[name] = perf_counter_ns() - t0
         return perf_counter_ns() if clock else 0
 
-    beta = Fraction(beta)
+    beta = check_beta(beta)
     W = G.total_weight
     if W == 0:
         raise ZeroTotalWeight("all vertex weights are zero")
@@ -630,7 +621,8 @@ def separate(
     if trace:
         stages.append(TraceStage("input", G))
 
-    if G.excess < 0:
+    r = G.excess
+    if r < 0:
         adj = {v: list(G.adjacency[v]) for v in range(G.n)}
         c = tree_centroid(range(G.n), adj, G.weights)
         report = verify_separator(G, {c}, beta)
@@ -659,10 +651,16 @@ def separate(
     C = build_compressed_graph(U, Pi, R, cw)
     Gc = C.simple_graph()
     t0 = tick("build_compressed", t0)
-    lt = lt_separator(Gc, beta=beta)
+    try:
+        lt = lt_separator(Gc, beta=beta)
+    except NotPlanar:
+        # the compressed graph is planar exactly when the input is
+        raise NotPlanar(
+            f"graph with {G.n} vertices and {G.n + r} edges is not planar"
+        ) from None
     t0 = tick("lt_separator", t0)
     lifted, fragments = lift_separator(lt.vertices, C)
-    sep = heavy_vertex_fixup(G, lifted, beta, fragments)
+    sep = heavy_vertex_fixup(G, lifted, beta, fragments, cap=_repair_cap(r))
     tick("lift_and_repair", t0)
 
     if trace:

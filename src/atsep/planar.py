@@ -19,7 +19,14 @@ import networkx as nx
 from networkx.algorithms.planar_drawing import triangulate_embedding
 
 from .errors import Disconnected, NotPlanar, TooSmall, ZeroTotalWeight
-from .graph import Graph, SpanningTree, connected_components, is_connected, verify_separator
+from .graph import (
+    Graph,
+    SpanningTree,
+    check_beta,
+    connected_components,
+    is_connected,
+    verify_separator,
+)
 
 
 @dataclass
@@ -380,9 +387,10 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
     """Balanced vertex separator of a connected planar graph.
 
     Target size is O(sqrt(n)); balance (max component weight <= beta * W)
-    is guaranteed by construction plus a verified fallback.
+    is guaranteed by construction plus a verified fallback. Raises BadBeta
+    unless 1/2 < beta < 1.
     """
-    beta = Fraction(beta)
+    beta = check_beta(beta)
     W = G.total_weight
     if W == 0:
         raise ZeroTotalWeight("all vertex weights are zero")

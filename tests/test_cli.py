@@ -71,6 +71,27 @@ def test_separate_trace(tmp_path):
     assert "stage separator\n" in text
 
 
+@pytest.mark.parametrize("command", ["separate", "lt"])
+@pytest.mark.parametrize("beta", ["0", "1/2", "1", "3/2"])
+def test_beta_outside_open_interval_is_input_error(tmp_path, capsys, command, beta):
+    f = write(tmp_path, "c6.txt", cycle(6))
+    assert main([command, f, "--beta", beta]) == EXIT_INPUT
+    assert "beta must lie strictly between 1/2 and 1" in capsys.readouterr().err
+
+
+def test_repair_cap_is_internal_fault(tmp_path, capsys, monkeypatch):
+    import atsep.pipeline
+    from atsep.errors import RepairCapExceeded
+
+    def failing_fixup(*args, **kwargs):
+        raise RepairCapExceeded("still unbalanced after 3 repairs (cap 3)")
+
+    monkeypatch.setattr(atsep.pipeline, "heavy_vertex_fixup", failing_fixup)
+    f = write(tmp_path, "c6.txt", cycle(6))
+    assert main(["separate", f]) == EXIT_VERIFY
+    assert "cap 3" in capsys.readouterr().err
+
+
 def test_separate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("p 2 1\ne 1 5\n")

@@ -5,9 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from atsep.errors import Disconnected, EmptyTerminals, EmptyTree, ZeroTotalWeight
-from atsep.gen import assign_weights
-from atsep.graph import SpanningTree, build_graph, verify_separator
+import atsep.graph
+import atsep.pipeline
+from atsep.errors import (
+    AtsepError,
+    BadBeta,
+    BadVertexId,
+    Disconnected,
+    EmptyTerminals,
+    EmptyTree,
+    NotPlanar,
+    ZeroTotalWeight,
+)
+from atsep.gen import GenSpec, assign_weights, generate
+from atsep.graph import Graph, SpanningTree, build_graph, verify_separator
 from atsep.oracle import (
     min_balanced_separator,
     nearest_in_set_oracle,
@@ -30,7 +41,7 @@ from atsep.pipeline import (
     tree_centroid,
 )
 
-from conftest import cycle, path, random_parent_tree, star, theta
+from conftest import complete, cycle, path, random_parent_tree, star, theta
 
 
 class TestSpanningTree:
@@ -49,6 +60,26 @@ class TestSpanningTree:
         G = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(Disconnected):
             compute_spanning_tree(G)
+
+    def test_levels_offsets(self):
+        G = build_graph(6, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)])
+        T = compute_spanning_tree(G)
+        assert T.order == [0, 1, 2, 3, 4, 5]
+        assert T.levels == [0, 1, 3, 5, 6]
+        assert compute_spanning_tree(path(1)).levels == [0, 1]
+
+    def test_levels_match_depths(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            G = random_parent_tree(rng, rng.randint(1, 400))
+            T = compute_spanning_tree(G, root=rng.randrange(G.n))
+            depth = {T.root: 0}
+            for v in T.order[1:]:
+                depth[v] = depth[T.parent[v]] + 1
+            assert T.levels[0] == 0 and T.levels[-1] == G.n
+            for d, (lo, hi) in enumerate(zip(T.levels, T.levels[1:])):
+                assert lo < hi
+                assert all(depth[v] == d for v in T.order[lo:hi])
 
     def test_edge_count_and_reachability(self):
         rng = random.Random(11)
@@ -225,6 +256,45 @@ class TestCollapseWeights:
             assert sum(cw.wprime) == G.total_weight
             assert cw.attach == nearest_in_set_oracle(T, T1.vertices())
 
+    @staticmethod
+    def check_against_oracle(G, terms, root=0):
+        T = compute_spanning_tree(G, root=root)
+        T1 = steiner_subtree(T, terms)
+        cw = collapse_weights(G, T, T1)
+        assert cw.attach == nearest_in_set_oracle(T, T1.vertices())
+        assert sum(cw.wprime) == G.total_weight
+        return T, T1
+
+    def test_wide_levels_match_oracle(self):
+        # double stars: every vertex hangs off vertex 0 or 1, so from any
+        # root some BFS level holds well over a hundred vertices
+        rng = random.Random(43)
+        for _ in range(3):
+            n = rng.randint(300, 600)
+            edges = [(v, rng.randrange(min(v, 2))) for v in range(1, n)]
+            G = build_graph(n, edges, [rng.randint(0, 9) for _ in range(n)])
+            terms = rng.sample(range(n), rng.randint(2, 12))
+            T, _ = self.check_against_oracle(G, terms, root=rng.randrange(n))
+            assert max(b - a for a, b in zip(T.levels, T.levels[1:])) >= 128
+
+    def test_deep_path_matches_oracle(self):
+        G = path(500)
+        T, _ = self.check_against_oracle(G, {200, 340})
+        assert len(T.levels) - 1 == 500
+        _, T1 = self.check_against_oracle(G, {499})
+        assert T1.vertices() == [499]
+
+    def test_subtree_missing_root_matches_oracle(self):
+        # a broom: a 150-vertex handle from the root, then 300 bristles
+        # hanging off its far end, some of which carry terminals
+        edges = [(i, i + 1) for i in range(149)]
+        edges += [(149, 150 + i) for i in range(300)]
+        edges += [(150 + i, 450 + i) for i in range(150)]
+        G = build_graph(600, edges)
+        T, T1 = self.check_against_oracle(G, {455, 470, 599})
+        assert not T1.member[T.root]
+        assert T1.member[149]
+
 
 class TestCompressedGraph:
     @staticmethod
@@ -368,6 +438,29 @@ class TestHeavyVertexFixup:
         assert verify_separator(G, sep.vertices).passed
         assert sep.max_fraction <= 2 / 3
 
+    def test_max_component_weight_is_verified_weight(self):
+        rng = random.Random(45)
+        for _ in range(20):
+            n = rng.randint(2, 40)
+            G = random_parent_tree(rng, n)
+            G = build_graph(n, G.edges(), [rng.randint(1, 9) for _ in range(n)])
+            sep = heavy_vertex_fixup(G, rng.sample(range(n), rng.randint(0, 2)))
+            report = verify_separator(G, sep.vertices)
+            assert report.passed
+            assert sep.max_component_weight == report.max_component_weight
+
+    def test_whole_vertex_set_has_no_component(self):
+        sep = heavy_vertex_fixup(cycle(4), {0, 1, 2, 3})
+        assert sep.max_component_weight == 0 and sep.repairs == 0
+
+    @pytest.mark.parametrize("n", [9, 3000])
+    @pytest.mark.parametrize("bad", [-1, "n"])
+    def test_out_of_range_vertex_raises(self, n, bad):
+        G = path(n)
+        v = n if bad == "n" else bad
+        with pytest.raises(BadVertexId):
+            heavy_vertex_fixup(G, {n // 2, v})
+
 
 class TestSeparate:
     def test_tree_returns_centroid(self):
@@ -403,6 +496,56 @@ class TestSeparate:
         assert sep.repairs >= 1
         assert sep.size <= 4
         assert verify_separator(G, sep.vertices).passed
+
+    def test_one_component_pass_without_repairs(self, monkeypatch):
+        G = generate(GenSpec(n=3000, r=4, seed=2))
+        calls = []
+        real = atsep.pipeline.connected_components
+
+        def counting(H, *args, **kwargs):
+            calls.append(H is G)
+            return real(H, *args, **kwargs)
+
+        # the pipeline's own binding, and the one verify_separator uses
+        monkeypatch.setattr(atsep.pipeline, "connected_components", counting)
+        monkeypatch.setattr(atsep.graph, "connected_components", counting)
+        sep = separate(G)
+        assert sep.repairs == 0
+        assert calls.count(True) == 1
+        assert verify_separator(G, sep.vertices).passed
+
+    def test_edge_count_read_once(self, monkeypatch):
+        G = generate(GenSpec(n=3000, r=4, seed=2))
+        walks = []
+        real = Graph.m
+
+        def counting(H):
+            walks.append(H is G)
+            return real.fget(H)
+
+        monkeypatch.setattr(Graph, "m", property(counting))
+        assert separate(G).repairs == 0
+        assert walks.count(True) == 1
+
+    def test_not_planar_reports_input_counts(self):
+        edges = list(complete(5).edges()) + [(4 + i, 5 + i) for i in range(20)]
+        G = build_graph(25, edges)
+        with pytest.raises(NotPlanar, match="25 vertices and 30 edges"):
+            separate(G)
+
+    @pytest.mark.parametrize(
+        "beta", [0, Fraction(1, 2), 1, Fraction(3, 2)]
+    )
+    def test_beta_outside_open_interval_rejected(self, beta):
+        for G in (theta(), path(9)):
+            with pytest.raises(BadBeta, match="between 1/2 and 1"):
+                separate(G, beta=beta)
+        assert issubclass(BadBeta, AtsepError)
+
+    def test_verify_accepts_any_beta(self):
+        G = cycle(6)
+        assert not verify_separator(G, {0}, 0).passed
+        assert verify_separator(G, set(), Fraction(3, 2)).passed
 
     def test_validity_matches_oracle_feasibility(self):
         rng = random.Random(61)

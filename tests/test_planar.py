@@ -5,7 +5,7 @@ from math import sqrt
 
 import pytest
 
-from atsep.errors import Disconnected, NotPlanar, TooSmall, ZeroTotalWeight
+from atsep.errors import BadBeta, Disconnected, NotPlanar, TooSmall, ZeroTotalWeight
 from atsep.gen import grid_graph
 from atsep.graph import build_graph, verify_separator
 from atsep.pipeline import compute_spanning_tree
@@ -125,6 +125,11 @@ class TestLtSeparator:
     def test_zero_weight(self):
         with pytest.raises(ZeroTotalWeight):
             lt_separator(build_graph(3, [(0, 1), (1, 2)], [0, 0, 0]))
+
+    @pytest.mark.parametrize("beta", [0, Fraction(1, 2), 1, Fraction(3, 2)])
+    def test_beta_outside_open_interval_rejected(self, beta):
+        with pytest.raises(BadBeta):
+            lt_separator(grid_graph(4, 4), beta=beta)
 
     def test_deterministic(self):
         G = grid_graph(5, 4)
