@@ -17,7 +17,7 @@ from .graph import (
 from .gen import GenSpec, assign_weights, generate, grid_graph, near_tree_planar, random_tree
 from .oracle import OracleResult, min_balanced_separator
 from .pipeline import Separator, StageTrace, dump_stages, separate
-from .planar import LTSeparator, RotationSystem, lt_separator, planar_embed
+from .planar import LTSeparator, lt_separator
 
 __all__ = [
     "EdgeSet",
@@ -25,7 +25,6 @@ __all__ = [
     "Graph",
     "LTSeparator",
     "OracleResult",
-    "RotationSystem",
     "Separator",
     "SpanningTree",
     "StageTrace",
@@ -39,7 +38,6 @@ __all__ = [
     "lt_separator",
     "min_balanced_separator",
     "near_tree_planar",
-    "planar_embed",
     "random_tree",
     "separate",
     "verify_separator",

@@ -49,10 +49,6 @@ class NotPlanar(AtsepError):
     pass
 
 
-class TooSmall(AtsepError):
-    pass
-
-
 class TooLarge(AtsepError):
     pass
 

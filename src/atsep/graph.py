@@ -248,6 +248,20 @@ def component_weights(G: Graph, comp: list[int]) -> list[int]:
     return comp_w
 
 
+def heaviest_component(G: Graph, S) -> tuple[list[int], int]:
+    """(vertices, weight) of the heaviest component of G - S; ([], 0) if none.
+
+    Ties go to the lowest component ID, i.e. to the component holding the
+    lowest vertex.
+    """
+    comp = connected_components(G, removed=S)
+    comp_w = component_weights(G, comp)
+    if not comp_w:
+        return [], 0
+    best = comp_w.index(max(comp_w))
+    return [v for v, c in enumerate(comp) if c == best], comp_w[best]
+
+
 def is_connected(G: Graph) -> bool:
     if G.n == 0:
         return True

@@ -34,8 +34,7 @@ from .graph import (
     Graph,
     SpanningTree,
     check_beta,
-    component_weights,
-    connected_components,
+    heaviest_component,
     verify_separator,
 )
 from .planar import lt_separator
@@ -489,15 +488,9 @@ def heavy_vertex_fixup(
         cap = _repair_cap(G.excess)
     repairs = 0
     while True:
-        comp = connected_components(G, removed=S)
-        comp_w = component_weights(G, comp)
-        heavy_id, hw = -1, -1
-        for cid, w in enumerate(comp_w):
-            if w > hw:
-                heavy_id, hw = cid, w
-        if heavy_id < 0 or hw * beta.denominator <= W * beta.numerator:
+        heaviest, hw = heaviest_component(G, S)
+        if hw * beta.denominator <= W * beta.numerator:
             break
-        heaviest = [v for v in range(G.n) if comp[v] == heavy_id]
         if repairs >= cap:
             raise RepairCapExceeded(
                 f"still unbalanced after {repairs} repairs (cap {cap})"
@@ -548,7 +541,7 @@ def heavy_vertex_fixup(
     return Separator(
         vertices=S,
         size=len(S),
-        max_component_weight=max(hw, 0),
+        max_component_weight=hw,
         total_weight=W,
         repairs=repairs,
     )

@@ -1,113 +1,29 @@
 """Vertex-weighted planar separator in the Lipton-Tarjan style.
 
-Works on any connected planar graph: pick a cheap pair of BFS levels
-around the weighted median, and if the middle band still holds a heavy
-component, shrink it with a fundamental-cycle separator on the
-triangulated band. Every returned separator is re-verified; a bounded
-greedy fallback keeps the balance contract unconditional even for
-degenerate weight profiles (e.g. one vertex holding most of the weight).
+Works on any connected planar graph, along one path: a BFS from the
+root (which also rejects a disconnected graph) and one planarity test
+gate the call; then pick a cheap pair of BFS levels around the weighted
+median, and if the middle band still holds a heavy component, shrink it
+with a fundamental-cycle separator on the triangulated band. A greedy
+fallback, whose every step checks the heaviest component of G - S
+exactly against beta * W, keeps the balance contract unconditional even
+for degenerate weight profiles (e.g. one vertex holding most of the
+weight); a final pruning pass drops separator vertices that balance
+does not need.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 import networkx as nx
 from networkx.algorithms.planar_drawing import triangulate_embedding
 
-from .errors import Disconnected, NotPlanar, TooSmall, ZeroTotalWeight
-from .graph import (
-    Graph,
-    SpanningTree,
-    check_beta,
-    connected_components,
-    is_connected,
-    verify_separator,
-)
-
-
-@dataclass
-class RotationSystem:
-    """Combinatorial planar embedding: clockwise neighbor order per vertex."""
-
-    n: int
-    order: dict[int, list[int]]
-    faces: list[list[int]]
-    nx_embedding: nx.PlanarEmbedding = field(repr=False, default=None)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.order.values()) // 2
-
-    def euler_ok(self) -> bool:
-        """V - E + F = 2 for connected embeddings."""
-        return len(self.order) - self.num_edges + len(self.faces) == 2
-
-    def edges(self):
-        for u, nbrs in self.order.items():
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
-
-
-def _faces_of(embedding: nx.PlanarEmbedding) -> list[list[int]]:
-    faces = []
-    visited: set[tuple[int, int]] = set()
-    for u, v in embedding.edges():
-        for he in ((u, v), (v, u)):
-            if he not in visited:
-                faces.append(embedding.traverse_face(*he, mark_half_edges=visited))
-    return faces
-
-
-def _rotation_from_nx(embedding: nx.PlanarEmbedding, nodes) -> RotationSystem:
-    order = {}
-    for v in nodes:
-        if v in embedding:
-            order[v] = list(embedding.neighbors_cw_order(v))
-        else:
-            order[v] = []
-    faces = _faces_of(embedding)
-    if not faces:
-        faces = [list(nodes)]  # edgeless single vertex: one outer face
-    return RotationSystem(n=len(order), order=order, faces=faces, nx_embedding=embedding)
-
-
-def planar_embed(G: Graph) -> RotationSystem:
-    """Compute a combinatorial embedding, or raise NotPlanar."""
-    if not is_connected(G):
-        raise Disconnected("embedding requires a connected graph")
-    H = nx.Graph()
-    H.add_nodes_from(range(G.n))
-    H.add_edges_from(G.edges())
-    ok, emb = nx.check_planarity(H, counterexample=False)
-    if not ok:
-        raise NotPlanar(f"graph with {G.n} vertices and {G.m} edges is not planar")
-    return RotationSystem(
-        n=G.n,
-        order={v: (list(emb.neighbors_cw_order(v)) if v in emb else []) for v in range(G.n)},
-        faces=_faces_of(emb) or [[v] for v in range(G.n)][:1],
-        nx_embedding=emb,
-    )
-
-
-def triangulate(emb: RotationSystem) -> tuple[RotationSystem, list[tuple[int, int]]]:
-    """Add edges until every face is a triangle; the graph stays simple.
-
-    Returns the new embedding and the list of synthetic edges added.
-    """
-    if emb.n < 3:
-        raise TooSmall("triangulation needs at least 3 vertices")
-    before = {(min(u, v), max(u, v)) for u, v in emb.edges()}
-    tri, _outer = triangulate_embedding(emb.nx_embedding, fully_triangulate=True)
-    rs = _rotation_from_nx(tri, list(emb.order))
-    synthetic = [
-        (u, v) for u, v in rs.edges() if (min(u, v), max(u, v)) not in before
-    ]
-    return rs, synthetic
+from .errors import Disconnected, NotPlanar, ZeroTotalWeight
+from .graph import Graph, check_beta, heaviest_component, verify_separator
 
 
 def bfs_levels(G: Graph, root: int):
@@ -139,105 +55,22 @@ class LTSeparator:
     fallback_steps: int = 0
 
 
-def _heaviest_component(G: Graph, S: set[int]):
-    """(component vertex list, weight) of the heaviest component of G - S."""
-    comp = connected_components(G, removed=S)
-    ncomp = max(comp, default=-1) + 1
-    members: list[list[int]] = [[] for _ in range(ncomp)]
-    for v in range(G.n):
-        if comp[v] >= 0:
-            members[comp[v]].append(v)
-    best, best_w = [], -1
-    for verts in members:
-        w = sum(G.weights[v] for v in verts)
-        if w > best_w:
-            best, best_w = verts, w
-    return best, best_w
-
-
 def _greedy_balance(G: Graph, S: set[int], beta: Fraction) -> int:
     """Add heaviest vertices of offending components until balanced."""
+    W = G.total_weight
     steps = 0
-    while not verify_separator(G, S, beta).passed:
-        verts, _ = _heaviest_component(G, S)
+    while True:
+        verts, heavy_w = heaviest_component(G, S)
+        if heavy_w * beta.denominator <= W * beta.numerator:
+            return steps
         pick = max(verts, key=lambda v: (G.weights[v], -v))
         S.add(pick)
         steps += 1
         if steps > G.n:
             raise AssertionError("greedy balance failed to terminate")
-    return steps
 
 
-def _tree_path(parent: list[int], u: int, v: int) -> list[int]:
-    """Vertices on the tree path between u and v (inclusive)."""
-    seen = {}
-    x = u
-    while True:
-        seen[x] = True
-        if parent[x] == x:
-            break
-        x = parent[x]
-    up_v = []
-    y = v
-    while y not in seen:
-        up_v.append(y)
-        y = parent[y]
-    up_u = []
-    x = u
-    while x != y:
-        up_u.append(x)
-        x = parent[x]
-    return up_u + [y] + list(reversed(up_v))
-
-
-def fundamental_cycle_separator(emb: RotationSystem, T: SpanningTree, weights) -> set[int]:
-    """Cycle (tree path + one non-tree edge) that balances the embedded graph.
-
-    Scans non-tree edges in ID order and returns the first cycle whose
-    removal leaves every component at weight <= 2/3 of the total; if none
-    qualifies, the cycle minimizing the heaviest remainder is returned.
-    """
-    nodes = sorted(emb.order)
-    adj = {v: emb.order[v] for v in nodes}
-    total = sum(weights[v] for v in nodes)
-    nontree = sorted(
-        (u, v) for u, v in emb.edges() if not T.is_tree_edge(u, v)
-    )
-    if not nontree:
-        # the graph is a tree; degenerate, everything on the "cycle"
-        return set(nodes)
-
-    def max_comp_weight(cycle: set[int]) -> int:
-        best = 0
-        seen = set(cycle)
-        for s in nodes:
-            if s in seen:
-                continue
-            w = 0
-            stack = [s]
-            seen.add(s)
-            while stack:
-                x = stack.pop()
-                w += weights[x]
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            best = max(best, w)
-        return best
-
-    best_cycle, best_w = None, None
-    for u, v in nontree:
-        cycle = set(_tree_path(T.parent, u, v))
-        w = max_comp_weight(cycle)
-        if 3 * w <= 2 * total:
-            return cycle
-        if best_w is None or w < best_w:
-            best_cycle, best_w = cycle, w
-    return best_cycle
-
-
-def _band_cycle_shrink(G: Graph, S: set[int], heavy: list[int], beta: Fraction, level, l0: int):
+def _band_cycle_shrink(G: Graph, heavy: list[int], level, l0: int):
     """Shrink the heavy middle-band component with a fundamental cycle.
 
     Builds the component plus a zero-weight virtual root standing for the
@@ -347,7 +180,7 @@ def _band_cycle_shrink(G: Graph, S: set[int], heavy: list[int], beta: Fraction, 
         child = f1 if dual_parent[f2] != f1 else f2
         if dual_parent[child] == child:
             continue  # dual root side; the reverse orientation covers it
-        cycle = _tree_path_dict(parent, u, v)
+        cycle = _tree_path(parent, u, v)
         cycle_w = sum(weight[x] for x in cycle)
         inside = subtree[child]
         for x in cycle:
@@ -355,6 +188,9 @@ def _band_cycle_shrink(G: Graph, S: set[int], heavy: list[int], beta: Fraction, 
             if inside_interval(face_of[(x, nbr)], child):
                 inside -= weight[x]
         outside = total - inside - cycle_w
+        # 2/3, not beta: the cycle lemma only promises a cycle leaving at
+        # most 2/3 of the band on each side. For a smaller beta the
+        # caller's greedy pass closes the gap.
         if 3 * inside <= 2 * total and 3 * outside <= 2 * total:
             out = set(cycle)
             out.discard(root)
@@ -362,7 +198,8 @@ def _band_cycle_shrink(G: Graph, S: set[int], heavy: list[int], beta: Fraction, 
     return None
 
 
-def _tree_path_dict(parent: dict, u, v):
+def _tree_path(parent: dict, u, v):
+    """Vertices on the tree path from u to v (inclusive); parent[root] == root."""
     seen = set()
     x = u
     while True:
@@ -387,21 +224,31 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
     """Balanced vertex separator of a connected planar graph.
 
     Target size is O(sqrt(n)); balance (max component weight <= beta * W)
-    is guaranteed by construction plus a verified fallback. Raises BadBeta
-    unless 1/2 < beta < 1.
+    is guaranteed by construction plus an exactly checked fallback. Raises
+    BadBeta unless 1/2 < beta < 1, then Disconnected before NotPlanar.
     """
     beta = check_beta(beta)
     W = G.total_weight
     if W == 0:
         raise ZeroTotalWeight("all vertex weights are zero")
-    planar_embed(G)  # raises Disconnected / NotPlanar
+    level, levels, level_weights = bfs_levels(G, root)  # raises Disconnected
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    ok, emb = nx.check_planarity(H, counterexample=False)
+    if not ok:
+        raise NotPlanar(f"graph with {G.n} vertices and {G.m} edges is not planar")
+    # networkx graphs with cached views are reference cycles: empty them so
+    # their dicts go now, not at the next full collection (over 10 MB at
+    # 10^4 nodes, which would otherwise stay alive through lift and repair)
+    H.clear()
+    emb.clear()
 
     if G.n <= 4:
         S: set[int] = set()
         steps = _greedy_balance(G, S, beta)
         return LTSeparator(vertices=S, level_info={}, fallback_steps=steps)
 
-    level, levels, level_weights = bfs_levels(G, root)
     cum = 0
     l1 = len(levels) - 1
     for l, lw in enumerate(level_weights):
@@ -428,9 +275,9 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
     info = {"l0": l0, "l1": l1, "l2": l2, "num_levels": len(levels)}
 
     cycle = None
-    if not verify_separator(G, S, beta).passed:
-        heavy, _ = _heaviest_component(G, S)
-        cycle = _band_cycle_shrink(G, S, heavy, beta, level, l0)
+    heavy, heavy_w = heaviest_component(G, S)
+    if heavy_w * beta.denominator > W * beta.numerator:
+        cycle = _band_cycle_shrink(G, heavy, level, l0)
         if cycle is not None:
             S |= cycle
 

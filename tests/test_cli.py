@@ -92,6 +92,44 @@ def test_repair_cap_is_internal_fault(tmp_path, capsys, monkeypatch):
     assert "cap 3" in capsys.readouterr().err
 
 
+def test_unbalanced_answer_is_internal_fault(tmp_path, capsys, monkeypatch):
+    import atsep.cli
+    from atsep.pipeline import Separator
+
+    def unbalanced(G, **kwargs):
+        return Separator(vertices={0}, size=1, max_component_weight=5,
+                         total_weight=6, repairs=0)
+
+    monkeypatch.setattr(atsep.cli, "separate", unbalanced)
+    f = write(tmp_path, "c6.txt", cycle(6))
+    assert main(["separate", f]) == EXIT_VERIFY
+    assert "verification FAILED" in capsys.readouterr().err
+
+
+def test_separate_searches_input_once(tmp_path, capsys, monkeypatch):
+    import atsep.cli
+    import atsep.graph
+    import atsep.pipeline
+    import atsep.planar
+
+    f = tmp_path / "g.txt"
+    assert main(["gen", "--n", "5000", "--r", "4", "--seed", "1", "--out", str(f)]) == EXIT_OK
+    calls = []
+    real = atsep.graph.connected_components
+
+    def counting(H, *args, **kwargs):
+        calls.append(H.n == 5000)
+        return real(H, *args, **kwargs)
+
+    # every module-level binding of the function, wherever the package keeps one
+    for module in (atsep.graph, atsep.pipeline, atsep.planar, atsep.cli):
+        if hasattr(module, "connected_components"):
+            monkeypatch.setattr(module, "connected_components", counting)
+    assert main(["separate", str(f)]) == EXIT_OK
+    assert "repairs 0" in capsys.readouterr().out
+    assert calls.count(True) == 1
+
+
 def test_separate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("p 2 1\ne 1 5\n")

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from atsep.errors import Infeasible
@@ -15,9 +16,15 @@ from atsep.gen import (
     random_tree,
 )
 from atsep.graph import build_graph, is_connected
-from atsep.planar import planar_embed
 
 from conftest import star
+
+
+def is_planar(G) -> bool:
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    return nx.check_planarity(H)[0]
 
 
 class TestRandomTree:
@@ -57,12 +64,14 @@ class TestNearTreePlanar:
     def test_small_instance(self):
         G = near_tree_planar(GenSpec(n=8, r=1, seed=7))
         assert G.n == 8 and G.m == 9
-        planar_embed(G)
+        assert is_connected(G)
+        assert is_planar(G)
 
     def test_unicyclic(self):
         G = near_tree_planar(GenSpec(n=200, r=0, seed=1))
         assert G.m == G.n
-        planar_embed(G)
+        assert is_connected(G)
+        assert is_planar(G)
 
     def test_over_maximal_planar_bound(self):
         # simple planar graphs have m <= 3n - 6
@@ -78,7 +87,7 @@ class TestNearTreePlanar:
             G = near_tree_planar(GenSpec(n=n, r=r, seed=seed))
             assert G.n == n and G.m == n + r
             assert is_connected(G)
-            planar_embed(G)
+            assert is_planar(G)
 
     def test_deterministic(self):
         a = near_tree_planar(GenSpec(n=50, r=8, seed=11))

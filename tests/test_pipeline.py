@@ -500,14 +500,13 @@ class TestSeparate:
     def test_one_component_pass_without_repairs(self, monkeypatch):
         G = generate(GenSpec(n=3000, r=4, seed=2))
         calls = []
-        real = atsep.pipeline.connected_components
+        real = atsep.graph.connected_components
 
         def counting(H, *args, **kwargs):
             calls.append(H is G)
             return real(H, *args, **kwargs)
 
-        # the pipeline's own binding, and the one verify_separator uses
-        monkeypatch.setattr(atsep.pipeline, "connected_components", counting)
+        # heaviest_component and verify_separator both search through this binding
         monkeypatch.setattr(atsep.graph, "connected_components", counting)
         sep = separate(G)
         assert sep.repairs == 0

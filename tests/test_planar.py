@@ -1,72 +1,18 @@
-"""Planar separator module: embedding, triangulation, levels, Lipton-Tarjan."""
+"""Planar separator module: BFS levels and the Lipton-Tarjan separator."""
 
 from fractions import Fraction
 from math import sqrt
 
+import networkx as nx
 import pytest
 
-from atsep.errors import BadBeta, Disconnected, NotPlanar, TooSmall, ZeroTotalWeight
-from atsep.gen import grid_graph
+import atsep.graph
+from atsep.errors import BadBeta, Disconnected, NotPlanar, ZeroTotalWeight
+from atsep.gen import GenSpec, generate, grid_graph
 from atsep.graph import build_graph, verify_separator
-from atsep.pipeline import compute_spanning_tree
-from atsep.planar import (
-    bfs_levels,
-    fundamental_cycle_separator,
-    lt_separator,
-    planar_embed,
-    triangulate,
-)
+from atsep.planar import bfs_levels, lt_separator
 
 from conftest import complete, cycle, path, star
-
-
-class TestPlanarEmbed:
-    def test_k4_has_four_faces(self):
-        emb = planar_embed(complete(4))
-        assert len(emb.faces) == 4
-        assert emb.euler_ok
-
-    def test_c6_has_two_faces(self):
-        emb = planar_embed(cycle(6))
-        assert len(emb.faces) == 2
-        assert emb.euler_ok
-
-    def test_k5_not_planar(self):
-        with pytest.raises(NotPlanar):
-            planar_embed(complete(5))
-
-    def test_disconnected_rejected(self):
-        with pytest.raises(Disconnected):
-            planar_embed(build_graph(4, [(0, 1), (2, 3)]))
-
-    def test_each_edge_borders_two_face_slots(self):
-        emb = planar_embed(grid_graph(3, 3))
-        slots = sum(len(f) for f in emb.faces)
-        assert slots == 2 * emb.num_edges
-
-
-class TestTriangulate:
-    def test_c4_becomes_maximal(self):
-        tri, added = triangulate(planar_embed(cycle(4)))
-        assert tri.num_edges == 3 * 4 - 6
-        assert len(added) == 2
-
-    def test_k4_unchanged(self):
-        tri, added = triangulate(planar_embed(complete(4)))
-        assert tri.num_edges == 6
-        assert added == []
-
-    def test_grid_reaches_maximal_edge_count(self):
-        tri, _ = triangulate(planar_embed(grid_graph(3, 3)))
-        assert tri.num_edges == 3 * 9 - 6
-
-    def test_all_faces_are_triangles(self):
-        tri, _ = triangulate(planar_embed(cycle(7)))
-        assert all(len(f) == 3 for f in tri.faces)
-
-    def test_too_small(self):
-        with pytest.raises(TooSmall):
-            triangulate(planar_embed(path(2)))
 
 
 class TestBfsLevels:
@@ -135,35 +81,78 @@ class TestLtSeparator:
         G = grid_graph(5, 4)
         assert lt_separator(G).vertices == lt_separator(G).vertices
 
-
-class TestFundamentalCycle:
-    def band_weight_bound(self, G, S):
-        report = verify_separator(G, S)
-        return report.passed
-
-    def test_triangle_degenerate(self):
+    def test_triangle(self):
         G = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        tri, _ = triangulate(planar_embed(G))
-        T = compute_spanning_tree(G)
-        C = fundamental_cycle_separator(tri, T, G.weights)
-        assert C == {0, 1, 2}
-
-    def test_triangulated_c4(self):
-        G = cycle(4)
-        tri, added = triangulate(planar_embed(G))
-        full = build_graph(4, list(G.edges()) + added)
-        T = compute_spanning_tree(full)
-        C = fundamental_cycle_separator(tri, T, full.weights)
-        assert len(C) == 3
-        assert verify_separator(full, C).passed
+        lt = lt_separator(G)
+        assert len(lt.vertices) == 1
+        assert verify_separator(G, lt.vertices).passed
 
     def test_wheel(self):
-        # hub 0 with a 5-cycle rim; spanning tree is the star at the hub
+        # hub 0 with a 5-cycle rim
         rim = [(i, i % 5 + 1) for i in range(1, 6)]
         G = build_graph(6, [(0, v) for v in range(1, 6)] + rim)
-        tri, added = triangulate(planar_embed(G))
-        full = build_graph(6, list(G.edges()) + added)
-        T = compute_spanning_tree(full, root=0)
-        C = fundamental_cycle_separator(tri, T, full.weights)
-        assert len(C) <= 3
-        assert verify_separator(full, C).passed
+        lt = lt_separator(G)
+        assert len(lt.vertices) <= 3
+        assert verify_separator(G, lt.vertices).passed
+
+
+class TestLtGate:
+    """Connectivity is checked before planarity, by one test each."""
+
+    def test_disconnected_four_vertices(self):
+        with pytest.raises(Disconnected):
+            lt_separator(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_disconnected_more_than_four_vertices(self):
+        G = build_graph(8, [(i, (i + 1) % 4) for i in range(4)] + [(4, 5), (5, 6), (6, 7)])
+        with pytest.raises(Disconnected):
+            lt_separator(G)
+
+    def test_k5_plus_isolated_vertex_is_disconnected(self):
+        G = build_graph(6, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+        with pytest.raises(Disconnected):
+            lt_separator(G)
+
+    def test_one_planarity_test_when_levels_balance(self, monkeypatch):
+        calls = []
+        real = nx.check_planarity
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "check_planarity", counting)
+        lt = lt_separator(grid_graph(5, 4))
+        assert lt.cycle_info is None
+        assert len(calls) == 1
+
+
+class TestLtBandCycle:
+    def test_band_cycle_fires_on_small_near_tree(self):
+        G = generate(GenSpec(n=60, r=32, seed=1))
+        lt = lt_separator(G)
+        assert lt.cycle_info is not None
+        assert lt.fallback_steps == 0
+        assert verify_separator(G, lt.vertices).passed
+        assert len(lt.vertices) <= 4 * sqrt(G.n)
+
+
+class TestLtGreedyFallback:
+    @pytest.mark.parametrize(
+        "G",
+        [path(3), cycle(4), complete(4), star(4, [1, 5, 1, 1])],
+        ids=["p3", "c4", "k4", "weighted-star"],
+    )
+    def test_one_component_pass_per_step_plus_one(self, G, monkeypatch):
+        calls = []
+        real = atsep.graph.connected_components
+
+        def counting(H, *args, **kwargs):
+            calls.append(H is G)
+            return real(H, *args, **kwargs)
+
+        monkeypatch.setattr(atsep.graph, "connected_components", counting)
+        lt = lt_separator(G)
+        assert lt.fallback_steps >= 1
+        assert calls.count(True) == lt.fallback_steps + 1
+        assert verify_separator(G, lt.vertices).passed
