@@ -96,6 +96,23 @@ class TestLtSeparator:
         assert verify_separator(G, lt.vertices).passed
 
 
+class TestPlanarEmbed:
+    """The embedding step inside lt_separator: one nx.check_planarity call."""
+
+    def test_k5_not_planar(self, monkeypatch):
+        calls = []
+        real = nx.check_planarity
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "check_planarity", counting)
+        with pytest.raises(NotPlanar):
+            lt_separator(complete(5))
+        assert len(calls) == 1
+
+
 class TestLtGate:
     """Connectivity is checked before planarity, by one test each."""
 
