@@ -106,10 +106,14 @@ class EdgeSet:
 
 @dataclass
 class SpanningTree:
-    """Rooted spanning tree in parent-pointer form; parent[root] == root."""
+    """Rooted spanning tree in parent-pointer form; parent[root] == root.
+
+    ``compute_spanning_tree`` gives ``parent`` as an int64 array; any
+    sequence of vertex IDs works.
+    """
 
     root: int
-    parent: list[int]
+    parent: np.ndarray
     order: list[int] = field(default_factory=list)  # BFS visit order from root
     # level d of the BFS is order[levels[d]:levels[d + 1]]
     levels: list[int] = field(default_factory=list)
@@ -119,11 +123,10 @@ class SpanningTree:
         return len(self.parent)
 
     def tree_edges(self) -> list[tuple[int, int]]:
-        return [
-            (min(v, p), max(v, p))
-            for v, p in enumerate(self.parent)
-            if p != v
-        ]
+        parent = np.asarray(self.parent, dtype=np.int64)
+        child = np.flatnonzero(parent != np.arange(len(parent)))
+        up = parent[child]
+        return list(zip(np.minimum(child, up).tolist(), np.maximum(child, up).tolist()))
 
     def is_tree_edge(self, u: int, v: int) -> bool:
         return self.parent[u] == v or self.parent[v] == u

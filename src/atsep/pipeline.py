@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import ceil, sqrt
 from time import perf_counter_ns
 
@@ -97,7 +98,7 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
     levels.pop()  # the empty frontier that ended the walk
     if len(order) != G.n:
         raise Disconnected(f"only {len(order)} of {G.n} vertices reachable from {root}")
-    return SpanningTree(root=root, parent=parent.tolist(), order=order, levels=levels)
+    return SpanningTree(root=root, parent=parent, order=order, levels=levels)
 
 
 def extra_edges(G: Graph, T: SpanningTree) -> EdgeSet:
@@ -115,69 +116,75 @@ def extra_edges(G: Graph, T: SpanningTree) -> EdgeSet:
 
 @dataclass
 class SteinerSubtree:
-    """Minimal subtree of the spanning tree containing all terminals."""
+    """Minimal subtree of the spanning tree containing all terminals.
 
-    member: list[bool]
-    adjacency: dict[int, list[int]]
+    ``member`` marks the subtree's vertices, ``top`` is its vertex nearest
+    the root, ``degrees`` holds each member's degree inside the subtree
+    (0 outside it) and ``parent`` is the spanning tree's parent array.
+    """
+
+    member: np.ndarray
+    top: int
+    degrees: np.ndarray
+    parent: np.ndarray
 
     def vertices(self) -> list[int]:
-        return sorted(self.adjacency)
+        return np.flatnonzero(self.member).tolist()
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.degrees[v])
 
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v) for u, nbrs in self.adjacency.items() for v in nbrs if u < v
-        ]
+        """Subtree edges as sorted (u, v) pairs with u < v."""
+        child = np.flatnonzero(self.member)
+        child = child[child != self.top]
+        up = self.parent[child]
+        lo, hi = np.minimum(child, up), np.maximum(child, up)
+        order = np.lexsort((hi, lo))
+        return list(zip(lo[order].tolist(), hi[order].tolist()))
 
 
 def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
     """Minimal subtree of T containing all terminals.
 
-    Walks each terminal's root path until it meets an already-marked
-    vertex, then prunes non-terminal leaves off the marked union. Work is
-    proportional to the marked region, not to n.
+    Marks the union of the terminals' root paths one tree level at a
+    time: each step marks the frontier and moves it to the parents not
+    yet marked. The union's leaves are terminals, so the only vertices to
+    drop lie on its root chain: walk down from the root while the vertex
+    is no terminal and has exactly one marked child. Needs only T.root
+    and T.parent. Allocates a few arrays of length n (membership, child
+    counts, degrees); the rest of the work is proportional to the marked
+    region, in one numpy step per level above the deepest terminal.
     """
-    terms = set(terminals)
-    if not terms:
+    terms = np.unique(np.fromiter(terminals, dtype=np.int64))
+    if terms.size == 0:
         raise EmptyTerminals("steiner subtree needs at least one terminal")
-    parent = T.parent
-    member = [False] * T.n
-    marked: list[int] = []
-    for t in sorted(terms):
-        v = t
-        while not member[v]:
-            member[v] = True
-            marked.append(v)
-            if parent[v] == v:
-                break
-            v = parent[v]
-    # every marked vertex except the root chains to a marked parent
-    adj: dict[int, list[int]] = {v: [] for v in marked}
-    for v in marked:
-        p = parent[v]
-        if p != v:
-            adj[v].append(p)
-            adj[p].append(v)
-    deg = {v: len(a) for v, a in adj.items()}
-    queue = deque(v for v in marked if deg[v] <= 1 and v not in terms)
-    while queue:
-        v = queue.popleft()
-        if not member[v]:
-            continue
-        member[v] = False
-        for u in adj[v]:
-            if member[u]:
-                deg[u] -= 1
-                if deg[u] <= 1 and u not in terms:
-                    queue.append(u)
-    sub_adj = {
-        v: sorted(u for u in adj[v] if member[u])
-        for v in sorted(adj)
-        if member[v]
-    }
-    return SteinerSubtree(member=member, adjacency=sub_adj)
+    parent = np.asarray(T.parent, dtype=np.int64)
+    n = len(parent)
+    member = np.zeros(n, dtype=bool)
+    frontier = terms
+    while frontier.size:
+        member[frontier] = True
+        up = parent[frontier]
+        frontier = np.unique(up[~member[up]])
+    child = np.flatnonzero(member)
+    child = child[child != T.root]
+    up = parent[child]
+    children = np.bincount(up, minlength=n)
+    only_child = np.full(n, -1, dtype=np.int64)
+    single = children[up] == 1
+    only_child[up[single]] = child[single]
+    is_term = np.zeros(n, dtype=bool)
+    is_term[terms] = True
+    top = T.root
+    while not is_term[top] and children[top] == 1:
+        member[top] = False
+        children[top] = 0
+        top = int(only_child[top])
+    degrees = children  # marked children; every member but top adds its parent
+    degrees[member] += 1
+    degrees[top] -= 1
+    return SteinerSubtree(member=member, top=top, degrees=degrees, parent=parent)
 
 
 @dataclass
@@ -191,11 +198,9 @@ class BranchSet:
 
 
 def branch_vertices(T1: SteinerSubtree, terminals) -> BranchSet:
-    members = set(terminals)
-    for v in T1.adjacency:
-        if T1.degree(v) >= 3:
-            members.add(v)
-    return BranchSet(members=members)
+    mask = T1.degrees >= 3
+    mask[np.fromiter(terminals, dtype=np.int64)] = True
+    return BranchSet(members=set(np.flatnonzero(mask).tolist()))
 
 
 @dataclass
@@ -209,27 +214,63 @@ class PathDecomposition:
 
 
 def decompose_paths(T1: SteinerSubtree, U: BranchSet) -> PathDecomposition:
-    """Edge-disjoint cover of the subtree by maximal U-to-U paths."""
+    """Edge-disjoint cover of the subtree by maximal U-to-U paths.
+
+    Every subtree vertex outside U other than ``top`` has exactly one
+    subtree child, so each path is the upward chain from a branch vertex
+    b != top; a ``top`` outside U joins the two chains that meet at it.
+    Pointer doubling over the one-child pointers gives each interior
+    vertex its chain's bottom and its distance from it; one sort groups
+    the chains. Paths run from their smaller endpoint and come in order
+    of (that endpoint, its neighbour on the path).
+    """
+    parent, member, top = T1.parent, T1.member, T1.top
+    n = len(member)
+    branch = np.zeros(n, dtype=bool)
+    branch[np.fromiter(U.members, dtype=np.int64, count=len(U.members))] = True
+    inner = member & ~branch
+    inner[top] = False
+    child = np.flatnonzero(member)
+    child = child[child != top]
+    up = parent[child]
+    ptr = np.arange(n, dtype=np.int64)  # non-interior vertices point at themselves
+    below = inner[up]
+    ptr[up[below]] = child[below]
+    dist = inner.astype(np.int64)
+    interior = np.flatnonzero(inner)
+    active = interior
+    while active.size:
+        nxt = ptr[active]
+        dist[active] += dist[nxt]
+        ptr[active] = ptr[nxt]
+        active = active[inner[ptr[active]]]
+    bottom = ptr[interior]
+    interior = interior[np.lexsort((dist[interior], bottom))]
+    starts = np.flatnonzero(branch & member)
+    starts = starts[starts != top]
+    counts = np.bincount(bottom, minlength=n)[starts]
+    ends = np.cumsum(counts)
+    last = starts.copy()  # each chain's highest vertex
+    last[counts > 0] = interior[ends[counts > 0] - 1]
+    flat = interior.tolist()
+    join_at_top = not branch[top]
     paths = []
-    used: set[tuple[int, int]] = set()
-
-    def edge_key(a, b):
-        return (a, b) if a < b else (b, a)
-
-    for u in sorted(U.members):
-        for v in T1.adjacency.get(u, ()):
-            if edge_key(u, v) in used:
-                continue
-            path = [u]
-            prev, cur = u, v
-            used.add(edge_key(u, v))
-            while cur not in U.members:
-                path.append(cur)
-                nxt = next(x for x in T1.adjacency[cur] if x != prev)
-                used.add(edge_key(cur, nxt))
-                prev, cur = cur, nxt
-            path.append(cur)
+    joined = []
+    lo = 0
+    for b, hi, end in zip(starts.tolist(), ends.tolist(), parent[last].tolist()):
+        path = [b, *flat[lo:hi], end]
+        lo = hi
+        if join_at_top and end == top:
+            joined.append(path)
+        else:
             paths.append(path)
+    if joined:
+        a, b = joined
+        paths.append(a + b[-2::-1])
+    for path in paths:
+        if path[0] > path[-1]:
+            path.reverse()
+    paths.sort(key=lambda p: (p[0], p[1]))
     return PathDecomposition(paths=paths)
 
 
@@ -250,15 +291,11 @@ def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> Collapsed
     top-down pass over T's BFS levels finds it: a vertex outside T1 takes
     its parent's attachment. Weight conservation is exact.
     """
-    parent = np.asarray(T.parent, dtype=np.int64)
+    parent = T1.parent
     order = np.asarray(T.order, dtype=np.int64)
-    member = np.zeros(G.n, dtype=bool)
-    member[list(T1.adjacency)] = True
-    top = next(iter(T1.adjacency))
-    while T.parent[top] != top and T1.member[T.parent[top]]:
-        top = T.parent[top]
+    member = T1.member
     attach = np.empty(G.n, dtype=np.int64)
-    attach[T.root] = T.root if member[T.root] else top
+    attach[T.root] = T.root if member[T.root] else T1.top
     inside = member[order]
     up = parent[order]
     for lo, hi in zip(T.levels[1:], T.levels[2:]):
@@ -290,13 +327,26 @@ class CompressedGraph:
         return len(self.node_weights)
 
     def simple_graph(self) -> Graph:
-        """Parallel edges collapsed; vertex separators are unaffected."""
-        dedup = sorted({(min(a, b), max(a, b)) for a, b in self.edges if a != b})
-        return Graph(
-            n=self.num_nodes,
-            adjacency=_adjacency(self.num_nodes, dedup),
-            weights=list(self.node_weights),
-        )
+        """Parallel edges collapsed; vertex separators are unaffected.
+
+        Each node's neighbours come in ascending order.
+        """
+        n = self.num_nodes
+        keys = np.unique(_edge_keys(self.edges, n))
+        lo, hi = np.divmod(keys, n)
+        lo, hi = lo[lo != hi], hi[lo != hi]
+        src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+        order = np.lexsort((dst, src))
+        ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+        dst = dst[order].tolist()
+        adjacency = [dst[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+        return Graph(n=n, adjacency=adjacency, weights=list(self.node_weights))
+
+
+def _edge_keys(edges, n):
+    """One integer per undirected edge: min * n + max."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return pairs.min(axis=1) * n + pairs.max(axis=1)
 
 
 def _adjacency(n, edges):
@@ -312,41 +362,50 @@ def build_compressed_graph(
 ) -> CompressedGraph:
     u_list = sorted(U.members)
     node_of = {u: i for i, u in enumerate(u_list)}
-    node_weights = [cw.wprime[u] for u in u_list]
-    orig: list[int | None] = list(u_list)
+    wprime = cw.wprime
+    interiors = [path[1:-1] for path in Pi.paths]
+    lengths = np.fromiter(map(len, interiors), dtype=np.int64, count=len(interiors))
+    flat = np.fromiter(
+        map(wprime.__getitem__, chain.from_iterable(interiors)),
+        dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    prefix = np.cumsum(flat)
+    # subtract each path's offset so that its prefix sums start from zero
+    before = np.concatenate(([0], prefix))[starts]
+    prefix -= np.repeat(before, lengths)
+    sums = np.zeros(len(interiors), dtype=np.int64)
+    nonempty = lengths > 0
+    sums[nonempty] = np.add.reduceat(flat, starts[nonempty])
+    prefix = prefix.tolist()
+    node_weights = [wprime[u] for u in u_list] + sums.tolist()
+    orig: list[int | None] = list(u_list) + [None] * len(interiors)
     edges: list[tuple[int, int]] = []
     back_map: dict[int, tuple[list[int], list[int]]] = {}
     path_ends: dict[int, tuple[int, int]] = {}
-    for path in Pi.paths:
-        interior = path[1:-1]
-        sub = len(node_weights)
-        node_weights.append(sum(cw.wprime[v] for v in interior))
-        orig.append(None)
-        prefix = []
-        acc = 0
-        for v in interior:
-            acc += cw.wprime[v]
-            prefix.append(acc)
-        back_map[sub] = (interior, prefix)
+    for sub, path, interior, lo, hi in zip(
+        range(len(u_list), len(node_weights)),
+        Pi.paths,
+        interiors,
+        starts.tolist(),
+        ends.tolist(),
+    ):
+        back_map[sub] = (interior, prefix[lo:hi])
         path_ends[sub] = (path[0], path[-1])
         edges.append((node_of[path[0]], sub))
         edges.append((sub, node_of[path[-1]]))
     for u, v in R.edges:
         edges.append((node_of[u], node_of[v]))
-    seen = set()
-    has_parallel = False
-    for a, b in edges:
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            has_parallel = True
-        seen.add(key)
+    keys = _edge_keys(edges, len(node_weights))
     return CompressedGraph(
         node_weights=node_weights,
         edges=edges,
         orig=orig,
         back_map=back_map,
         path_ends=path_ends,
-        has_parallel=has_parallel,
+        has_parallel=len(np.unique(keys)) < len(keys),
     )
 
 

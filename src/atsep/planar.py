@@ -23,7 +23,13 @@ import networkx as nx
 from networkx.algorithms.planar_drawing import triangulate_embedding
 
 from .errors import Disconnected, NotPlanar, ZeroTotalWeight
-from .graph import Graph, check_beta, heaviest_component, verify_separator
+from .graph import (
+    Graph,
+    check_beta,
+    component_weights,
+    connected_components,
+    heaviest_component,
+)
 
 
 def bfs_levels(G: Graph, root: int):
@@ -55,12 +61,20 @@ class LTSeparator:
     fallback_steps: int = 0
 
 
-def _greedy_balance(G: Graph, S: set[int], beta: Fraction) -> int:
-    """Add heaviest vertices of offending components until balanced."""
+def _greedy_balance(G: Graph, S: set[int], beta: Fraction, heaviest=None) -> int:
+    """Add heaviest vertices of offending components until balanced.
+
+    ``heaviest``, if given, is the (vertices, weight) of the heaviest
+    component of G - S as the caller already found it; it stands in for
+    the first search.
+    """
     W = G.total_weight
     steps = 0
     while True:
-        verts, heavy_w = heaviest_component(G, S)
+        if heaviest is None:
+            verts, heavy_w = heaviest_component(G, S)
+        else:
+            (verts, heavy_w), heaviest = heaviest, None
         if heavy_w * beta.denominator <= W * beta.numerator:
             return steps
         pick = max(verts, key=lambda v: (G.weights[v], -v))
@@ -94,14 +108,29 @@ def _band_cycle_shrink(G: Graph, heavy: list[int], level, l0: int):
             elif level[v] <= l0:
                 B.add_edge(root, u)
     if B.number_of_nodes() < 3:
+        B.clear()
         return None
     ok, emb = nx.check_planarity(B, counterexample=False)
+    # empty each networkx graph once done with it, as lt_separator's gate
+    # does: they are reference cycles that would wait for a full collection
+    B.clear()
     if not ok:
         return None
     tri, _ = triangulate_embedding(emb, fully_triangulate=True)
-
+    emb.clear()
     weight = {v: G.weights[v] for v in heavy}
     weight[root] = 0
+    cycle = _balanced_fundamental_cycle(tri, root, weight)
+    tri.clear()
+    return cycle
+
+
+def _balanced_fundamental_cycle(tri, root, weight):
+    """Vertices of a fundamental cycle of ``tri`` leaving <= 2/3 on each side.
+
+    The BFS tree grows from ``root``, which the result omits; None if no
+    fundamental cycle balances.
+    """
     total = sum(weight.values())
 
     # BFS tree of the triangulated band from the virtual root
@@ -275,13 +304,15 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
     info = {"l0": l0, "l1": l1, "l2": l2, "num_levels": len(levels)}
 
     cycle = None
-    heavy, heavy_w = heaviest_component(G, S)
+    band = heaviest_component(G, S)
+    heavy, heavy_w = band
     if heavy_w * beta.denominator > W * beta.numerator:
         cycle = _band_cycle_shrink(G, heavy, level, l0)
         if cycle is not None:
             S |= cycle
+            band = None  # S grew: the greedy pass searches again
 
-    steps = _greedy_balance(G, S, beta)
+    steps = _greedy_balance(G, S, beta, band)
     _prune_redundant(G, S, beta)
     return LTSeparator(vertices=S, level_info=info, cycle_info=cycle, fallback_steps=steps)
 
@@ -291,9 +322,34 @@ def _prune_redundant(G: Graph, S: set[int], beta: Fraction) -> None:
 
     Level-based separators carry whole BFS levels even when a few cut
     vertices suffice; this pass trims them. Ascending-ID scan keeps the
-    result deterministic.
+    result deterministic. S is balanced on entry, and dropping v from a
+    balanced S changes only the component v joins, so one component pass
+    over G - S plus a union-find over the components decides every
+    vertex: v goes iff v merged with its neighbours' components outside
+    S still weighs at most beta * W.
     """
-    for v in sorted(S):
-        S.discard(v)
-        if not verify_separator(G, S, beta).passed:
-            S.add(v)
+    W = G.total_weight
+    order = sorted(S)
+    comp = connected_components(G, removed=S)
+    # union-find nodes: the components of G - S, then each vertex of S
+    weight = component_weights(G, comp)
+    node = {v: len(weight) + i for i, v in enumerate(order)}
+    weight += [G.weights[v] for v in order]
+    link = list(range(len(weight)))
+
+    def find(x):
+        while link[x] != x:
+            link[x] = link[link[x]]
+            x = link[x]
+        return x
+
+    for v in order:
+        roots = {find(comp[u] if comp[u] >= 0 else node[u])
+                 for u in G.adjacency[v] if u not in S}
+        merged = G.weights[v] + sum(weight[x] for x in roots)
+        if merged * beta.denominator <= W * beta.numerator:
+            S.discard(v)
+            me = node[v]
+            for x in roots:
+                link[x] = me
+            weight[me] = merged

@@ -1,5 +1,7 @@
 """Planar separator module: BFS levels and the Lipton-Tarjan separator."""
 
+import gc
+import random
 from fractions import Fraction
 from math import sqrt
 
@@ -7,10 +9,11 @@ import networkx as nx
 import pytest
 
 import atsep.graph
+import atsep.planar
 from atsep.errors import BadBeta, Disconnected, NotPlanar, ZeroTotalWeight
 from atsep.gen import GenSpec, generate, grid_graph
 from atsep.graph import build_graph, verify_separator
-from atsep.planar import bfs_levels, lt_separator
+from atsep.planar import _greedy_balance, _prune_redundant, bfs_levels, lt_separator
 
 from conftest import complete, cycle, path, star
 
@@ -173,3 +176,97 @@ class TestLtGreedyFallback:
         assert lt.fallback_steps >= 1
         assert calls.count(True) == lt.fallback_steps + 1
         assert verify_separator(G, lt.vertices).passed
+
+
+def count_component_passes(monkeypatch, G):
+    """Record each connected_components call on G, wherever planar reaches it."""
+    calls = []
+    real = atsep.graph.connected_components
+
+    def counting(H, *args, **kwargs):
+        calls.append(H is G)
+        return real(H, *args, **kwargs)
+
+    monkeypatch.setattr(atsep.graph, "connected_components", counting)
+    monkeypatch.setattr(atsep.planar, "connected_components", counting)
+    return calls
+
+
+def reference_prune(G, S, beta):
+    """The pruning pass as one full verification per separator vertex."""
+    for v in sorted(S):
+        S.discard(v)
+        if not verify_separator(G, S, beta).passed:
+            S.add(v)
+
+
+class TestPruneRedundant:
+    def test_one_component_pass(self, monkeypatch):
+        G = generate(GenSpec(n=400, r=64, seed=2))
+        S = set(range(0, G.n, 7))
+        _greedy_balance(G, S, Fraction(2, 3))
+        calls = count_component_passes(monkeypatch, G)
+        _prune_redundant(G, S, Fraction(2, 3))
+        assert calls == [True]
+        assert verify_separator(G, S).passed
+
+    def test_matches_verify_per_vertex_reference(self):
+        rng = random.Random(5)
+        modes = (("unit",), ("uniform", 1, 100), ("single_heavy", Fraction(7, 10)))
+        betas = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4))
+        dropped = kept = 0
+        for case in range(60):
+            n = rng.randint(5, 300)
+            r = rng.randint(0, min(40, 2 * n - 7))
+            G = generate(GenSpec(n=n, r=r, seed=case, weight_mode=modes[case % 3]))
+            beta = betas[case // 3 % 3]
+            S = set(rng.sample(range(n), rng.randint(0, n // 2)))
+            _greedy_balance(G, S, beta)
+            want = set(S)
+            reference_prune(G, want, beta)
+            before = len(S)
+            _prune_redundant(G, S, beta)
+            assert S == want, case
+            dropped += before - len(S)
+            kept += len(S)
+        assert dropped > 0 and kept > 0
+
+
+class TestLtComponentPasses:
+    """Band check, greedy steps and one pruning pass; the band check's
+    search stands in for the greedy pass's first one unless a cycle grew S."""
+
+    @pytest.mark.parametrize(
+        "G,beta,cycle,steps",
+        [
+            (grid_graph(5, 4), Fraction(2, 3), False, 0),
+            (generate(GenSpec(n=8, r=0, seed=5, weight_mode=("single_heavy", Fraction(7, 10)))),
+             Fraction(2, 3), False, 1),
+            (generate(GenSpec(n=60, r=32, seed=1)), Fraction(2, 3), True, 0),
+            (generate(GenSpec(n=30, r=8, seed=1, weight_mode=("uniform", 1, 100))),
+             Fraction(11, 20), True, 1),
+        ],
+        ids=["grid", "heavy-vertex", "band-cycle", "band-cycle-then-greedy"],
+    )
+    def test_passes_per_call(self, G, beta, cycle, steps, monkeypatch):
+        calls = count_component_passes(monkeypatch, G)
+        lt = lt_separator(G, beta=beta)
+        assert (lt.cycle_info is not None, lt.fallback_steps) == (cycle, steps)
+        assert calls.count(True) == lt.fallback_steps + (3 if cycle else 2)
+        assert verify_separator(G, lt.vertices, beta).passed
+
+
+def test_band_graphs_freed_without_collection():
+    # B, its embedding and the triangulation are emptied before the band
+    # shrink returns; what a collection still finds is mostly networkx's
+    # own copies inside its planarity test
+    G = generate(GenSpec(n=2000, r=600, seed=1))
+    gc.collect()
+    gc.disable()
+    try:
+        lt = lt_separator(G)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert lt.cycle_info is not None
+    assert freed <= 12000
