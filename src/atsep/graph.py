@@ -293,6 +293,8 @@ class VerifyReport:
     component_weights: list[int]
     beta: Fraction
     passed: bool
+    # component ID per vertex of G, -1 on S, as connected_components gives it
+    components: list[int] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def max_component_weight(self) -> int:
@@ -326,4 +328,5 @@ def verify_separator(G: Graph, S, beta=Fraction(2, 3)) -> VerifyReport:
         component_weights=comp_w,
         beta=beta,
         passed=passed,
+        components=comp,
     )

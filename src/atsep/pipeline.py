@@ -147,40 +147,59 @@ class SteinerSubtree:
 def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
     """Minimal subtree of T containing all terminals.
 
-    Marks the union of the terminals' root paths one tree level at a
-    time: each step marks the frontier and moves it to the parents not
-    yet marked. The union's leaves are terminals, so the only vertices to
-    drop lie on its root chain: walk down from the root while the vertex
-    is no terminal and has exactly one marked child. Needs only T.root
-    and T.parent. Allocates a few arrays of length n (membership, child
-    counts, degrees); the rest of the work is proportional to the marked
-    region, in one numpy step per level above the deepest terminal.
+    Marks the union of the terminals' root paths by walking up from the
+    terminals in batches of 1, 2, 4, ... levels: a batch marks every vertex
+    its walks pass, then the walks whose next vertex is marked stop and the
+    others merge. Walking past a merge point is harmless, because every
+    ancestor of a marked vertex belongs to the union. The union's leaves
+    are terminals, so the vertices to drop are its root chain: the marked
+    vertices above ``top``, the shallowest marked vertex that is a
+    terminal or has two marked children. Pointer jumping over the marked
+    vertices gives their depths. Needs only T.root and T.parent.
+
+    Cost, with D the BFS depth of the deepest terminal: a few arrays of
+    length n, O(log D) numpy passes over the marked vertices, and one
+    small gather per level walked (at most 2D), which is what a deep tree
+    with a narrow union (a long cycle or path) pays for.
     """
     terms = np.unique(np.fromiter(terminals, dtype=np.int64))
     if terms.size == 0:
         raise EmptyTerminals("steiner subtree needs at least one terminal")
     parent = np.asarray(T.parent, dtype=np.int64)
-    n = len(parent)
+    n, root = len(parent), T.root
     member = np.zeros(n, dtype=bool)
     frontier = terms
+    batch = 1
     while frontier.size:
-        member[frontier] = True
+        walk = [frontier]
+        for _ in range(batch - 1):
+            frontier = parent[frontier]
+            walk.append(frontier)
+        member[np.concatenate(walk)] = True
         up = parent[frontier]
         frontier = np.unique(up[~member[up]])
-    child = np.flatnonzero(member)
-    child = child[child != T.root]
-    up = parent[child]
-    children = np.bincount(up, minlength=n)
-    only_child = np.full(n, -1, dtype=np.int64)
-    single = children[up] == 1
-    only_child[up[single]] = child[single]
-    is_term = np.zeros(n, dtype=bool)
-    is_term[terms] = True
-    top = T.root
-    while not is_term[top] and children[top] == 1:
-        member[top] = False
-        children[top] = 0
-        top = int(only_child[top])
+        batch *= 2
+    verts = np.flatnonzero(member)
+    child = verts[verts != root]
+    children = np.bincount(parent[child], minlength=n)
+    # depth of each marked vertex: after k rounds, up jumps 2^k levels
+    # (stopping at the root) and depth holds min(2^k, depth)
+    index = np.empty(n, dtype=np.int64)
+    index[verts] = np.arange(verts.size)
+    up = index[parent[verts]]
+    at_root = index[root]
+    depth = (verts != root).astype(np.int64)
+    while (up != at_root).any():
+        depth += depth[up]
+        up = up[up]
+    top_like = member & (children != 1)
+    top_like[terms] = True
+    candidates = np.flatnonzero(top_like[verts])
+    i = candidates[np.argmin(depth[candidates])]
+    top = int(verts[i])
+    chain = verts[depth < depth[i]]
+    member[chain] = False
+    children[chain] = 0
     degrees = children  # marked children; every member but top adds its parent
     degrees[member] += 1
     degrees[top] -= 1
@@ -378,7 +397,7 @@ def build_compressed_graph(
     prefix -= np.repeat(before, lengths)
     sums = np.zeros(len(interiors), dtype=np.int64)
     nonempty = lengths > 0
-    sums[nonempty] = np.add.reduceat(flat, starts[nonempty])
+    sums[nonempty] = prefix[ends[nonempty] - 1]
     prefix = prefix.tolist()
     node_weights = [wprime[u] for u in u_list] + sums.tolist()
     orig: list[int | None] = list(u_list) + [None] * len(interiors)

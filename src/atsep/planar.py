@@ -23,13 +23,7 @@ import networkx as nx
 from networkx.algorithms.planar_drawing import triangulate_embedding
 
 from .errors import Disconnected, NotPlanar, ZeroTotalWeight
-from .graph import (
-    Graph,
-    check_beta,
-    component_weights,
-    connected_components,
-    heaviest_component,
-)
+from .graph import Graph, check_beta, heaviest_component, verify_separator
 
 
 def bfs_levels(G: Graph, root: int):
@@ -61,27 +55,23 @@ class LTSeparator:
     fallback_steps: int = 0
 
 
-def _greedy_balance(G: Graph, S: set[int], beta: Fraction, heaviest=None) -> int:
+def _greedy_balance(G: Graph, S: set[int], beta: Fraction, heaviest) -> int:
     """Add heaviest vertices of offending components until balanced.
 
-    ``heaviest``, if given, is the (vertices, weight) of the heaviest
-    component of G - S as the caller already found it; it stands in for
-    the first search.
+    ``heaviest`` is ``heaviest_component(G, S)`` as the caller found it;
+    each step searches G - S again.
     """
     W = G.total_weight
     steps = 0
-    while True:
-        if heaviest is None:
-            verts, heavy_w = heaviest_component(G, S)
-        else:
-            (verts, heavy_w), heaviest = heaviest, None
-        if heavy_w * beta.denominator <= W * beta.numerator:
-            return steps
+    verts, heavy_w = heaviest
+    while heavy_w * beta.denominator > W * beta.numerator:
         pick = max(verts, key=lambda v: (G.weights[v], -v))
         S.add(pick)
         steps += 1
         if steps > G.n:
             raise AssertionError("greedy balance failed to terminate")
+        verts, heavy_w = heaviest_component(G, S)
+    return steps
 
 
 def _band_cycle_shrink(G: Graph, heavy: list[int], level, l0: int):
@@ -275,7 +265,7 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
 
     if G.n <= 4:
         S: set[int] = set()
-        steps = _greedy_balance(G, S, beta)
+        steps = _greedy_balance(G, S, beta, heaviest_component(G, S))
         return LTSeparator(vertices=S, level_info={}, fallback_steps=steps)
 
     cum = 0
@@ -304,15 +294,14 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
     info = {"l0": l0, "l1": l1, "l2": l2, "num_levels": len(levels)}
 
     cycle = None
-    band = heaviest_component(G, S)
-    heavy, heavy_w = band
+    heavy, heavy_w = heaviest_component(G, S)
     if heavy_w * beta.denominator > W * beta.numerator:
         cycle = _band_cycle_shrink(G, heavy, level, l0)
         if cycle is not None:
             S |= cycle
-            band = None  # S grew: the greedy pass searches again
+            heavy, heavy_w = heaviest_component(G, S)
 
-    steps = _greedy_balance(G, S, beta, band)
+    steps = _greedy_balance(G, S, beta, (heavy, heavy_w))
     _prune_redundant(G, S, beta)
     return LTSeparator(vertices=S, level_info=info, cycle_info=cycle, fallback_steps=steps)
 
@@ -322,17 +311,20 @@ def _prune_redundant(G: Graph, S: set[int], beta: Fraction) -> None:
 
     Level-based separators carry whole BFS levels even when a few cut
     vertices suffice; this pass trims them. Ascending-ID scan keeps the
-    result deterministic. S is balanced on entry, and dropping v from a
-    balanced S changes only the component v joins, so one component pass
-    over G - S plus a union-find over the components decides every
-    vertex: v goes iff v merged with its neighbours' components outside
-    S still weighs at most beta * W.
+    result deterministic. Dropping v from a balanced S changes only the
+    component v joins, so one verification of S on entry, whose
+    component pass the scan reuses, plus a union-find over the components
+    decides every vertex: v goes iff v merged with its neighbours'
+    components outside S still weighs at most beta * W.
     """
-    W = G.total_weight
+    report = verify_separator(G, S, beta)
+    if not report.passed:
+        raise AssertionError("pruning needs a balanced separator")
+    W = report.total_weight
     order = sorted(S)
-    comp = connected_components(G, removed=S)
+    comp = report.components
     # union-find nodes: the components of G - S, then each vertex of S
-    weight = component_weights(G, comp)
+    weight = list(report.component_weights)
     node = {v: len(weight) + i for i, v in enumerate(order)}
     weight += [G.weights[v] for v in order]
     link = list(range(len(weight)))

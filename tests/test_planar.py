@@ -12,7 +12,7 @@ import atsep.graph
 import atsep.planar
 from atsep.errors import BadBeta, Disconnected, NotPlanar, ZeroTotalWeight
 from atsep.gen import GenSpec, generate, grid_graph
-from atsep.graph import build_graph, verify_separator
+from atsep.graph import build_graph, heaviest_component, verify_separator
 from atsep.planar import _greedy_balance, _prune_redundant, bfs_levels, lt_separator
 
 from conftest import complete, cycle, path, star
@@ -179,7 +179,8 @@ class TestLtGreedyFallback:
 
 
 def count_component_passes(monkeypatch, G):
-    """Record each connected_components call on G, wherever planar reaches it."""
+    """Record each connected_components call on G; planar reaches it only
+    through heaviest_component and verify_separator."""
     calls = []
     real = atsep.graph.connected_components
 
@@ -188,7 +189,6 @@ def count_component_passes(monkeypatch, G):
         return real(H, *args, **kwargs)
 
     monkeypatch.setattr(atsep.graph, "connected_components", counting)
-    monkeypatch.setattr(atsep.planar, "connected_components", counting)
     return calls
 
 
@@ -204,11 +204,16 @@ class TestPruneRedundant:
     def test_one_component_pass(self, monkeypatch):
         G = generate(GenSpec(n=400, r=64, seed=2))
         S = set(range(0, G.n, 7))
-        _greedy_balance(G, S, Fraction(2, 3))
+        _greedy_balance(G, S, Fraction(2, 3), heaviest_component(G, S))
         calls = count_component_passes(monkeypatch, G)
         _prune_redundant(G, S, Fraction(2, 3))
         assert calls == [True]
         assert verify_separator(G, S).passed
+
+    def test_unbalanced_entry_is_internal_fault(self):
+        # the one verification on entry checks what the scan relies on
+        with pytest.raises(AssertionError, match="balanced"):
+            _prune_redundant(path(9), {0}, Fraction(2, 3))
 
     def test_matches_verify_per_vertex_reference(self):
         rng = random.Random(5)
@@ -221,7 +226,7 @@ class TestPruneRedundant:
             G = generate(GenSpec(n=n, r=r, seed=case, weight_mode=modes[case % 3]))
             beta = betas[case // 3 % 3]
             S = set(rng.sample(range(n), rng.randint(0, n // 2)))
-            _greedy_balance(G, S, beta)
+            _greedy_balance(G, S, beta, heaviest_component(G, S))
             want = set(S)
             reference_prune(G, want, beta)
             before = len(S)
