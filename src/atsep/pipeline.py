@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate
 from math import ceil, sqrt
 from time import perf_counter_ns
 
@@ -382,36 +382,18 @@ def build_compressed_graph(
     u_list = sorted(U.members)
     node_of = {u: i for i, u in enumerate(u_list)}
     wprime = cw.wprime
-    interiors = [path[1:-1] for path in Pi.paths]
-    lengths = np.fromiter(map(len, interiors), dtype=np.int64, count=len(interiors))
-    flat = np.fromiter(
-        map(wprime.__getitem__, chain.from_iterable(interiors)),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    prefix = np.cumsum(flat)
-    # subtract each path's offset so that its prefix sums start from zero
-    before = np.concatenate(([0], prefix))[starts]
-    prefix -= np.repeat(before, lengths)
-    sums = np.zeros(len(interiors), dtype=np.int64)
-    nonempty = lengths > 0
-    sums[nonempty] = prefix[ends[nonempty] - 1]
-    prefix = prefix.tolist()
-    node_weights = [wprime[u] for u in u_list] + sums.tolist()
-    orig: list[int | None] = list(u_list) + [None] * len(interiors)
+    node_weights = [wprime[u] for u in u_list]
+    orig: list[int | None] = list(u_list)
     edges: list[tuple[int, int]] = []
     back_map: dict[int, tuple[list[int], list[int]]] = {}
     path_ends: dict[int, tuple[int, int]] = {}
-    for sub, path, interior, lo, hi in zip(
-        range(len(u_list), len(node_weights)),
-        Pi.paths,
-        interiors,
-        starts.tolist(),
-        ends.tolist(),
-    ):
-        back_map[sub] = (interior, prefix[lo:hi])
+    for path in Pi.paths:
+        interior = path[1:-1]
+        sub = len(node_weights)
+        prefix = list(accumulate(map(wprime.__getitem__, interior)))
+        node_weights.append(prefix[-1] if prefix else 0)
+        orig.append(None)
+        back_map[sub] = (interior, prefix)
         path_ends[sub] = (path[0], path[-1])
         edges.append((node_of[path[0]], sub))
         edges.append((sub, node_of[path[-1]]))
