@@ -144,6 +144,18 @@ class SteinerSubtree:
         return list(zip(lo[order].tolist(), hi[order].tolist()))
 
 
+def _unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D integer array.
+
+    Plain np.unique imports numpy.ma on its first call (40-130 ms), which
+    a process that separates one small graph would pay in full.
+    """
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
     """Minimal subtree of T containing all terminals.
 
@@ -162,7 +174,7 @@ def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
     small gather per level walked (at most 2D), which is what a deep tree
     with a narrow union (a long cycle or path) pays for.
     """
-    terms = np.unique(np.fromiter(terminals, dtype=np.int64))
+    terms = _unique(np.fromiter(terminals, dtype=np.int64))
     if terms.size == 0:
         raise EmptyTerminals("steiner subtree needs at least one terminal")
     parent = np.asarray(T.parent, dtype=np.int64)
@@ -177,7 +189,7 @@ def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
             walk.append(frontier)
         member[np.concatenate(walk)] = True
         up = parent[frontier]
-        frontier = np.unique(up[~member[up]])
+        frontier = _unique(up[~member[up]])
         batch *= 2
     verts = np.flatnonzero(member)
     child = verts[verts != root]
@@ -351,7 +363,7 @@ class CompressedGraph:
         Each node's neighbours come in ascending order.
         """
         n = self.num_nodes
-        keys = np.unique(_edge_keys(self.edges, n))
+        keys = _unique(_edge_keys(self.edges, n))
         lo, hi = np.divmod(keys, n)
         lo, hi = lo[lo != hi], hi[lo != hi]
         src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
@@ -399,14 +411,14 @@ def build_compressed_graph(
         edges.append((sub, node_of[path[-1]]))
     for u, v in R.edges:
         edges.append((node_of[u], node_of[v]))
-    keys = _edge_keys(edges, len(node_weights))
+    keys = np.sort(_edge_keys(edges, len(node_weights)))
     return CompressedGraph(
         node_weights=node_weights,
         edges=edges,
         orig=orig,
         back_map=back_map,
         path_ends=path_ends,
-        has_parallel=len(np.unique(keys)) < len(keys),
+        has_parallel=bool((keys[1:] == keys[:-1]).any()),
     )
 
 
