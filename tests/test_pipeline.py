@@ -1,6 +1,8 @@
 """Pipeline stages: compression construction, lifting, repairs, end to end."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -586,3 +588,19 @@ class TestDumpStages:
         assert text.startswith("stage input\n")
         assert "stage separator\n" in text
         assert "s 2\n" in text  # centroid of a 3-path, 1-based
+
+
+def test_small_call_leaves_numpy_ma_unimported():
+    # plain np.unique imports numpy.ma on its first call (40-130 ms), which
+    # a process that separates one small graph would pay in full
+    code = (
+        "import sys\n"
+        "from atsep.gen import GenSpec, generate\n"
+        "from atsep.pipeline import separate\n"
+        "G = generate(GenSpec(n=300, r=20, seed=1))\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "separate(G)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "False"]
