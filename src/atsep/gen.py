@@ -26,7 +26,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import Infeasible
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, graph_from_edges
 
 _STAGE_TREE = 0
 _STAGE_EDGES = 1
@@ -62,17 +62,18 @@ class GenSpec:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Random-attachment labeled tree with randomly permuted vertex IDs."""
-    rng = _rng(seed, _STAGE_TREE)
     if n == 1:
         return build_graph(1, [])
+    return graph_from_edges(n, *_tree_edges(n, seed), [1] * n)
+
+
+def _tree_edges(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(child, parent) arrays of ``random_tree``'s edges, in build order."""
+    rng = _rng(seed, _STAGE_TREE)
     # vertex i (in build order) attaches to a uniform earlier vertex
     parents = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
     perm = rng.permutation(n)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for c, p in zip(perm[1:].tolist(), perm[parents].tolist()):
-        adjacency[c].append(p)
-        adjacency[p].append(c)
-    return Graph(n=n, adjacency=adjacency, weights=[1] * n)
+    return perm[1:], perm[parents]
 
 
 def grid_graph(a: int, b: int) -> Graph:
@@ -261,7 +262,8 @@ def near_tree_planar(spec: GenSpec) -> Graph:
         raise Infeasible("near_tree_planar needs r >= 0")
     if n < 3 or n + r > 3 * n - 6:
         raise Infeasible(f"no simple planar graph with n={n}, m={n + r}")
-    tree = random_tree(n, spec.seed)
+    child, up = _tree_edges(n, spec.seed)
+    tree = graph_from_edges(n, child, up, [1] * n)
 
     # parent pointers from vertex 0 (random-attachment trees are shallow)
     parent = [0] * n
@@ -349,11 +351,15 @@ def near_tree_planar(spec: GenSpec) -> Graph:
             core.restore(snap)
             dead.add(cand)
 
-    adjacency = [list(a) for a in tree.adjacency]
-    for u, v in core.chords:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    G = Graph(n=n, adjacency=adjacency, weights=[1] * n)
+    # tree edges first, then the chords: each vertex keeps its tree
+    # neighbours ahead of its chord neighbours
+    chords = np.array(core.chords, dtype=np.int64).reshape(-1, 2)
+    G = graph_from_edges(
+        n,
+        np.concatenate((child, chords[:, 0])),
+        np.concatenate((up, chords[:, 1])),
+        [1] * n,
+    )
     return assign_weights(G, spec.weight_mode, spec.seed)
 
 
@@ -375,7 +381,7 @@ def assign_weights(G: Graph, mode: tuple, seed: int) -> Graph:
         weights[z] = floor(Fraction(w_rest) * f / (1 - f)) + 1
     else:
         raise Infeasible(f"unknown weight mode {kind!r}")
-    return Graph(n=G.n, adjacency=G.adjacency, weights=weights)
+    return Graph(n=G.n, indptr=G.indptr, indices=G.indices, weights=weights)
 
 
 def generate(spec: GenSpec) -> Graph:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 
@@ -25,65 +26,87 @@ from .errors import (
 MAX_TOTAL_WEIGHT = 2**63 - 1
 
 
-@dataclass
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph with non-negative integer vertex weights."""
+    """Undirected simple graph with non-negative integer vertex weights.
+
+    The adjacency is a frozen CSR: the neighbours of v are
+    ``indices[indptr[v]:indptr[v + 1]]``, in the order the edges were
+    given. ``weights`` is a list of Python ints; ``weight_array`` and
+    ``total_weight`` are fixed at construction. The constructor does not
+    validate; ``build_graph`` does.
+    """
 
     n: int
-    adjacency: list[list[int]]
+    indptr: np.ndarray
+    indices: np.ndarray
     weights: list[int]
+    weight_array: np.ndarray = field(init=False, repr=False)
+    total_weight: int = field(init=False)
+
+    def __post_init__(self):
+        set_ = object.__setattr__
+        set_(self, "indptr", _frozen(self.indptr))
+        set_(self, "indices", _frozen(self.indices))
+        w = _frozen(self.weights)
+        set_(self, "weight_array", w)
+        # weights are validated to sum below 2**63, so int64 sums are exact
+        set_(self, "total_weight", int(w.sum()))
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return len(self.indices) // 2
 
     @property
     def excess(self) -> int:
         """r = m - n; equals -1 for a tree."""
         return self.m - self.n
 
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights)
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """Neighbour lists in CSR order, derived on first use for list consumers."""
+        flat = self.indices.tolist()
+        ends = self.indptr.tolist()
+        return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def edges(self):
-        """Yield each undirected edge once, as (u, v) with u < v."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        """Each undirected edge once, as (u, v) with u < v, in CSR order."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        once = src < self.indices
+        return zip(src[once].tolist(), self.indices[once].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = (u, v) if len(self.adjacency[u]) <= len(self.adjacency[v]) else (v, u)
-        return b in self.adjacency[a]
+        a, b = (u, v) if self.degree(u) <= self.degree(v) else (v, u)
+        return bool((self.indices[self.indptr[a]:self.indptr[a + 1]] == b).any())
 
-    def csr(self):
-        """Adjacency in CSR form (indptr, indices), cached; graphs are immutable."""
-        cached = self.__dict__.get("_csr_cache")
-        if cached is None:
-            deg = np.fromiter(
-                (len(a) for a in self.adjacency), dtype=np.int64, count=self.n
-            )
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(deg, out=indptr[1:])
-            indices = np.fromiter(
-                chain.from_iterable(self.adjacency),
-                dtype=np.int64,
-                count=int(indptr[-1]),
-            )
-            cached = (indptr, indices)
-            self.__dict__["_csr_cache"] = cached
-        return cached
 
-    def weight_array(self):
-        cached = self.__dict__.get("_w_cache")
-        if cached is None:
-            cached = np.asarray(self.weights, dtype=np.int64)
-            self.__dict__["_w_cache"] = cached
-        return cached
+def graph_from_edges(n: int, u, v, weights) -> Graph:
+    """Unvalidated Graph on edges (u[i], v[i]), neighbours in edge order.
+
+    Each vertex's neighbours come in the order of its edges in the input,
+    as appending both half-edges of each edge in turn would give.
+    """
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    m = len(u)
+    src = np.empty(2 * m, dtype=np.int64)
+    dst = np.empty(2 * m, dtype=np.int64)
+    src[0::2], src[1::2] = u, v
+    dst[0::2], dst[1::2] = v, u
+    # sort by (source, position): the keys are distinct, so any sort is stable
+    order = np.argsort(src * (2 * m) + np.arange(2 * m, dtype=np.int64))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return Graph(n=n, indptr=indptr, indices=dst[order], weights=weights)
 
 
 @dataclass
@@ -108,13 +131,13 @@ class EdgeSet:
 class SpanningTree:
     """Rooted spanning tree in parent-pointer form; parent[root] == root.
 
-    ``compute_spanning_tree`` gives ``parent`` as an int64 array; any
-    sequence of vertex IDs works.
+    ``compute_spanning_tree`` gives ``parent`` and ``order`` as int64
+    arrays; any sequence of vertex IDs works for ``parent``.
     """
 
     root: int
     parent: np.ndarray
-    order: list[int] = field(default_factory=list)  # BFS visit order from root
+    order: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # BFS visit order
     # level d of the BFS is order[levels[d]:levels[d + 1]]
     levels: list[int] = field(default_factory=list)
 
@@ -128,9 +151,6 @@ class SpanningTree:
         up = parent[child]
         return list(zip(np.minimum(child, up).tolist(), np.maximum(child, up).tolist()))
 
-    def is_tree_edge(self, u: int, v: int) -> bool:
-        return self.parent[u] == v or self.parent[v] == u
-
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for v, p in enumerate(self.parent):
@@ -143,16 +163,36 @@ class SpanningTree:
 def build_graph(n: int, edges, weights=None) -> Graph:
     """Validate and build a Graph from an edge list.
 
-    Raises BadVertexId, SelfLoop, DuplicateEdge or Overflow on bad input.
+    Raises BadVertexId, SelfLoop, DuplicateEdge or Overflow on bad input,
+    for the first bad weight, else the first bad edge, in input order.
+    Each vertex's neighbours keep the order of its edges in the input.
     """
     if n < 0:
         raise BadVertexId(f"negative vertex count {n}")
-    if weights is None:
-        weights = [1] * n
-    else:
-        weights = list(weights)
+    weights = [1] * n if weights is None else list(weights)
     if len(weights) != n:
         raise BadVertexId(f"expected {n} weights, got {len(weights)}")
+    if weights and (min(weights) < 0 or sum(weights) > MAX_TOTAL_WEIGHT):
+        _raise_first_bad_weight(weights)
+
+    edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+    ends = chain.from_iterable(edges)
+    try:
+        flat = np.fromiter(ends, dtype=np.int64, count=2 * len(edges))
+    except (OverflowError, ValueError, TypeError):
+        flat = None
+    if flat is None or next(ends, None) is not None:
+        _raise_first_bad_edge(n, edges)  # not all pairs of 64-bit integers
+    u, v = flat[0::2], flat[1::2]
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = np.sort(lo * n + hi)
+    if bad.any() or (keys[1:] == keys[:-1]).any():
+        _raise_first_bad_edge(n, edges)
+    return graph_from_edges(n, u, v, weights)
+
+
+def _raise_first_bad_weight(weights) -> None:
     total = 0
     for v, w in enumerate(weights):
         if w < 0:
@@ -161,7 +201,8 @@ def build_graph(n: int, edges, weights=None) -> Graph:
         if total > MAX_TOTAL_WEIGHT:
             raise Overflow("total weight exceeds 64 bits")
 
-    adjacency: list[list[int]] = [[] for _ in range(n)]
+
+def _raise_first_bad_edge(n: int, edges) -> None:
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -172,9 +213,6 @@ def build_graph(n: int, edges, weights=None) -> Graph:
         if key in seen:
             raise DuplicateEdge(f"duplicate edge ({key[0]}, {key[1]})")
         seen.add(key)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return Graph(n=n, adjacency=adjacency, weights=weights)
 
 
 # below this vertex count, plain BFS beats the sparse-matrix setup cost
@@ -212,7 +250,7 @@ def _connected_components_sparse(G: Graph, removed=None) -> list[int]:
     from scipy.sparse.csgraph import connected_components as _scipy_cc
 
     n = G.n
-    indptr, indices = G.csr()
+    indptr, indices = G.indptr, G.indices
     keep = np.ones(n, dtype=bool)
     if removed:
         keep[list(removed)] = False
@@ -242,7 +280,7 @@ def component_weights(G: Graph, comp: list[int]) -> list[int]:
     ncomp = max(comp, default=-1) + 1
     if G.n >= _SCIPY_MIN_N:
         sums = np.zeros(ncomp + 1, dtype=np.int64)
-        np.add.at(sums, np.asarray(comp) + 1, G.weight_array())
+        np.add.at(sums, np.asarray(comp) + 1, G.weight_array)
         return sums[1:].tolist()
     comp_w = [0] * ncomp
     for v in range(G.n):

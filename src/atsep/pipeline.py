@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import ceil, sqrt
 from time import perf_counter_ns
 
@@ -35,7 +35,7 @@ from .graph import (
     Graph,
     SpanningTree,
     check_beta,
-    heaviest_component,
+    graph_from_edges,
     verify_separator,
 )
 from .planar import lt_separator
@@ -49,69 +49,117 @@ def _frontier_neighbors(indptr, indices, frontier):
     """All neighbors of the frontier (with repetition), plus per-vertex counts."""
     starts = indptr[frontier]
     counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return indices[:0], counts
-    cum = np.cumsum(counts)
-    pos = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-    return indices[np.repeat(starts, counts) + pos], counts
+    ends = np.cumsum(counts)
+    # the k-th entry overall lies at starts[i] + k - (ends[i] - counts[i])
+    at = np.repeat(starts - ends + counts, counts)
+    at += np.arange(len(at), dtype=np.int64)
+    return indices[at], counts
 
 
 def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
     """BFS spanning tree; raises Disconnected if some vertex is unreachable.
 
     Levels are visited in ascending vertex-ID order; within a level, the
-    parent of a newly found vertex is its first discoverer. Big frontiers
-    run as vectorized level steps over the CSR adjacency. The tree keeps
-    the visit order and the offsets of the levels in it.
+    parent of a newly found vertex is its first discoverer. Small
+    frontiers step through Python over CSR rows; big ones run as
+    vectorized level steps. The tree keeps the visit order and the
+    offsets of the levels in it. Raises BadVertexId for a root outside
+    [0, n).
     """
-    parent = np.full(G.n, -1, dtype=np.int64)
-    parent[root] = root
-    adjacency = G.adjacency
-    indptr = indices = None
+    n = G.n
+    if not 0 <= root < n:
+        raise BadVertexId(f"root {root} out of range [0, {n})")
+    indptr, indices = G.indptr, G.indices
+    parent = np.full(n, -1, dtype=np.int64)
+    seen = bytearray(n)  # 1 once found; the scalar steps index it directly
+    seen[root] = 1
+    mark = np.frombuffer(seen, dtype=np.uint8)  # the same bytes, for vector steps
+    # memoryviews index and slice to Python ints faster than the arrays do
+    row_at, nbr = memoryview(indptr), memoryview(indices)
+    # Scalar steps keep their finds in lists and write them to the arrays
+    # once at the end: a numpy write per small level costs more than the
+    # level itself on a deep tree.
+    kids, ups = [root], [root]
+    chunks = []  # the visit order, in pieces
+    small = [root]  # visit order since the last vector step
     frontier = [root]
-    order = [root]
     levels = [0, 1]
-    while frontier:
+    while len(frontier):
         if len(frontier) < _VEC_MIN_FRONTIER:
-            new = []
-            for u in frontier:
-                for v in adjacency[u]:
-                    if parent[v] == -1:
-                        parent[v] = u
-                        new.append(v)
-            new.sort()
-            frontier = new
+            frontier = frontier if isinstance(frontier, list) else frontier.tolist()
+            while 0 < len(frontier) < _VEC_MIN_FRONTIER:
+                new = []
+                for u in frontier:
+                    for v in nbr[row_at[u]:row_at[u + 1]]:
+                        if not seen[v]:
+                            seen[v] = 1
+                            new.append(v)
+                            ups.append(u)
+                kids += new
+                new.sort()
+                small += new
+                levels.append(levels[-1] + len(new))
+                frontier = new
         else:
-            if indptr is None:
-                indptr, indices = G.csr()
+            if small:
+                chunks.append(np.array(small, dtype=np.int64))
+                small = []
             fr = np.asarray(frontier, dtype=np.int64)
             nbrs, counts = _frontier_neighbors(indptr, indices, fr)
-            src = np.repeat(fr, counts)
-            undisc = parent[nbrs] == -1
-            nb, sr = nbrs[undisc], src[undisc]
-            uniq, first = np.unique(nb, return_index=True)
-            parent[uniq] = sr[first]
-            frontier = uniq.tolist()
-        order.extend(frontier)
-        levels.append(len(order))
+            found = mark[nbrs] == 0
+            frontier = _first_finders(parent, mark, nbrs[found], np.repeat(fr, counts)[found])
+            chunks.append(frontier)
+            levels.append(levels[-1] + len(frontier))
     levels.pop()  # the empty frontier that ended the walk
-    if len(order) != G.n:
-        raise Disconnected(f"only {len(order)} of {G.n} vertices reachable from {root}")
+    if levels[-1] != n:
+        raise Disconnected(f"only {levels[-1]} of {n} vertices reachable from {root}")
+    parent[kids] = ups
+    chunks.append(np.array(small, dtype=np.int64))
+    order = np.concatenate(chunks)
     return SpanningTree(root=root, parent=parent, order=order, levels=levels)
 
 
+def _first_finders(parent, mark, nbrs, src):
+    """Record each new vertex's first finder; return the new vertices, sorted.
+
+    ``nbrs`` lists the level's finds in frontier order and ``src`` who
+    found each; a vertex found twice keeps the earlier finder.
+    """
+    s = np.sort(nbrs)
+    first = np.ones(s.size, dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    new = s[first]
+    parent[nbrs] = src  # for a vertex found twice, either finder may win here
+    if new.size < s.size:
+        mark[s[~first]] = 2
+        pos = np.flatnonzero(mark[nbrs] == 2)  # every find of a repeated vertex
+        rep = nbrs[pos]
+        by_vertex = np.argsort(rep, kind="stable")
+        rep, pos = rep[by_vertex], pos[by_vertex]
+        keep = np.ones(rep.size, dtype=bool)
+        keep[1:] = rep[1:] != rep[:-1]
+        parent[rep[keep]] = src[pos[keep]]
+    mark[new] = 1
+    return new
+
+
 def extra_edges(G: Graph, T: SpanningTree) -> EdgeSet:
-    """Non-tree edges R = E(G) \\ E(T); |R| = m - n + 1."""
-    if G.n < _VEC_MIN_FRONTIER:
-        return EdgeSet(edges=[(u, v) for u, v in G.edges() if not T.is_tree_edge(u, v)])
-    indptr, indices = G.csr()
-    src = np.repeat(np.arange(G.n, dtype=np.int64), np.diff(indptr))
-    once = src < indices
-    u, v = src[once], indices[once]
+    """Non-tree edges R = E(G) \\ E(T); |R| = m - n + 1.
+
+    Edges come as (u, v) with u < v, ordered by u and then by v's place
+    in u's neighbour list. Only the vertices whose degree in G exceeds
+    their degree in T have non-tree edges, so only their rows are read.
+    """
     parent = np.asarray(T.parent, dtype=np.int64)
-    nontree = ~((parent[u] == v) | (parent[v] == u))
-    return EdgeSet(edges=list(zip(u[nontree].tolist(), v[nontree].tolist())))
+    # parent[root] == root counts the root as its own child, standing in
+    # for the parent edge it lacks
+    tree_degree = np.bincount(parent, minlength=G.n) + 1
+    tree_degree[T.root] -= 2
+    ends = np.flatnonzero(np.diff(G.indptr) > tree_degree)
+    nbrs, counts = _frontier_neighbors(G.indptr, G.indices, ends)
+    src = np.repeat(ends, counts)
+    keep = (src < nbrs) & (parent[src] != nbrs) & (parent[nbrs] != src)
+    return EdgeSet(edges=list(zip(src[keep].tolist(), nbrs[keep].tolist())))
 
 
 @dataclass
@@ -307,10 +355,18 @@ def decompose_paths(T1: SteinerSubtree, U: BranchSet) -> PathDecomposition:
 
 @dataclass
 class CollapsedWeights:
-    """Weights after every outside vertex donates to its nearest subtree vertex."""
+    """Weights after every outside vertex donates to its nearest subtree vertex.
 
-    wprime: list[int]
-    attach: list[int]
+    Both arrays are int64 and indexed by vertex; ``attach`` lists the
+    nearest subtree vertices as Python ints.
+    """
+
+    wprime: np.ndarray
+    nearest: np.ndarray
+
+    @property
+    def attach(self) -> list[int]:
+        return self.nearest.tolist()
 
 
 def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> CollapsedWeights:
@@ -323,7 +379,7 @@ def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> Collapsed
     its parent's attachment. Weight conservation is exact.
     """
     parent = T1.parent
-    order = np.asarray(T.order, dtype=np.int64)
+    order = T.order
     member = T1.member
     attach = np.empty(G.n, dtype=np.int64)
     attach[T.root] = T.root if member[T.root] else T1.top
@@ -332,8 +388,8 @@ def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> Collapsed
     for lo, hi in zip(T.levels[1:], T.levels[2:]):
         attach[order[lo:hi]] = np.where(inside[lo:hi], order[lo:hi], attach[up[lo:hi]])
     wprime = np.zeros(G.n, dtype=np.int64)
-    np.add.at(wprime, attach, G.weight_array())
-    return CollapsedWeights(wprime=wprime.tolist(), attach=attach.tolist())
+    np.add.at(wprime, attach, G.weight_array)
+    return CollapsedWeights(wprime=wprime, nearest=attach)
 
 
 @dataclass
@@ -368,10 +424,9 @@ class CompressedGraph:
         lo, hi = lo[lo != hi], hi[lo != hi]
         src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
         order = np.lexsort((dst, src))
-        ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-        dst = dst[order].tolist()
-        adjacency = [dst[a:b] for a, b in zip([0, *ends[:-1]], ends)]
-        return Graph(n=n, adjacency=adjacency, weights=list(self.node_weights))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return Graph(n=n, indptr=indptr, indices=dst[order], weights=list(self.node_weights))
 
 
 def _edge_keys(edges, n):
@@ -380,29 +435,24 @@ def _edge_keys(edges, n):
     return pairs.min(axis=1) * n + pairs.max(axis=1)
 
 
-def _adjacency(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def build_compressed_graph(
     U: BranchSet, Pi: PathDecomposition, R: EdgeSet, cw: CollapsedWeights
 ) -> CompressedGraph:
     u_list = sorted(U.members)
     node_of = {u: i for i, u in enumerate(u_list)}
-    wprime = cw.wprime
-    node_weights = [wprime[u] for u in u_list]
+    interiors = [path[1:-1] for path in Pi.paths]
+    flat = np.fromiter(chain.from_iterable(interiors), dtype=np.int64)
+    interior_w = cw.wprime[flat].tolist()
+    node_weights = cw.wprime[np.array(u_list, dtype=np.int64)].tolist()
     orig: list[int | None] = list(u_list)
     edges: list[tuple[int, int]] = []
     back_map: dict[int, tuple[list[int], list[int]]] = {}
     path_ends: dict[int, tuple[int, int]] = {}
-    for path in Pi.paths:
-        interior = path[1:-1]
+    at = 0
+    for path, interior in zip(Pi.paths, interiors):
         sub = len(node_weights)
-        prefix = list(accumulate(map(wprime.__getitem__, interior)))
+        prefix = list(accumulate(interior_w[at:at + len(interior)]))
+        at += len(interior)
         node_weights.append(prefix[-1] if prefix else 0)
         orig.append(None)
         back_map[sub] = (interior, prefix)
@@ -498,16 +548,17 @@ def tree_centroid(vertices, adjacency, weights) -> int:
                 parent[v] = u
                 stack.append(v)
     subtree = {v: weights[v] for v in order}
+    heaviest_child = dict.fromkeys(order, 0)
     for u in reversed(order):
         if u != root:
-            subtree[parent[u]] += subtree[u]
+            p = parent[u]
+            subtree[p] += subtree[u]
+            if subtree[u] > heaviest_child[p]:
+                heaviest_child[p] = subtree[u]
     total = subtree[root]
     best_v, best_cost = None, None
     for v in verts:
-        heaviest = total - subtree[v]
-        for c in adjacency[v]:
-            if c != parent[v]:
-                heaviest = max(heaviest, subtree[c])
+        heaviest = max(total - subtree[v], heaviest_child[v])
         if best_cost is None or heaviest < best_cost or (
             heaviest == best_cost and v < best_v
         ):
@@ -532,8 +583,102 @@ class Separator:
         return self.max_component_weight / self.total_weight
 
 
+@dataclass
+class _Heaviest:
+    """Heaviest component of G - S: its weight, label and whether it is a tree."""
+
+    weight: int
+    label: int
+    is_tree: bool
+    head_of: np.ndarray
+    labels: np.ndarray
+    removed: np.ndarray
+
+    def inside(self) -> np.ndarray:
+        """Mask of its vertices."""
+        return (self.labels[self.head_of] == self.label) & ~self.removed
+
+
+class _TreePlusExtra:
+    """G as its spanning tree T plus the non-tree edges R, for searching G - S.
+
+    G - S is the pieces of T - S joined by the edges of R outside S. A
+    piece is named by its head: the root, or a vertex whose parent is in
+    S. Pointer jumping takes every vertex to its head in O(log D) numpy
+    passes over all vertices (D the depth of T; whole-array gathers beat
+    tracking the vertices still moving), and a union-find over the at
+    most r + 1 edges of R joins the pieces.
+    """
+
+    def __init__(self, G: Graph, T: SpanningTree, R: EdgeSet):
+        if len(R) != G.m - G.n + 1:
+            # R holds only non-tree edges, so with T's n - 1 edges it is
+            # all of E(G) exactly when the counts add up
+            raise ValueError(
+                f"R has {len(R)} edges but G needs m - n + 1 = {G.m - G.n + 1}"
+            )
+        self.parent = np.asarray(T.parent, dtype=np.int64)
+        self.root = T.root
+        ends = np.array(R.edges, dtype=np.int64).reshape(-1, 2)
+        self.ru, self.rv = ends[:, 0], ends[:, 1]
+        self.weights = G.weight_array
+
+    def heaviest(self, removed: np.ndarray) -> _Heaviest:
+        """The heaviest component of G - S, S given as a mask over the vertices."""
+        parent = self.parent
+        n = len(parent)
+        ids = np.arange(n, dtype=np.int64)
+        head = removed | removed[parent]
+        head[self.root] = True
+        ptr = np.where(head, ids, parent)
+        while not head[ptr].all():
+            ptr = ptr[ptr]
+        piece_w = np.zeros(n, dtype=np.int64)
+        np.add.at(piece_w, ptr, self.weights)  # a vertex of S keeps its own weight
+        heads = np.flatnonzero(head & ~removed)
+
+        # union-find over the pieces that edges of R outside S join
+        outside = ~(removed[self.ru] | removed[self.rv])
+        link: dict[int, int] = {}
+        cyclic: list[int] = []
+
+        def find(x):
+            while link.get(x, x) != x:
+                x = link[x]
+            return x
+
+        for a, b in zip(ptr[self.ru[outside]].tolist(), ptr[self.rv[outside]].tolist()):
+            a, b = find(a), find(b)
+            if a == b:
+                cyclic.append(a)
+            else:
+                link[max(a, b)] = min(a, b)
+        label = ids  # each piece's component, named by one of its heads
+        if link:
+            joined = np.fromiter(link, dtype=np.int64, count=len(link))
+            label[joined] = [find(x) for x in joined.tolist()]
+        if heads.size == 0:
+            return _Heaviest(0, -1, False, ptr, label, removed)
+        comp_w = np.zeros(n, dtype=np.int64)
+        np.add.at(comp_w, label[heads], piece_w[heads])
+        weight = comp_w.max()
+        best = np.flatnonzero(comp_w == weight)
+        if best.size > 1:
+            # ties go to the component holding the lowest vertex
+            tied = np.zeros(n, dtype=bool)
+            tied[best] = True
+            first = np.flatnonzero(tied[label[ptr]] & ~removed)[0]
+            best = label[ptr[first]]
+        else:
+            best = best[0]
+        acyclic = all(find(x) != best for x in cyclic)
+        return _Heaviest(int(weight), int(best), acyclic, ptr, label, removed)
+
+
 def heavy_vertex_fixup(
     G: Graph,
+    T: SpanningTree,
+    R: EdgeSet,
     S,
     beta=Fraction(2, 3),
     fragments: list[PathFragment] = (),
@@ -541,14 +686,14 @@ def heavy_vertex_fixup(
 ) -> Separator:
     """Repair loop for the lifted separator; its last check is the verification.
 
-    Each round computes the components of G - S and compares the heaviest
+    T is a spanning tree of G and R its non-tree edges. Each round finds
+    the components of G - S on T plus R and compares the heaviest
     exactly against beta * W. While it is too heavy: a tree component gets
     its weighted centroid added; otherwise the heaviest leftover path
     fragment inside the component is cut at its weighted median. The round
-    that passes is the exact verification of the returned separator, so
-    G - S is searched once when no repair fires. The loop is capped
-    (default from G's excess r); the cap signals an algorithmic bug, it is
-    never expected to fire.
+    that passes is the exact verification of the returned separator. The
+    loop is capped (default from G's excess r); the cap signals an
+    algorithmic bug, it is never expected to fire.
     """
     S = set(S)
     for v in S:
@@ -558,25 +703,26 @@ def heavy_vertex_fixup(
     W = G.total_weight
     if cap is None:
         cap = _repair_cap(G.excess)
+    graph = _TreePlusExtra(G, T, R)
+    removed = np.zeros(G.n, dtype=bool)
+    removed[list(S)] = True
     repairs = 0
     while True:
-        heaviest, hw = heaviest_component(G, S)
+        found = graph.heaviest(removed)
+        hw = found.weight
         if hw * beta.denominator <= W * beta.numerator:
             break
         if repairs >= cap:
             raise RepairCapExceeded(
                 f"still unbalanced after {repairs} repairs (cap {cap})"
             )
-        hset = set(heaviest)
-        inner_edges = sum(
-            1 for u in heaviest for v in G.adjacency[u] if v in hset
-        ) // 2
-        if inner_edges == len(heaviest) - 1:
-            adj = {
-                u: [v for v in G.adjacency[u] if v in hset] for u in heaviest
-            }
-            S.add(tree_centroid(heaviest, adj, G.weights))
+        inside = found.inside()
+        members = np.flatnonzero(inside)
+        heaviest = members.tolist()
+        if found.is_tree:
+            cut = tree_centroid(heaviest, _InducedRows(G, members, inside), G.weights)
         else:
+            hset = set(heaviest)
             runs: list[tuple[int, list[int], list[int]]] = []
             for frag in fragments:
                 cur_v: list[int] = []
@@ -592,23 +738,26 @@ def heavy_vertex_fixup(
                     runs.append((sum(cur_w), cur_v, cur_w))
             if runs:
                 _, verts, ws = max(runs, key=lambda t: (t[0], -t[1][0]))
-                S.add(_median_cut(verts, ws))
+                cut = _median_cut(verts, ws)
             else:
                 # no fragment reaches into the component: fall back to the
                 # centroid of a BFS spanning tree of it
+                induced = _InducedRows(G, members, inside)
                 adj = {u: [] for u in heaviest}
-                start = min(heaviest)
+                start = heaviest[0]
                 queue = deque([start])
                 seen = {start}
                 while queue:
                     u = queue.popleft()
-                    for v in G.adjacency[u]:
-                        if v in hset and v not in seen:
+                    for v in induced[u]:
+                        if v not in seen:
                             seen.add(v)
                             adj[u].append(v)
                             adj[v].append(u)
                             queue.append(v)
-                S.add(tree_centroid(heaviest, adj, G.weights))
+                cut = tree_centroid(heaviest, adj, G.weights)
+        S.add(cut)
+        removed[cut] = True
         repairs += 1
     return Separator(
         vertices=S,
@@ -617,6 +766,29 @@ def heavy_vertex_fixup(
         total_weight=W,
         repairs=repairs,
     )
+
+
+class _InducedRows:
+    """Neighbour lists of G inside a vertex set, read off one flat array.
+
+    ``rows[u]`` gives the neighbours of member u that are members, in G's
+    order. Slices of memoryviews keep no list per vertex alive: on a
+    component of 10^6 vertices, a list each cost more in garbage
+    collector passes than the repair itself.
+    """
+
+    def __init__(self, G: Graph, members: np.ndarray, inside: np.ndarray):
+        nbrs, counts = _frontier_neighbors(G.indptr, G.indices, members)
+        keep = inside[nbrs]
+        ends = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], np.cumsum(counts)))]
+        lo = np.zeros(G.n, dtype=np.int64)
+        hi = np.zeros(G.n, dtype=np.int64)
+        lo[members], hi[members] = ends[:-1], ends[1:]
+        self._lo, self._hi = memoryview(lo), memoryview(hi)
+        self._flat = memoryview(nbrs[keep])
+
+    def __getitem__(self, u: int):
+        return self._flat[self._lo[u]:self._hi[u]]
 
 
 def _repair_cap(r: int) -> int:
@@ -650,7 +822,8 @@ def format_trace(trace: StageTrace) -> str:
 
 
 def _subgraph_same_vertices(G: Graph, edges) -> Graph:
-    return Graph(n=G.n, adjacency=_adjacency(G.n, list(edges)), weights=list(G.weights))
+    ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    return graph_from_edges(G.n, ends[:, 0], ends[:, 1], list(G.weights))
 
 
 def separate(
@@ -725,7 +898,7 @@ def separate(
         ) from None
     t0 = tick("lt_separator", t0)
     lifted, fragments = lift_separator(lt.vertices, C)
-    sep = heavy_vertex_fixup(G, lifted, beta, fragments, cap=_repair_cap(r))
+    sep = heavy_vertex_fixup(G, T, R, lifted, beta, fragments, cap=_repair_cap(r))
     tick("lift_and_repair", t0)
 
     if trace:

@@ -22,12 +22,17 @@ from math import isqrt
 import networkx as nx
 from networkx.algorithms.planar_drawing import triangulate_embedding
 
-from .errors import Disconnected, NotPlanar, ZeroTotalWeight
+from .errors import BadVertexId, Disconnected, NotPlanar, ZeroTotalWeight
 from .graph import Graph, check_beta, heaviest_component, verify_separator
 
 
 def bfs_levels(G: Graph, root: int):
-    """BFS distance per vertex plus per-level vertex lists and weights."""
+    """BFS distance per vertex plus per-level vertex lists and weights.
+
+    Raises BadVertexId for a root outside [0, n).
+    """
+    if not 0 <= root < G.n:
+        raise BadVertexId(f"root {root} out of range [0, {G.n})")
     level = [-1] * G.n
     level[root] = 0
     queue = deque([root])

@@ -116,18 +116,27 @@ def test_separate_searches_input_once(tmp_path, capsys, monkeypatch):
     assert main(["gen", "--n", "5000", "--r", "4", "--seed", "1", "--out", str(f)]) == EXIT_OK
     calls = []
     real = atsep.graph.connected_components
+    checks = []
+    real_check = atsep.pipeline._TreePlusExtra.heaviest
 
     def counting(H, *args, **kwargs):
         calls.append(H.n == 5000)
         return real(H, *args, **kwargs)
 
+    def counting_check(self, removed):
+        checks.append(len(removed) == 5000)
+        return real_check(self, removed)
+
     # every module-level binding of the function, wherever the package keeps one
     for module in (atsep.graph, atsep.pipeline, atsep.planar, atsep.cli):
         if hasattr(module, "connected_components"):
             monkeypatch.setattr(module, "connected_components", counting)
+    monkeypatch.setattr(atsep.pipeline._TreePlusExtra, "heaviest", counting_check)
     assert main(["separate", str(f)]) == EXIT_OK
     assert "repairs 0" in capsys.readouterr().out
-    assert calls.count(True) == 1
+    # the input is searched once, on its spanning tree plus extra edges
+    assert calls.count(True) == 0
+    assert checks == [True]
 
 
 def test_separate_parse_error(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Core graph model: construction, components, separator verification."""
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 from atsep.errors import BadVertexId, DuplicateEdge, Overflow, SelfLoop
+from atsep.gen import GenSpec, generate
 from atsep.graph import (
     MAX_TOTAL_WEIGHT,
     build_graph,
@@ -12,8 +15,10 @@ from atsep.graph import (
     is_connected,
     verify_separator,
 )
+from atsep.pipeline import separate
 import atsep.graph
 
+from build_graph_reference import reference_build_graph
 from conftest import cycle, path, star
 
 
@@ -65,6 +70,107 @@ class TestBuildGraph:
     def test_edges_iterates_each_edge_once(self):
         G = build_graph(4, [(2, 0), (3, 1), (0, 1)])
         assert sorted(G.edges()) == [(0, 1), (0, 2), (1, 3)]
+
+
+def _outcome(build, n, edges, weights):
+    try:
+        return build(n, edges, weights)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _random_case(rng):
+    """A random edge list and weights, with zero to three faults injected."""
+    n = rng.randint(0, 12)
+    edges = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+    for _ in range(rng.randint(0, 6)):
+        if n >= 2:
+            u, v = rng.sample(range(n), 2)
+            if (u, v) not in edges and (v, u) not in edges:
+                edges.append((u, v))
+    rng.shuffle(edges)
+    weights = None if rng.random() < 0.2 else [rng.randint(0, 9) for _ in range(n)]
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        fault = rng.choice(("range", "loop", "dup", "dup-rev", "neg", "huge", "count"))
+        at = rng.randint(0, len(edges))
+        if fault == "range":
+            edges.insert(at, rng.choice(((0, n), (-1, 0), (n, n + 1), (0, 2**64))))
+        elif fault == "loop" and n:
+            v = rng.randrange(n)
+            edges.insert(at, (v, v))
+        elif fault.startswith("dup") and edges:
+            u, v = rng.choice(edges)
+            edges.insert(at, (v, u) if fault == "dup-rev" else (u, v))
+        elif fault in ("neg", "huge") and n:
+            weights = weights or [1] * n
+            weights[rng.randrange(n)] = -rng.randint(1, 5) if fault == "neg" else 2**64
+        elif fault == "count":
+            weights = (weights or [1] * n) + [1]
+    return n, edges, weights
+
+
+class TestBuildGraphParity:
+    """build_graph against the loop it replaced (tests/build_graph_reference.py)."""
+
+    def test_random_inputs_with_faults(self):
+        rng = random.Random(5)
+        valid = 0
+        for _ in range(2000):
+            n, edges, weights = _random_case(rng)
+            want = _outcome(reference_build_graph, n, list(edges), weights)
+            got = _outcome(build_graph, n, list(edges), weights)
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                assert got == want, (n, edges, weights)
+            else:
+                valid += 1
+                adjacency, ref_weights = want
+                assert got.adjacency == adjacency
+                assert got.weights == ref_weights
+        assert 200 < valid < 1800
+
+    def test_huge_weight_is_overflow(self):
+        with pytest.raises(Overflow, match="total weight exceeds 64 bits"):
+            build_graph(3, [(0, 1)], [1, 2**64, 1])
+        with pytest.raises(Overflow, match="negative weight -1 at vertex 0"):
+            build_graph(2, [(0, 1)], [-1, 2**64])
+
+    def test_edge_generator_and_tiny_graphs(self):
+        G = build_graph(4, ((v, v + 1) for v in range(3)))
+        assert G.adjacency == [[1], [0, 2], [1, 3], [2]]
+        assert (build_graph(0, []).n, build_graph(0, []).m) == (0, 0)
+        G = build_graph(1, [], [7])
+        assert (G.n, G.m, G.total_weight, G.adjacency) == (1, 0, 7, [[]])
+
+
+class TestFrozenGraph:
+    def test_fields_cannot_be_assigned(self):
+        G = cycle(5)
+        for name in ("n", "indptr", "indices", "weights", "weight_array", "total_weight"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(G, name, getattr(G, name))
+
+    def test_arrays_are_read_only(self):
+        G = cycle(5)
+        for array in (G.indptr, G.indices, G.weight_array):
+            with pytest.raises(ValueError):
+                array[0] = 3
+
+    def test_counts_match_a_recount(self):
+        G = build_graph(6, [(0, 1), (1, 2), (3, 4), (2, 0)], [3, 1, 4, 1, 5, 9])
+        assert G.m == sum(len(a) for a in G.adjacency) // 2 == 4
+        assert G.total_weight == sum(G.weights) == 23
+        assert G.weight_array.tolist() == G.weights
+
+    def test_separate_leaves_the_graph_untouched(self):
+        H = generate(GenSpec(n=20_000, r=16, seed=4))
+        G = build_graph(H.n, list(H.edges()), H.weights)
+        before = dict(vars(G))
+        assert separate(G).repairs == 0
+        assert vars(G).keys() == before.keys()
+        assert all(vars(G)[k] is v for k, v in before.items())
 
 
 class TestConnectedComponents:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import atsep.graph
@@ -42,6 +43,7 @@ from atsep.pipeline import (
     steiner_subtree,
     tree_centroid,
 )
+from atsep.planar import bfs_levels, lt_separator
 
 from conftest import complete, cycle, path, random_parent_tree, star, theta
 
@@ -56,7 +58,7 @@ class TestSpanningTree:
         G = path(4)
         T = compute_spanning_tree(G, root=0)
         assert sorted(T.tree_edges()) == [(0, 1), (1, 2), (2, 3)]
-        assert T.order == [0, 1, 2, 3]
+        assert T.order.tolist() == [0, 1, 2, 3]
 
     def test_disconnected_raises(self):
         G = build_graph(4, [(0, 1), (2, 3)])
@@ -66,7 +68,7 @@ class TestSpanningTree:
     def test_levels_offsets(self):
         G = build_graph(6, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)])
         T = compute_spanning_tree(G)
-        assert T.order == [0, 1, 2, 3, 4, 5]
+        assert T.order.tolist() == [0, 1, 2, 3, 4, 5]
         assert T.levels == [0, 1, 3, 5, 6]
         assert compute_spanning_tree(path(1)).levels == [0, 1]
 
@@ -242,7 +244,7 @@ class TestCollapseWeights:
         T = compute_spanning_tree(G)
         T1 = steiner_subtree(T, {0, 3})
         cw = collapse_weights(G, T, T1)
-        assert cw.wprime == G.weights
+        assert cw.wprime.tolist() == G.weights
         assert cw.attach == list(range(4))
 
     def test_conservation_and_nearest_oracle(self):
@@ -417,11 +419,28 @@ class TestTreeCentroid:
             report = verify_separator(G, {c}, Fraction(1, 2))
             assert report.max_component_weight * 2 <= G.total_weight
 
+    def test_matches_brute_force(self):
+        # the vertex whose removal leaves the lightest heaviest part; ties
+        # go to the lower ID
+        rng = random.Random(52)
+        for _ in range(300):
+            n = rng.randint(1, 25)
+            G = random_parent_tree(rng, n)
+            G = build_graph(n, G.edges(), [rng.choice((0, 1, 1, 2, 5)) for _ in range(n)])
+            want = min(range(n), key=lambda v: (verify_separator(G, {v}).max_component_weight, v))
+            assert tree_centroid(range(n), self.adjacency_of(G), G.weights) == want
+
+
+def fixup(G, S, *args, **kwargs):
+    """heavy_vertex_fixup on G's BFS tree from vertex 0 and its extra edges."""
+    T = compute_spanning_tree(G)
+    return heavy_vertex_fixup(G, T, extra_edges(G, T), S, *args, **kwargs)
+
 
 class TestHeavyVertexFixup:
     def test_balanced_input_unchanged(self):
         G = cycle(6)
-        sep = heavy_vertex_fixup(G, {0, 3})
+        sep = fixup(G, {0, 3})
         assert sep.vertices == {0, 3}
         assert sep.repairs == 0
 
@@ -429,14 +448,14 @@ class TestHeavyVertexFixup:
         # removing the two chord leaves strands a 98-vertex star at the center
         edges = [(0, v) for v in range(1, 100)] + [(1, 2)]
         G = build_graph(100, edges)
-        sep = heavy_vertex_fixup(G, {1, 2})
+        sep = fixup(G, {1, 2})
         assert sep.repairs == 1
         assert 0 in sep.vertices
         assert verify_separator(G, sep.vertices).passed
 
     def test_stats_report_balance(self):
         G = path(9)
-        sep = heavy_vertex_fixup(G, set())
+        sep = fixup(G, set())
         assert verify_separator(G, sep.vertices).passed
         assert sep.max_fraction <= 2 / 3
 
@@ -446,13 +465,13 @@ class TestHeavyVertexFixup:
             n = rng.randint(2, 40)
             G = random_parent_tree(rng, n)
             G = build_graph(n, G.edges(), [rng.randint(1, 9) for _ in range(n)])
-            sep = heavy_vertex_fixup(G, rng.sample(range(n), rng.randint(0, 2)))
+            sep = fixup(G, rng.sample(range(n), rng.randint(0, 2)))
             report = verify_separator(G, sep.vertices)
             assert report.passed
             assert sep.max_component_weight == report.max_component_weight
 
     def test_whole_vertex_set_has_no_component(self):
-        sep = heavy_vertex_fixup(cycle(4), {0, 1, 2, 3})
+        sep = fixup(cycle(4), {0, 1, 2, 3})
         assert sep.max_component_weight == 0 and sep.repairs == 0
 
     @pytest.mark.parametrize("n", [9, 3000])
@@ -461,7 +480,77 @@ class TestHeavyVertexFixup:
         G = path(n)
         v = n if bad == "n" else bad
         with pytest.raises(BadVertexId):
-            heavy_vertex_fixup(G, {n // 2, v})
+            fixup(G, {n // 2, v})
+
+
+class TestTreePlusExtraCheck:
+    """The search of G - S on T plus R against heaviest_component on G."""
+
+    @staticmethod
+    def separator_sets(G, T, rng):
+        n = G.n
+        yield set()
+        yield {T.root, *rng.sample(range(n), min(n, rng.randint(0, 5)))}
+        pairs = set()
+        for u, v in rng.sample(list(G.edges()), min(G.m, rng.randint(1, 4))):
+            pairs |= {u, v}
+        yield pairs
+        yield set(range(n)) - {rng.randrange(n)}
+        # ties: S leaves singletons of equal weight, plus what they cut off
+        weight = rng.choice(G.weights)
+        keep = set()
+        for v in rng.sample(range(n), n):
+            if G.weights[v] == weight and not keep & set(G.adjacency[v]):
+                keep.add(v)
+        yield set(range(n)) - keep
+        yield set(rng.sample(range(n), n // 3))
+
+    def test_matches_heaviest_component(self):
+        rng = random.Random(7)
+        modes = [("unit",), ("uniform", 1, 3), ("single_heavy", Fraction(7, 10))]
+        checked = 0
+        for i in range(200):
+            n = rng.choice((rng.randint(4, 60), rng.randint(60, 3000)))
+            r = rng.randint(0, min(64, 2 * n - 7))
+            G = generate(GenSpec(n=n, r=r, seed=i, weight_mode=modes[i % 3]))
+            T = compute_spanning_tree(G, root=rng.randrange(n))
+            check = atsep.pipeline._TreePlusExtra(G, T, extra_edges(G, T))
+            for S in self.separator_sets(G, T, rng):
+                removed = np.zeros(n, dtype=bool)
+                removed[list(S)] = True
+                found = check.heaviest(removed)
+                members, weight = atsep.graph.heaviest_component(G, S)
+                found_members = np.flatnonzero(found.inside()).tolist()
+                assert (found.weight, found_members) == (weight, members), (i, sorted(S))
+                if members:
+                    inside = set(members)
+                    inner = sum(v in inside for u in members for v in G.adjacency[u]) // 2
+                    assert found.is_tree == (inner == len(members) - 1)
+                checked += 1
+        assert checked == 1200
+
+    def test_edge_count_is_checked(self):
+        G = theta()
+        T = compute_spanning_tree(G)
+        R = extra_edges(G, T)
+        R.edges.pop()
+        with pytest.raises(ValueError, match="m - n \\+ 1"):
+            heavy_vertex_fixup(G, T, R, set())
+
+
+class TestRoot:
+    @pytest.mark.parametrize("root", [-1, 300])
+    def test_root_outside_the_graph_raises(self, root):
+        G = generate(GenSpec(n=300, r=8, seed=1))
+        for call in (separate, compute_spanning_tree, lt_separator, bfs_levels):
+            with pytest.raises(BadVertexId, match=f"root {root} out of range"):
+                call(G, root=root)
+
+    def test_valid_root(self):
+        G = generate(GenSpec(n=300, r=8, seed=1))
+        sep = separate(G, root=299)
+        assert verify_separator(G, sep.vertices).passed
+        assert compute_spanning_tree(G, root=299).order[0] == 299
 
 
 class TestSeparate:
@@ -500,33 +589,37 @@ class TestSeparate:
         assert verify_separator(G, sep.vertices).passed
 
     def test_one_component_pass_without_repairs(self, monkeypatch):
+        # lift and repair search G - S on T plus R: one check, and no
+        # component search of G itself
         G = generate(GenSpec(n=3000, r=4, seed=2))
         calls = []
         real = atsep.graph.connected_components
+        checks = []
+        real_check = atsep.pipeline._TreePlusExtra.heaviest
 
         def counting(H, *args, **kwargs):
             calls.append(H is G)
             return real(H, *args, **kwargs)
 
+        def counting_check(self, removed):
+            checks.append(len(removed) == G.n)
+            return real_check(self, removed)
+
         # heaviest_component and verify_separator both search through this binding
         monkeypatch.setattr(atsep.graph, "connected_components", counting)
+        monkeypatch.setattr(atsep.pipeline._TreePlusExtra, "heaviest", counting_check)
         sep = separate(G)
         assert sep.repairs == 0
-        assert calls.count(True) == 1
+        assert calls.count(True) == 0
+        assert checks == [True]
         assert verify_separator(G, sep.vertices).passed
 
-    def test_edge_count_read_once(self, monkeypatch):
+    def test_edge_count_is_stored(self):
+        # m reads the frozen CSR; a call without repairs derives no lists
         G = generate(GenSpec(n=3000, r=4, seed=2))
-        walks = []
-        real = Graph.m
-
-        def counting(H):
-            walks.append(H is G)
-            return real.fget(H)
-
-        monkeypatch.setattr(Graph, "m", property(counting))
+        assert G.m == len(G.indices) // 2 == 3004
         assert separate(G).repairs == 0
-        assert walks.count(True) == 1
+        assert "adjacency" not in vars(G)
 
     def test_not_planar_reports_input_counts(self):
         edges = list(complete(5).edges()) + [(4 + i, 5 + i) for i in range(20)]
