@@ -131,15 +131,13 @@ class EdgeSet:
 class SpanningTree:
     """Rooted spanning tree in parent-pointer form; parent[root] == root.
 
-    ``compute_spanning_tree`` gives ``parent`` and ``order`` as int64
-    arrays; any sequence of vertex IDs works for ``parent``.
+    ``compute_spanning_tree`` gives ``parent`` as an int64 array; any
+    sequence of vertex IDs works. The pipeline reads nothing else: depths
+    and nearest ancestors come from pointer jumps over ``parent``.
     """
 
     root: int
     parent: np.ndarray
-    order: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # BFS visit order
-    # level d of the BFS is order[levels[d]:levels[d + 1]]
-    levels: list[int] = field(default_factory=list)
 
     @property
     def n(self) -> int:

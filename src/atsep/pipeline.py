@@ -36,7 +36,7 @@ from .graph import (
     SpanningTree,
     check_beta,
     graph_from_edges,
-    verify_separator,
+    verify_separator,  # unused here; benchmark/test_benchmark.py reads this binding
 )
 from .planar import lt_separator
 
@@ -60,11 +60,10 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
     """BFS spanning tree; raises Disconnected if some vertex is unreachable.
 
     Levels are visited in ascending vertex-ID order; within a level, the
-    parent of a newly found vertex is its first discoverer. Small
+    parent of a newly found vertex is its first discoverer, so each
+    vertex's parent is its lowest-ID neighbour one level up. Small
     frontiers step through Python over CSR rows; big ones run as
-    vectorized level steps. The tree keeps the visit order and the
-    offsets of the levels in it. Raises BadVertexId for a root outside
-    [0, n).
+    vectorized level steps. Raises BadVertexId for a root outside [0, n).
     """
     n = G.n
     if not 0 <= root < n:
@@ -80,10 +79,7 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
     # once at the end: a numpy write per small level costs more than the
     # level itself on a deep tree.
     kids, ups = [root], [root]
-    chunks = []  # the visit order, in pieces
-    small = [root]  # visit order since the last vector step
     frontier = [root]
-    levels = [0, 1]
     while len(frontier):
         if len(frontier) < _VEC_MIN_FRONTIER:
             frontier = frontier if isinstance(frontier, list) else frontier.tolist()
@@ -97,26 +93,17 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
                             ups.append(u)
                 kids += new
                 new.sort()
-                small += new
-                levels.append(levels[-1] + len(new))
                 frontier = new
         else:
-            if small:
-                chunks.append(np.array(small, dtype=np.int64))
-                small = []
             fr = np.asarray(frontier, dtype=np.int64)
             nbrs, counts = _frontier_neighbors(indptr, indices, fr)
             found = mark[nbrs] == 0
             frontier = _first_finders(parent, mark, nbrs[found], np.repeat(fr, counts)[found])
-            chunks.append(frontier)
-            levels.append(levels[-1] + len(frontier))
-    levels.pop()  # the empty frontier that ended the walk
-    if levels[-1] != n:
-        raise Disconnected(f"only {levels[-1]} of {n} vertices reachable from {root}")
+    reached = np.count_nonzero(mark)
+    if reached != n:
+        raise Disconnected(f"only {reached} of {n} vertices reachable from {root}")
     parent[kids] = ups
-    chunks.append(np.array(small, dtype=np.int64))
-    order = np.concatenate(chunks)
-    return SpanningTree(root=root, parent=parent, order=order, levels=levels)
+    return SpanningTree(root=root, parent=parent)
 
 
 def _first_finders(parent, mark, nbrs, src):
@@ -369,24 +356,35 @@ class CollapsedWeights:
         return self.nearest.tolist()
 
 
+def _nearest_marked(parent: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """Each vertex's nearest marked vertex on its root path, itself included.
+
+    The root must be marked. Marked vertices point at themselves and the
+    others at their parents; jumping every pointer to its target's
+    pointer halves the distance left, so O(log D) numpy passes over all
+    vertices suffice (D the depth of the tree; whole-array gathers beat
+    tracking the vertices still moving).
+    """
+    ptr = np.where(mark, np.arange(len(parent), dtype=np.int64), parent)
+    while not mark[ptr].all():
+        ptr = ptr[ptr]
+    return ptr
+
+
 def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> CollapsedWeights:
     """Each vertex donates its weight to its nearest subtree vertex in T.
 
     T1 is connected, so that vertex is unique: the first T1 vertex on the
     vertex's root path, or T1's top vertex if the path misses T1 (every
     path from the vertex into T1 then enters through the top). One
-    top-down pass over T's BFS levels finds it: a vertex outside T1 takes
-    its parent's attachment. Weight conservation is exact.
+    pointer jump to the nearest vertex of T1 or the root finds it.
+    Weight conservation is exact.
     """
-    parent = T1.parent
-    order = T.order
-    member = T1.member
-    attach = np.empty(G.n, dtype=np.int64)
-    attach[T.root] = T.root if member[T.root] else T1.top
-    inside = member[order]
-    up = parent[order]
-    for lo, hi in zip(T.levels[1:], T.levels[2:]):
-        attach[order[lo:hi]] = np.where(inside[lo:hi], order[lo:hi], attach[up[lo:hi]])
+    mark = T1.member.copy()
+    mark[T.root] = True
+    attach = _nearest_marked(T1.parent, mark)
+    if not T1.member[T.root]:
+        attach[attach == T.root] = T1.top
     wprime = np.zeros(G.n, dtype=np.int64)
     np.add.at(wprime, attach, G.weight_array)
     return CollapsedWeights(wprime=wprime, nearest=attach)
@@ -481,16 +479,16 @@ class PathFragment:
 
 
 def _median_cut(vertices: list[int], weights: list[int]) -> int:
-    """Vertex minimizing the heavier of the two remaining sides; ties -> lower ID."""
+    """Position of the cut that leaves the lightest heavier side; ties -> lower ID."""
     total = sum(weights)
-    best_v, best_cost = None, None
+    best, best_v, best_cost = -1, None, None
     left = 0
-    for v, w in zip(vertices, weights):
+    for i, (v, w) in enumerate(zip(vertices, weights)):
         cost = max(left, total - left - w)
         if best_cost is None or cost < best_cost or (cost == best_cost and v < best_v):
-            best_v, best_cost = v, cost
+            best, best_v, best_cost = i, v, cost
         left += w
-    return best_v
+    return best
 
 
 def lift_separator(Sc, C: CompressedGraph):
@@ -521,9 +519,8 @@ def lift_separator(Sc, C: CompressedGraph):
         weights = [prefix[0]] + [
             prefix[i] - prefix[i - 1] for i in range(1, len(prefix))
         ]
-        cut = _median_cut(interior, weights)
-        i = interior.index(cut)
-        lifted.add(cut)
+        i = _median_cut(interior, weights)
+        lifted.add(interior[i])
         if interior[:i]:
             fragments.append(PathFragment(interior[:i], weights[:i]))
         if interior[i + 1:]:
@@ -604,10 +601,9 @@ class _TreePlusExtra:
 
     G - S is the pieces of T - S joined by the edges of R outside S. A
     piece is named by its head: the root, or a vertex whose parent is in
-    S. Pointer jumping takes every vertex to its head in O(log D) numpy
-    passes over all vertices (D the depth of T; whole-array gathers beat
-    tracking the vertices still moving), and a union-find over the at
-    most r + 1 edges of R joins the pieces.
+    S. ``_nearest_marked`` takes every vertex to its head, and a
+    union-find over the at most r + 1 edges of R joins the pieces. A
+    tree comes with an empty R.
     """
 
     def __init__(self, G: Graph, T: SpanningTree, R: EdgeSet):
@@ -627,12 +623,9 @@ class _TreePlusExtra:
         """The heaviest component of G - S, S given as a mask over the vertices."""
         parent = self.parent
         n = len(parent)
-        ids = np.arange(n, dtype=np.int64)
         head = removed | removed[parent]
         head[self.root] = True
-        ptr = np.where(head, ids, parent)
-        while not head[ptr].all():
-            ptr = ptr[ptr]
+        ptr = _nearest_marked(parent, head)
         piece_w = np.zeros(n, dtype=np.int64)
         np.add.at(piece_w, ptr, self.weights)  # a vertex of S keeps its own weight
         heads = np.flatnonzero(head & ~removed)
@@ -653,7 +646,8 @@ class _TreePlusExtra:
                 cyclic.append(a)
             else:
                 link[max(a, b)] = min(a, b)
-        label = ids  # each piece's component, named by one of its heads
+        # each piece's component, named by one of its heads
+        label = np.arange(n, dtype=np.int64)
         if link:
             joined = np.fromiter(link, dtype=np.int64, count=len(link))
             label[joined] = [find(x) for x in joined.tolist()]
@@ -682,7 +676,6 @@ def heavy_vertex_fixup(
     S,
     beta=Fraction(2, 3),
     fragments: list[PathFragment] = (),
-    cap: int | None = None,
 ) -> Separator:
     """Repair loop for the lifted separator; its last check is the verification.
 
@@ -692,8 +685,8 @@ def heavy_vertex_fixup(
     its weighted centroid added; otherwise the heaviest leftover path
     fragment inside the component is cut at its weighted median. The round
     that passes is the exact verification of the returned separator. The
-    loop is capped (default from G's excess r); the cap signals an
-    algorithmic bug, it is never expected to fire.
+    loop is capped at 4 sqrt(r + 1) + 2 repairs, r being G's excess; the
+    cap signals an algorithmic bug, it is never expected to fire.
     """
     S = set(S)
     for v in S:
@@ -701,8 +694,7 @@ def heavy_vertex_fixup(
             raise BadVertexId(f"separator vertex {v} out of range")
     beta = Fraction(beta)
     W = G.total_weight
-    if cap is None:
-        cap = _repair_cap(G.excess)
+    cap = 2 + ceil(4 * sqrt(max(G.excess, 0) + 1))
     graph = _TreePlusExtra(G, T, R)
     removed = np.zeros(G.n, dtype=bool)
     removed[list(S)] = True
@@ -738,7 +730,7 @@ def heavy_vertex_fixup(
                     runs.append((sum(cur_w), cur_v, cur_w))
             if runs:
                 _, verts, ws = max(runs, key=lambda t: (t[0], -t[1][0]))
-                cut = _median_cut(verts, ws)
+                cut = verts[_median_cut(verts, ws)]
             else:
                 # no fragment reaches into the component: fall back to the
                 # centroid of a BFS spanning tree of it
@@ -791,11 +783,6 @@ class _InducedRows:
         return self._flat[self._lo[u]:self._hi[u]]
 
 
-def _repair_cap(r: int) -> int:
-    """The size bound 4 sqrt(r + 1) + 2, rounded up."""
-    return 2 + ceil(4 * sqrt(max(r, 0) + 1))
-
-
 @dataclass
 class TraceStage:
     name: str
@@ -840,18 +827,15 @@ def separate(
 
     Pass a dict as ``timings`` to collect per-stage wall times in ns.
     """
-    clock = perf_counter_ns if timings is not None else None
-
     def tick(name, t0):
         if timings is not None:
             timings[name] = perf_counter_ns() - t0
-        return perf_counter_ns() if clock else 0
+        return perf_counter_ns()
 
     beta = check_beta(beta)
-    W = G.total_weight
-    if W == 0:
+    if G.total_weight == 0:
         raise ZeroTotalWeight("all vertex weights are zero")
-    t0 = perf_counter_ns() if clock else 0
+    t0 = perf_counter_ns()
     T = compute_spanning_tree(G, root=root)  # raises Disconnected
     t0 = tick("spanning_tree", t0)
 
@@ -861,16 +845,11 @@ def separate(
 
     r = G.excess
     if r < 0:
-        adj = {v: list(G.adjacency[v]) for v in range(G.n)}
-        c = tree_centroid(range(G.n), adj, G.weights)
-        report = verify_separator(G, {c}, beta)
-        sep = Separator(
-            vertices={c},
-            size=1,
-            max_component_weight=report.max_component_weight,
-            total_weight=W,
-            repairs=0,
-        )
+        # a tree: its weighted centroid leaves parts of weight <= W/2
+        rows = _InducedRows(G, np.arange(G.n), np.ones(G.n, dtype=bool))
+        c = tree_centroid(range(G.n), rows, G.weights)
+        sep = heavy_vertex_fixup(G, T, EdgeSet(edges=[]), {c}, beta)
+        tick("lift_and_repair", t0)
         if trace:
             stages.append(TraceStage("separator", G, sorted(sep.vertices)))
             return sep, StageTrace(stages)
@@ -898,7 +877,7 @@ def separate(
         ) from None
     t0 = tick("lt_separator", t0)
     lifted, fragments = lift_separator(lt.vertices, C)
-    sep = heavy_vertex_fixup(G, T, R, lifted, beta, fragments, cap=_repair_cap(r))
+    sep = heavy_vertex_fixup(G, T, R, lifted, beta, fragments)
     tick("lift_and_repair", t0)
 
     if trace:

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter, deque
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,50 @@ from atsep.planar import bfs_levels, lt_separator
 from conftest import complete, cycle, path, random_parent_tree, star, theta
 
 
+def bfs_distances(G, root):
+    dist = [-1] * G.n
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in G.adjacency[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def depths_along_parents(T):
+    """Each vertex's number of steps up the parent array to the root."""
+    parent = T.parent.tolist()
+    depth = [-1] * len(parent)
+    depth[T.root] = 0
+    for v in range(len(parent)):
+        chain = []
+        while depth[v] < 0:
+            chain.append(v)
+            v = parent[v]
+            assert len(chain) <= len(parent), "the parent array has a cycle"
+        d = depth[v]
+        for u in reversed(chain):
+            d += 1
+            depth[u] = d
+    return depth
+
+
+def check_bfs_tree(G, T):
+    """Depth along the parents is the BFS distance, and each parent is the
+    vertex's lowest-ID neighbour one layer up."""
+    dist = bfs_distances(G, T.root)
+    parent = T.parent.tolist()
+    assert parent[T.root] == T.root
+    assert depths_along_parents(T) == dist
+    for v in range(G.n):
+        if v != T.root:
+            assert parent[v] == min(u for u in G.adjacency[v] if dist[u] == dist[v] - 1)
+    return dist
+
+
 class TestSpanningTree:
     def test_triangle_from_root(self):
         G = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -58,32 +103,40 @@ class TestSpanningTree:
         G = path(4)
         T = compute_spanning_tree(G, root=0)
         assert sorted(T.tree_edges()) == [(0, 1), (1, 2), (2, 3)]
-        assert T.order.tolist() == [0, 1, 2, 3]
+        assert T.parent.tolist() == [0, 0, 1, 2]
 
     def test_disconnected_raises(self):
         G = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(Disconnected):
             compute_spanning_tree(G)
 
-    def test_levels_offsets(self):
-        G = build_graph(6, [(0, 1), (0, 2), (1, 3), (2, 4), (4, 5)])
-        T = compute_spanning_tree(G)
-        assert T.order.tolist() == [0, 1, 2, 3, 4, 5]
-        assert T.levels == [0, 1, 3, 5, 6]
-        assert compute_spanning_tree(path(1)).levels == [0, 1]
+    def test_parents_by_hand(self):
+        # 3 is found by 1 and by 2 at once: the lower ID wins
+        G = build_graph(6, [(0, 2), (0, 1), (2, 3), (1, 3), (2, 4), (4, 5), (3, 5)])
+        assert compute_spanning_tree(G).parent.tolist() == [0, 0, 0, 1, 2, 3]
+        assert compute_spanning_tree(G, root=5).parent.tolist() == [1, 3, 3, 5, 5, 5]
+        assert compute_spanning_tree(path(1)).parent.tolist() == [0]
 
-    def test_levels_match_depths(self):
+    def test_parent_is_lowest_neighbour_one_layer_up(self):
         rng = random.Random(12)
         for _ in range(20):
             G = random_parent_tree(rng, rng.randint(1, 400))
-            T = compute_spanning_tree(G, root=rng.randrange(G.n))
-            depth = {T.root: 0}
-            for v in T.order[1:]:
-                depth[v] = depth[T.parent[v]] + 1
-            assert T.levels[0] == 0 and T.levels[-1] == G.n
-            for d, (lo, hi) in enumerate(zip(T.levels, T.levels[1:])):
-                assert lo < hi
-                assert all(depth[v] == d for v in T.order[lo:hi])
+            check_bfs_tree(G, compute_spanning_tree(G, root=rng.randrange(G.n)))
+        for i in range(20):
+            n = rng.randint(4, 2500)
+            G = generate(GenSpec(n=n, r=rng.randint(1, min(40, 2 * n - 7)), seed=i))
+            check_bfs_tree(G, compute_spanning_tree(G, root=rng.randrange(n)))
+        # double stars with chords: from any root some layer holds well over
+        # a hundred vertices, so the vectorised level step runs
+        for _ in range(3):
+            n = rng.randint(300, 600)
+            edges = {(rng.randrange(min(v, 2)), v) for v in range(1, n)}
+            while len(edges) < n + 20:
+                u, v = sorted(rng.sample(range(2, n), 2))
+                edges.add((u, v))
+            G = build_graph(n, sorted(edges))
+            dist = check_bfs_tree(G, compute_spanning_tree(G, root=rng.randrange(n)))
+            assert max(Counter(dist).values()) >= 128
 
     def test_edge_count_and_reachability(self):
         rng = random.Random(11)
@@ -91,7 +144,7 @@ class TestSpanningTree:
             G = random_parent_tree(rng, rng.randint(1, 30))
             T = compute_spanning_tree(G)
             assert len(T.tree_edges()) == G.n - 1
-            assert sorted(T.order) == list(range(G.n))
+            assert max(depths_along_parents(T)) < G.n
 
 
 class TestExtraEdges:
@@ -279,14 +332,54 @@ class TestCollapseWeights:
             G = build_graph(n, edges, [rng.randint(0, 9) for _ in range(n)])
             terms = rng.sample(range(n), rng.randint(2, 12))
             T, _ = self.check_against_oracle(G, terms, root=rng.randrange(n))
-            assert max(b - a for a, b in zip(T.levels, T.levels[1:])) >= 128
+            assert max(Counter(bfs_distances(G, T.root)).values()) >= 128
 
     def test_deep_path_matches_oracle(self):
         G = path(500)
         T, _ = self.check_against_oracle(G, {200, 340})
-        assert len(T.levels) - 1 == 500
+        assert T.parent.tolist() == [0, *range(499)]
         _, T1 = self.check_against_oracle(G, {499})
         assert T1.vertices() == [499]
+
+    @staticmethod
+    def nearest_by_walking_up(T, T1):
+        """First T1 vertex on each root path, else T1's top; memoized walks."""
+        parent = T.parent.tolist()
+        member = T1.member.tolist()
+        near = [None] * len(parent)
+        near[T.root] = T.root if member[T.root] else T1.top
+        for v in range(len(parent)):
+            chain = []
+            while near[v] is None and not member[v]:
+                chain.append(v)
+                v = parent[v]
+            if near[v] is None:
+                near[v] = v
+            for u in chain:
+                near[u] = near[v]
+        return near
+
+    @pytest.mark.parametrize("shape", ["cycle", "chorded path"])
+    def test_deep_shapes_match_walk_up(self, shape):
+        n = 20_000
+        rng = random.Random(44)
+        weights = [rng.randint(0, 9) for _ in range(n)]
+        if shape == "cycle":
+            G = cycle(n, weights)
+        else:
+            chords = [(n - 5000, n - 2), (n - 1000, n - 10), (n - 500, n - 100)]
+            G = build_graph(n, [(i, i + 1) for i in range(n - 1)] + chords, weights)
+        for root in (0, n // 2):
+            T = compute_spanning_tree(G, root=root)
+            R = extra_edges(G, T)
+            for terms in (R.endpoints(), {n // 3, n // 3 + 700}, {n - 1}):
+                T1 = steiner_subtree(T, terms)
+                cw = collapse_weights(G, T, T1)
+                near = self.nearest_by_walking_up(T, T1)
+                assert cw.attach == near
+                want = np.bincount(near, weights=weights, minlength=n).astype(np.int64)
+                assert cw.wprime.tolist() == want.tolist()
+                assert int(cw.wprime.sum()) == G.total_weight
 
     def test_subtree_missing_root_matches_oracle(self):
         # a broom: a 150-vertex handle from the root, then 300 bristles
@@ -550,7 +643,9 @@ class TestRoot:
         G = generate(GenSpec(n=300, r=8, seed=1))
         sep = separate(G, root=299)
         assert verify_separator(G, sep.vertices).passed
-        assert compute_spanning_tree(G, root=299).order[0] == 299
+        T = compute_spanning_tree(G, root=299)
+        assert T.root == 299
+        check_bfs_tree(G, T)
 
 
 class TestSeparate:
@@ -558,6 +653,13 @@ class TestSeparate:
         sep = separate(path(9))
         assert sep.size == 1
         assert sep.vertices == {4}
+        G = generate(GenSpec(n=3000, r=-1, seed=4, weight_mode=("uniform", 1, 5)))
+        assert G.excess == -1
+        sep = separate(G)
+        assert sep.size == 1 and sep.repairs == 0
+        c, = sep.vertices
+        assert c == tree_centroid(range(G.n), TestTreeCentroid.adjacency_of(G), G.weights)
+        assert sep.max_component_weight == verify_separator(G, sep.vertices).max_component_weight
 
     def test_c6(self):
         G = cycle(6)
