@@ -7,19 +7,99 @@ Layout::
     e <u> <v>        (m lines, 1-based vertex IDs)
     w <v> <weight>   (optional; vertices without a w line get weight 1)
 
-Weights may be written as decimals when loading with a fixed-point
-``weight_scale``; they are stored internally as integers.
+Comment and blank lines may appear anywhere, e and w lines in any order
+after the p line, and the last w line of a vertex wins. Weights may be
+written as decimals when loading with a fixed-point ``weight_scale``;
+they are stored internally as integers. Errors carry the line number.
 """
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
+
+import numpy as np
 
 from .errors import ParseError
 from .graph import Graph, build_graph
 
+# Text as format_graph writes it: leading c lines and the p line, then
+# e lines and after them w lines, each "<tag> <digits> <digits>\n".
+_HEADER = re.compile(rb"((?:c[^\n]*\n)*)p ([0-9]{1,18}) ([0-9]{1,18})\n")
+# the ASCII bytes other than \n at which str.splitlines ends a line
+_LINE_BREAKS = re.compile(rb"[\r\x0b\x0c\x1c-\x1e]")
+_BLANK_TAGS = bytes.maketrans(b"ew", b"  ")
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so every number fits an int64
+_E, _W, _SPACE, _NEWLINE = b"ew \n"
+
 
 def parse_graph(text: str, weight_scale: int = 1) -> Graph:
+    """Graph from edge-list text; raises ParseError with the line at fault.
+
+    Text laid out as ``format_graph`` writes it is read in whole-buffer
+    numpy passes. Anything else goes through the line loop, which gives
+    the same graph or raises the same error.
+    """
+    G = _parse_array(text, weight_scale)
+    return G if G is not None else _parse_lines(text, weight_scale)
+
+
+def _parse_array(text: str, weight_scale: int) -> Graph | None:
+    """The graph of well-formed text, or None if the line loop must read it.
+
+    Errors ``build_graph`` raises on a well-formed text pass through: the
+    line loop would hand it the same edges and weights.
+    """
+    if type(weight_scale) is not int or weight_scale != 1:
+        return None  # the loop's weights are weight_scale and Decimal products
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    head = _HEADER.match(data)
+    if head is None or _LINE_BREAKS.search(head.group(1)):
+        return None
+    n, m = int(head.group(2)), int(head.group(3))
+    body = data[head.end():]
+    b = np.frombuffer(body, dtype=np.uint8)
+    ends = np.flatnonzero(b == _NEWLINE)
+    if len(ends) < m or (len(b) and b[-1] != _NEWLINE):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
+    tags = b[starts]
+    if (tags[:m] != _E).any() or (tags[m:] != _W).any():
+        return None
+    # Two spaces a line, the first right after the tag and the second
+    # between two runs of 1 to 18 digits; every other byte a digit.
+    spaces = np.flatnonzero(b == _SPACE)
+    if len(spaces) != 2 * len(ends):
+        return None
+    first_len = spaces[1::2] - spaces[0::2] - 1
+    second_len = ends - spaces[1::2] - 1
+    digits = np.count_nonzero((b >= ord("0")) & (b <= ord("9")))
+    if (
+        digits != len(b) - 4 * len(ends)
+        or (spaces[0::2] != starts + 1).any()
+        or not ((first_len >= 1) & (first_len <= _MAX_DIGITS)).all()
+        or not ((second_len >= 1) & (second_len <= _MAX_DIGITS)).all()
+    ):
+        return None
+    numbers = np.fromstring(body.translate(_BLANK_TAGS), dtype=np.int64, sep=" ")
+    numbers = numbers.reshape(-1, 2)
+    edges = numbers[:m] - 1
+    heavy = numbers[m:, 0] - 1
+    if ((edges < 0) | (edges >= n)).any() or ((heavy < 0) | (heavy >= n)).any():
+        return None
+    # as the line loop does, so that a later w line of a vertex wins and
+    # an n too large to hold fails the same way
+    weights = [1] * n
+    for v, w in zip(heavy.tolist(), numbers[m:, 1].tolist()):
+        weights[v] = w
+    return build_graph(n, edges, weights)
+
+
+def _parse_lines(text: str, weight_scale: int) -> Graph:
+    """The line loop: reads every text the format allows, finds every fault."""
     n = None
     m = None
     edges: list[tuple[int, int]] = []
@@ -39,6 +119,8 @@ def parse_graph(text: str, weight_scale: int = 1) -> Graph:
                 n, m = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError("expected 'p <n> <m>'", line_no) from None
+            if n < 0 or m < 0:
+                raise ParseError("negative count in p line", line_no)
             weights = [weight_scale] * n
         elif tag == "e":
             if n is None:
@@ -64,6 +146,8 @@ def parse_graph(text: str, weight_scale: int = 1) -> Graph:
                 raise ParseError("expected 'w <v> <weight>'", line_no) from None
             if not 0 <= v < n:
                 raise ParseError(f"vertex out of range in '{line}'", line_no)
+            if w < 0:
+                raise ParseError(f"negative weight {w}", line_no)
             weights[v] = w
         else:
             raise ParseError(f"unknown line tag '{tag}'", line_no)

@@ -161,9 +161,11 @@ class SpanningTree:
 def build_graph(n: int, edges, weights=None) -> Graph:
     """Validate and build a Graph from an edge list.
 
-    Raises BadVertexId, SelfLoop, DuplicateEdge or Overflow on bad input,
-    for the first bad weight, else the first bad edge, in input order.
-    Each vertex's neighbours keep the order of its edges in the input.
+    ``edges`` is an iterable of (u, v) pairs or an (m, 2) int64 array,
+    which is read without a pass in Python. Raises BadVertexId, SelfLoop,
+    DuplicateEdge or Overflow on bad input, for the first bad weight,
+    else the first bad edge, in input order. Each vertex's neighbours
+    keep the order of its edges in the input.
     """
     if n < 0:
         raise BadVertexId(f"negative vertex count {n}")
@@ -173,20 +175,28 @@ def build_graph(n: int, edges, weights=None) -> Graph:
     if weights and (min(weights) < 0 or sum(weights) > MAX_TOTAL_WEIGHT):
         _raise_first_bad_weight(weights)
 
-    edges = edges if isinstance(edges, (list, tuple)) else list(edges)
-    ends = chain.from_iterable(edges)
-    try:
-        flat = np.fromiter(ends, dtype=np.int64, count=2 * len(edges))
-    except (OverflowError, ValueError, TypeError):
-        flat = None
-    if flat is None or next(ends, None) is not None:
-        _raise_first_bad_edge(n, edges)  # not all pairs of 64-bit integers
-    u, v = flat[0::2], flat[1::2]
+    if (
+        isinstance(edges, np.ndarray)
+        and edges.dtype == np.int64
+        and edges.ndim == 2
+        and edges.shape[1] == 2
+    ):
+        u, v = edges[:, 0], edges[:, 1]
+    else:
+        edges = edges if isinstance(edges, (list, tuple)) else list(edges)
+        ends = chain.from_iterable(edges)
+        try:
+            flat = np.fromiter(ends, dtype=np.int64, count=2 * len(edges))
+        except (OverflowError, ValueError, TypeError):
+            flat = None
+        if flat is None or next(ends, None) is not None:
+            _raise_first_bad_edge(n, edges)  # not all pairs of 64-bit integers
+        u, v = flat[0::2], flat[1::2]
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keys = np.sort(lo * n + hi)
     if bad.any() or (keys[1:] == keys[:-1]).any():
-        _raise_first_bad_edge(n, edges)
+        _raise_first_bad_edge(n, edges.tolist() if isinstance(edges, np.ndarray) else edges)
     return graph_from_edges(n, u, v, weights)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from atsep.errors import BadVertexId, DuplicateEdge, Overflow, SelfLoop
@@ -130,6 +131,25 @@ class TestBuildGraphParity:
                 assert got.adjacency == adjacency
                 assert got.weights == ref_weights
         assert 200 < valid < 1800
+
+    def test_edge_array_matches_edge_list(self):
+        rng = random.Random(5)
+        compared = 0
+        for _ in range(2000):
+            n, edges, weights = _random_case(rng)
+            if any(not -(2**63) <= x < 2**63 for e in edges for x in e):
+                continue  # no int64 array holds these
+            compared += 1
+            as_array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            want = _outcome(build_graph, n, list(edges), weights)
+            got = _outcome(build_graph, n, as_array, weights)
+            if isinstance(want, tuple):
+                assert got == want, (n, edges, weights)
+            else:
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert got.weights == want.weights
+        assert compared > 1500
 
     def test_huge_weight_is_overflow(self):
         with pytest.raises(Overflow, match="total weight exceeds 64 bits"):
