@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Write BENCH_<rev>.json files from benchmark/run.py results.
 
-Runs ``python3 benchmark/run.py`` in each given checkout, for every
-workload and seed at ``--trace 0`` and then once per workload at
-``--trace 1``. The checkouts take turns, and which one goes first
+Runs ``python3 benchmark/run.py``, at its own fixed run length, in each
+given checkout, for every workload and seed at ``--trace 0`` and then
+once per workload at ``--trace 1``. The checkouts take turns, and which one goes first
 alternates from one (workload, seed) to the next, so that a slow spell
 of the host falls on both. For each checkout it writes
 ``BENCH_<short rev>.json`` into ``--out``: the last stdout line of every
@@ -61,9 +61,9 @@ def host() -> dict:
             "python": platform.python_version(), **versions}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--trace", str(trace)]
     t0 = perf_counter()
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = perf_counter() - t0
@@ -96,7 +96,6 @@ def main() -> int:
     ap.add_argument("checkouts", nargs="+", type=Path)
     ap.add_argument("--workload", action="append", type=parse_workload, required=True,
                     help="NAME:SEEDS, seeds as 1-10 or 1,5,7; repeatable")
-    ap.add_argument("--seconds", type=float, default=16)
     ap.add_argument("--out", type=Path, default=Path("."))
     args = ap.parse_args()
 
@@ -106,17 +105,17 @@ def main() -> int:
     for workload, seeds in args.workload:
         for seed in seeds:
             for c in checkouts[turn:] + checkouts[:turn]:
-                runs[c].append(run_once(c, workload, seed, args.seconds, 0))
+                runs[c].append(run_once(c, workload, seed, 0))
             turn = (turn + 1) % len(checkouts)
     for workload, seeds in args.workload:
         for c in checkouts:
-            runs[c].append(run_once(c, workload, seeds[0], args.seconds, 1))
+            runs[c].append(run_once(c, workload, seeds[0], 1))
 
     machine = host()
     for c in checkouts:
         rev = rev_of(c)
-        record = {"rev": rev, "command": "python3 benchmark/run.py", "seconds": args.seconds,
-                  "host": machine, "summary": summary(runs[c]), "runs": runs[c]}
+        record = {"rev": rev, "command": "python3 benchmark/run.py", "host": machine,
+                  "summary": summary(runs[c]), "runs": runs[c]}
         path = args.out / f"BENCH_{rev}.json"
         path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)

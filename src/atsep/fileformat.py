@@ -24,21 +24,23 @@ from .errors import ParseError
 from .graph import Graph, build_graph
 
 # Text as format_graph writes it: leading c lines and the p line, then
-# e lines and after them w lines, each "<tag> <digits> <digits>\n".
+# the e lines and after them the w lines, each a tag and two runs of 1 to
+# 18 ASCII digits joined by single spaces (10**18 - 1 < 2**63, so every
+# number fits an int64). Group 1 of _BODY holds the e lines.
 _HEADER = re.compile(rb"((?:c[^\n]*\n)*)p ([0-9]{1,18}) ([0-9]{1,18})\n")
+_BODY = re.compile(rb"((?:e [0-9]{1,18}+ [0-9]{1,18}+\n)*+)(?:w [0-9]{1,18}+ [0-9]{1,18}+\n)*+")
 # the ASCII bytes other than \n at which str.splitlines ends a line
 _LINE_BREAKS = re.compile(rb"[\r\x0b\x0c\x1c-\x1e]")
 _BLANK_TAGS = bytes.maketrans(b"ew", b"  ")
-_MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so every number fits an int64
-_E, _W, _SPACE, _NEWLINE = b"ew \n"
 
 
 def parse_graph(text: str, weight_scale: int = 1) -> Graph:
     """Graph from edge-list text; raises ParseError with the line at fault.
 
-    Text laid out as ``format_graph`` writes it is read in whole-buffer
-    numpy passes. Anything else goes through the line loop, which gives
-    the same graph or raises the same error.
+    Text laid out as ``format_graph`` writes it is checked by one regular
+    expression and converted by one numpy call. Anything else goes
+    through the line loop, which gives the same graph or raises the same
+    error.
     """
     G = _parse_array(text, weight_scale)
     return G if G is not None else _parse_lines(text, weight_scale)
@@ -61,28 +63,8 @@ def _parse_array(text: str, weight_scale: int) -> Graph | None:
         return None
     n, m = int(head.group(2)), int(head.group(3))
     body = data[head.end():]
-    b = np.frombuffer(body, dtype=np.uint8)
-    ends = np.flatnonzero(b == _NEWLINE)
-    if len(ends) < m or (len(b) and b[-1] != _NEWLINE):
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
-    tags = b[starts]
-    if (tags[:m] != _E).any() or (tags[m:] != _W).any():
-        return None
-    # Two spaces a line, the first right after the tag and the second
-    # between two runs of 1 to 18 digits; every other byte a digit.
-    spaces = np.flatnonzero(b == _SPACE)
-    if len(spaces) != 2 * len(ends):
-        return None
-    first_len = spaces[1::2] - spaces[0::2] - 1
-    second_len = ends - spaces[1::2] - 1
-    digits = np.count_nonzero((b >= ord("0")) & (b <= ord("9")))
-    if (
-        digits != len(b) - 4 * len(ends)
-        or (spaces[0::2] != starts + 1).any()
-        or not ((first_len >= 1) & (first_len <= _MAX_DIGITS)).all()
-        or not ((second_len >= 1) & (second_len <= _MAX_DIGITS)).all()
-    ):
+    lines = _BODY.fullmatch(body)
+    if lines is None or body.count(b"\n", 0, lines.end(1)) != m:
         return None
     numbers = np.fromstring(body.translate(_BLANK_TAGS), dtype=np.int64, sep=" ")
     numbers = numbers.reshape(-1, 2)

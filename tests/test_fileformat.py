@@ -127,6 +127,7 @@ def _with(old, new):
         pytest.param(_with("e 3 2\n", "e 3 2\nc later\n"), 1, id="c line after the header"),
         pytest.param(_with("c twice\n", "c twice\rp 1 0\n"), 1, id="CR inside a c line"),
         pytest.param(_with("e 4 1\nw 2 5\n", "w 2 5\ne 4 1\n"), 1, id="w before e"),
+        pytest.param(_WELL_FORMED + "e 3 4\n", 1, id="e line after the w lines"),
         pytest.param(_with("e 3 2", "e +3 2"), 1, id="sign"),
         pytest.param(_with("w 2 5", "w 2 1_0"), 1, id="underscore"),
         pytest.param(_with("e 3 2", "e \u0663 2"), 1, id="non-ASCII digit"),
@@ -142,6 +143,7 @@ def _with(old, new):
         pytest.param(_WELL_FORMED[:-1], 1, id="no final newline"),
         pytest.param(_WELL_FORMED + "7", 1, id="digits after the final newline"),
         pytest.param(_with("e 3 2", "e 3 1234567890123456789"), 1, id="19 digits"),
+        pytest.param("p 1 0\nw 1 9223372036854775808\n", 1, id="weight of 2**63"),
         pytest.param(_with("p 4 3", "p 4 3 "), 1, id="trailing space on the p line"),
         pytest.param(_with("p 4 3", "p -4 3"), 1, id="negative n"),
         pytest.param(_with("w 2 5", "w 2 -5"), 1, id="negative weight"),
