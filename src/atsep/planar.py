@@ -1,10 +1,12 @@
 """Vertex-weighted planar separator in the Lipton-Tarjan style.
 
 Works on any connected planar graph, along one path: a BFS from the
-root (which also rejects a disconnected graph) and one planarity test
-gate the call; then pick a cheap pair of BFS levels around the weighted
-median, and if the middle band still holds a heavy component, shrink it
-with a fundamental-cycle separator on the triangulated band. A greedy
+root (which also rejects a disconnected graph) and one planarity test of
+the graph's kernel (pendant trees peeled off, degree-2 chains
+suppressed; planar exactly when the graph is) gate the call; then pick
+a cheap pair of BFS levels around the weighted median, and if the
+middle band still holds a heavy component, shrink it with a
+fundamental-cycle separator on the triangulated band. A greedy
 fallback, whose every step checks the heaviest component of G - S
 exactly against beta * W, keeps the balance contract unconditional even
 for degenerate weight profiles (e.g. one vertex holding most of the
@@ -244,27 +246,60 @@ def _tree_path(parent: dict, u, v):
     return path_u + [y] + path_v
 
 
+def _planarity_kernel(G: Graph) -> dict[int, set[int]]:
+    """Adjacency sets of G's kernel, which is planar exactly when G is.
+
+    Vertices of degree <= 1 are peeled off and each vertex of degree 2 is
+    suppressed by joining its two neighbours, until neither applies. A
+    peeled vertex lies on no cycle and a suppressed one subdivides an
+    edge, so by Kuratowski neither step changes planarity. Where the
+    joining edge is already there, the parallel copy is dropped, which
+    cannot change it either. A tree or a cycle leaves nothing.
+    """
+    nbrs = {v: set(a) for v, a in enumerate(G.adjacency)}
+    stack = [v for v, a in nbrs.items() if len(a) <= 2]
+    while stack:
+        v = stack.pop()
+        a = nbrs.get(v)
+        if a is None or len(a) > 2:
+            continue
+        del nbrs[v]
+        for u in a:
+            nbrs[u].discard(v)
+        if len(a) == 2:
+            x, y = a
+            if y not in nbrs[x]:
+                nbrs[x].add(y)
+                nbrs[y].add(x)
+                continue
+        stack.extend(a)
+    return nbrs
+
+
 def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
     """Balanced vertex separator of a connected planar graph.
 
     Target size is O(sqrt(n)); balance (max component weight <= beta * W)
     is guaranteed by construction plus an exactly checked fallback. Raises
-    BadBeta unless 1/2 < beta < 1, then Disconnected before NotPlanar.
+    BadBeta unless 1/2 < beta < 1, then Disconnected before NotPlanar;
+    planarity is tested on G's kernel, whose embedding is not used.
     """
     beta = check_beta(beta)
     W = G.total_weight
     if W == 0:
         raise ZeroTotalWeight("all vertex weights are zero")
     level, levels, level_weights = bfs_levels(G, root)  # raises Disconnected
+    kernel = _planarity_kernel(G)
     H = nx.Graph()
-    H.add_nodes_from(range(G.n))
-    H.add_edges_from(G.edges())
+    H.add_nodes_from(kernel)
+    H.add_edges_from((u, v) for u, a in kernel.items() for v in a if u < v)
     ok, emb = nx.check_planarity(H, counterexample=False)
     if not ok:
         raise NotPlanar(f"graph with {G.n} vertices and {G.m} edges is not planar")
     # networkx graphs with cached views are reference cycles: empty them so
-    # their dicts go now, not at the next full collection (over 10 MB at
-    # 10^4 nodes, which would otherwise stay alive through lift and repair)
+    # their dicts go now, not at the next full collection (the band's graphs
+    # below hold over 10 MB at 10^4 nodes, which would otherwise stay alive
+    # through lift and repair)
     H.clear()
     emb.clear()
 
