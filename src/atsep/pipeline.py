@@ -344,28 +344,33 @@ def decompose_paths(T1: SteinerSubtree, U: BranchSet) -> PathDecomposition:
 class CollapsedWeights:
     """Weights after every outside vertex donates to its nearest subtree vertex.
 
-    Both arrays are int64 and indexed by vertex; ``attach`` lists the
-    nearest subtree vertices as Python ints.
+    All arrays are int64 and indexed by vertex; ``attach`` lists the
+    nearest subtree vertices as Python ints. ``entry`` is each vertex's
+    nearest vertex on its root path (itself included) that is the root,
+    a subtree vertex or a child of one.
     """
 
     wprime: np.ndarray
     nearest: np.ndarray
+    entry: np.ndarray
 
     @property
     def attach(self) -> list[int]:
         return self.nearest.tolist()
 
 
-def _nearest_marked(parent: np.ndarray, mark: np.ndarray) -> np.ndarray:
+def _nearest_marked(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
     """Each vertex's nearest marked vertex on its root path, itself included.
 
-    The root must be marked. Marked vertices point at themselves and the
-    others at their parents; jumping every pointer to its target's
-    pointer halves the distance left, so O(log D) numpy passes over all
-    vertices suffice (D the depth of the tree; whole-array gathers beat
-    tracking the vertices still moving).
+    The root must be marked. ``up`` takes each vertex to a proper
+    ancestor with no marked vertex strictly between, such as its parent.
+    Marked vertices point at themselves and the others along ``up``;
+    jumping every pointer to its target's pointer halves the distance
+    left, so O(log D) numpy passes over all vertices suffice (D the depth
+    of the tree; whole-array gathers beat tracking the vertices still
+    moving).
     """
-    ptr = np.where(mark, np.arange(len(parent), dtype=np.int64), parent)
+    ptr = np.where(mark, np.arange(len(up), dtype=np.int64), up)
     while not mark[ptr].all():
         ptr = ptr[ptr]
     return ptr
@@ -380,14 +385,17 @@ def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> Collapsed
     pointer jump to the nearest vertex of T1 or the root finds it.
     Weight conservation is exact.
     """
-    mark = T1.member.copy()
+    # the children of T1 are marked too, for heavy_vertex_fixup: they hold
+    # every piece head of a separator inside T1
+    mark = T1.member | T1.member[T1.parent]
     mark[T.root] = True
-    attach = _nearest_marked(T1.parent, mark)
+    entry = _nearest_marked(T1.parent, mark)
+    attach = np.where(T1.member[entry], entry, T1.parent[entry])
     if not T1.member[T.root]:
         attach[attach == T.root] = T1.top
     wprime = np.zeros(G.n, dtype=np.int64)
     np.add.at(wprime, attach, G.weight_array)
-    return CollapsedWeights(wprime=wprime, nearest=attach)
+    return CollapsedWeights(wprime=wprime, nearest=attach, entry=entry)
 
 
 @dataclass
@@ -604,9 +612,14 @@ class _TreePlusExtra:
     S. ``_nearest_marked`` takes every vertex to its head, and a
     union-find over the at most r + 1 edges of R joins the pieces. A
     tree comes with an empty R.
+
+    ``entry``, when given, is ``CollapsedWeights.entry``: while every
+    head is one of its marks (S inside T1), each vertex jumps straight to
+    its entry, so the pointers meet few distinct targets, which keeps
+    the jump's gathers in cache on large graphs.
     """
 
-    def __init__(self, G: Graph, T: SpanningTree, R: EdgeSet):
+    def __init__(self, G: Graph, T: SpanningTree, R: EdgeSet, entry=None):
         if len(R) != G.m - G.n + 1:
             # R holds only non-tree edges, so with T's n - 1 edges it is
             # all of E(G) exactly when the counts add up
@@ -615,6 +628,10 @@ class _TreePlusExtra:
             )
         self.parent = np.asarray(T.parent, dtype=np.int64)
         self.root = T.root
+        self.shortcut = None
+        if entry is not None:
+            self.entry_mark = entry == np.arange(len(entry))
+            self.shortcut = np.where(self.entry_mark, self.parent, entry)
         ends = np.array(R.edges, dtype=np.int64).reshape(-1, 2)
         self.ru, self.rv = ends[:, 0], ends[:, 1]
         self.weights = G.weight_array
@@ -625,7 +642,10 @@ class _TreePlusExtra:
         n = len(parent)
         head = removed | removed[parent]
         head[self.root] = True
-        ptr = _nearest_marked(parent, head)
+        up = parent
+        if self.shortcut is not None and not (head & ~self.entry_mark).any():
+            up = self.shortcut  # no head lies strictly between a vertex and its entry
+        ptr = _nearest_marked(up, head)
         piece_w = np.zeros(n, dtype=np.int64)
         np.add.at(piece_w, ptr, self.weights)  # a vertex of S keeps its own weight
         heads = np.flatnonzero(head & ~removed)
@@ -676,6 +696,7 @@ def heavy_vertex_fixup(
     S,
     beta=Fraction(2, 3),
     fragments: list[PathFragment] = (),
+    entry=None,
 ) -> Separator:
     """Repair loop for the lifted separator; its last check is the verification.
 
@@ -687,6 +708,7 @@ def heavy_vertex_fixup(
     that passes is the exact verification of the returned separator. The
     loop is capped at 4 sqrt(r + 1) + 2 repairs, r being G's excess; the
     cap signals an algorithmic bug, it is never expected to fire.
+    ``entry`` (``CollapsedWeights.entry``) only speeds up the search.
     """
     S = set(S)
     for v in S:
@@ -695,7 +717,7 @@ def heavy_vertex_fixup(
     beta = Fraction(beta)
     W = G.total_weight
     cap = 2 + ceil(4 * sqrt(max(G.excess, 0) + 1))
-    graph = _TreePlusExtra(G, T, R)
+    graph = _TreePlusExtra(G, T, R, entry)
     removed = np.zeros(G.n, dtype=bool)
     removed[list(S)] = True
     repairs = 0
@@ -877,7 +899,7 @@ def separate(
         ) from None
     t0 = tick("lt_separator", t0)
     lifted, fragments = lift_separator(lt.vertices, C)
-    sep = heavy_vertex_fixup(G, T, R, lifted, beta, fragments)
+    sep = heavy_vertex_fixup(G, T, R, lifted, beta, fragments, cw.entry)
     tick("lift_and_repair", t0)
 
     if trace:
