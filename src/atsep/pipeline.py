@@ -344,19 +344,37 @@ def decompose_paths(T1: SteinerSubtree, U: BranchSet) -> PathDecomposition:
 class CollapsedWeights:
     """Weights after every outside vertex donates to its nearest subtree vertex.
 
-    All arrays are int64 and indexed by vertex; ``attach`` lists the
-    nearest subtree vertices as Python ints. ``entry`` is each vertex's
-    nearest vertex on its root path (itself included) that is the root,
-    a subtree vertex or a child of one.
+    A vertex's entry is the nearest vertex on its root path, itself
+    included, that is the root, a subtree vertex or a child of one;
+    ``entries`` marks them. ``skip`` takes every other vertex to its entry
+    and an entry to its parent, and ``nearest`` is worked out from it.
+    Arrays are indexed by vertex; ``attach`` lists the nearest subtree
+    vertices as Python ints.
     """
 
     wprime: np.ndarray
-    nearest: np.ndarray
-    entry: np.ndarray
+    skip: np.ndarray
+    entries: np.ndarray
+    T1: SteinerSubtree
+    root: int
+
+    @property
+    def nearest(self) -> np.ndarray:
+        ids = np.arange(len(self.skip), dtype=np.int64)
+        return _attach(np.where(self.entries, ids, self.skip), self.T1, self.root)
 
     @property
     def attach(self) -> list[int]:
         return self.nearest.tolist()
+
+
+def _attach(entry: np.ndarray, T1: SteinerSubtree, root: int) -> np.ndarray:
+    """Each vertex's nearest subtree vertex, from its entry: the entry or
+    its parent, and T1's top for the vertices whose root path misses T1."""
+    attach = np.where(T1.member[entry], entry, T1.parent[entry])
+    if not T1.member[root]:
+        attach[attach == root] = T1.top
+    return attach
 
 
 def _nearest_marked(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
@@ -387,15 +405,13 @@ def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> Collapsed
     """
     # the children of T1 are marked too, for heavy_vertex_fixup: they hold
     # every piece head of a separator inside T1
-    mark = T1.member | T1.member[T1.parent]
-    mark[T.root] = True
-    entry = _nearest_marked(T1.parent, mark)
-    attach = np.where(T1.member[entry], entry, T1.parent[entry])
-    if not T1.member[T.root]:
-        attach[attach == T.root] = T1.top
+    entries = T1.member | T1.member[T1.parent]
+    entries[T.root] = True
+    entry = _nearest_marked(T1.parent, entries)
     wprime = np.zeros(G.n, dtype=np.int64)
-    np.add.at(wprime, attach, G.weight_array)
-    return CollapsedWeights(wprime=wprime, nearest=attach, entry=entry)
+    np.add.at(wprime, _attach(entry, T1, T.root), G.weight_array)
+    skip = np.where(entries, T1.parent, entry)
+    return CollapsedWeights(wprime=wprime, skip=skip, entries=entries, T1=T1, root=T.root)
 
 
 @dataclass
@@ -613,13 +629,14 @@ class _TreePlusExtra:
     union-find over the at most r + 1 edges of R joins the pieces. A
     tree comes with an empty R.
 
-    ``entry``, when given, is ``CollapsedWeights.entry``: while every
-    head is one of its marks (S inside T1), each vertex jumps straight to
-    its entry, so the pointers meet few distinct targets, which keeps
-    the jump's gathers in cache on large graphs.
+    With ``cw``, while every head is an entry (S inside T1), each vertex
+    jumps straight to its entry along ``cw.skip``, so the pointers meet
+    few distinct targets, which keeps the jump's gathers in cache on
+    large graphs.
     """
 
-    def __init__(self, G: Graph, T: SpanningTree, R: EdgeSet, entry=None):
+    def __init__(self, G: Graph, T: SpanningTree, R: EdgeSet,
+                 cw: CollapsedWeights | None = None):
         if len(R) != G.m - G.n + 1:
             # R holds only non-tree edges, so with T's n - 1 edges it is
             # all of E(G) exactly when the counts add up
@@ -628,10 +645,7 @@ class _TreePlusExtra:
             )
         self.parent = np.asarray(T.parent, dtype=np.int64)
         self.root = T.root
-        self.shortcut = None
-        if entry is not None:
-            self.entry_mark = entry == np.arange(len(entry))
-            self.shortcut = np.where(self.entry_mark, self.parent, entry)
+        self.cw = cw
         ends = np.array(R.edges, dtype=np.int64).reshape(-1, 2)
         self.ru, self.rv = ends[:, 0], ends[:, 1]
         self.weights = G.weight_array
@@ -643,8 +657,8 @@ class _TreePlusExtra:
         head = removed | removed[parent]
         head[self.root] = True
         up = parent
-        if self.shortcut is not None and not (head & ~self.entry_mark).any():
-            up = self.shortcut  # no head lies strictly between a vertex and its entry
+        if self.cw is not None and not (head & ~self.cw.entries).any():
+            up = self.cw.skip  # no head lies strictly between a vertex and its entry
         ptr = _nearest_marked(up, head)
         piece_w = np.zeros(n, dtype=np.int64)
         np.add.at(piece_w, ptr, self.weights)  # a vertex of S keeps its own weight
@@ -696,7 +710,7 @@ def heavy_vertex_fixup(
     S,
     beta=Fraction(2, 3),
     fragments: list[PathFragment] = (),
-    entry=None,
+    cw: CollapsedWeights | None = None,
 ) -> Separator:
     """Repair loop for the lifted separator; its last check is the verification.
 
@@ -708,7 +722,7 @@ def heavy_vertex_fixup(
     that passes is the exact verification of the returned separator. The
     loop is capped at 4 sqrt(r + 1) + 2 repairs, r being G's excess; the
     cap signals an algorithmic bug, it is never expected to fire.
-    ``entry`` (``CollapsedWeights.entry``) only speeds up the search.
+    ``cw``, the collapsed weights over T, only speeds up the search.
     """
     S = set(S)
     for v in S:
@@ -717,7 +731,7 @@ def heavy_vertex_fixup(
     beta = Fraction(beta)
     W = G.total_weight
     cap = 2 + ceil(4 * sqrt(max(G.excess, 0) + 1))
-    graph = _TreePlusExtra(G, T, R, entry)
+    graph = _TreePlusExtra(G, T, R, cw)
     removed = np.zeros(G.n, dtype=bool)
     removed[list(S)] = True
     repairs = 0
@@ -899,7 +913,7 @@ def separate(
         ) from None
     t0 = tick("lt_separator", t0)
     lifted, fragments = lift_separator(lt.vertices, C)
-    sep = heavy_vertex_fixup(G, T, R, lifted, beta, fragments, cw.entry)
+    sep = heavy_vertex_fixup(G, T, R, lifted, beta, fragments, cw)
     tick("lift_and_repair", t0)
 
     if trace:

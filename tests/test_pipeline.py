@@ -46,7 +46,7 @@ from atsep.pipeline import (
 )
 from atsep.planar import bfs_levels, lt_separator
 
-from conftest import complete, cycle, path, random_parent_tree, star, theta
+from conftest import complete, cycle, path, random_parent_tree, star, subdivided, theta
 
 
 def bfs_distances(G, root):
@@ -622,6 +622,40 @@ class TestTreePlusExtraCheck:
                 checked += 1
         assert checked == 1200
 
+    def test_entry_shortcut_matches_the_parent_jump(self, monkeypatch):
+        # with S inside T1 every head is an entry of collapse_weights, and
+        # the jump may start there; other sets take the parent steps
+        rng = random.Random(11)
+        ups = []
+        real = atsep.pipeline._nearest_marked
+
+        def recording(up, mark):
+            ups.append(up)
+            return real(up, mark)
+
+        monkeypatch.setattr(atsep.pipeline, "_nearest_marked", recording)
+        shortcuts = 0
+        for i in range(40):
+            n = rng.randint(30, 3000)
+            G = generate(GenSpec(n=n, r=rng.randint(1, 40), seed=i))
+            T = compute_spanning_tree(G, root=rng.randrange(n))
+            R = extra_edges(G, T)
+            T1 = steiner_subtree(T, R.endpoints())
+            cw = collapse_weights(G, T, T1)
+            plain = atsep.pipeline._TreePlusExtra(G, T, R)
+            fast = atsep.pipeline._TreePlusExtra(G, T, R, cw)
+            inside = T1.vertices()
+            for S in (rng.sample(inside, min(len(inside), k)) for k in (1, 3, 8)):
+                for extra in ([], [rng.randrange(n)]):
+                    removed = np.zeros(n, dtype=bool)
+                    removed[S + extra] = True
+                    want, got = plain.heaviest(removed), fast.heaviest(removed)
+                    assert (got.weight, got.label, got.is_tree) == (
+                        want.weight, want.label, want.is_tree)
+                    assert (got.head_of == want.head_of).all()
+                    shortcuts += ups[-1] is cw.skip
+        assert shortcuts >= 120
+
     def test_edge_count_is_checked(self):
         G = theta()
         T = compute_spanning_tree(G)
@@ -727,6 +761,12 @@ class TestSeparate:
         edges = list(complete(5).edges()) + [(4 + i, 5 + i) for i in range(20)]
         G = build_graph(25, edges)
         with pytest.raises(NotPlanar, match="25 vertices and 30 edges"):
+            separate(G)
+        # a subdivided K3,3 with hanging trees: the gate sees only its kernel
+        k33 = [(u, v) for u in range(3) for v in range(3, 6)]
+        G = subdivided(k33, 20, random.Random(3), hang=15)
+        assert (G.n, G.m) == (226, 229)
+        with pytest.raises(NotPlanar, match="226 vertices and 229 edges"):
             separate(G)
 
     @pytest.mark.parametrize(
