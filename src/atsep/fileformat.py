@@ -74,7 +74,11 @@ def _parse_array(text: str, weight_scale: int) -> Graph | None:
         return None
     # as the line loop does, so that a later w line of a vertex wins and
     # an n too large to hold fails the same way
-    weights = [1] * n
+    try:
+        weights = [1] * n
+    except MemoryError:
+        p_line = head.group(1).count(b"\n") + 1
+        raise ParseError(f"vertex count {n} is too large", p_line) from None
     for v, w in zip(heavy.tolist(), numbers[m:, 1].tolist()):
         weights[v] = w
     return build_graph(n, edges, weights)
@@ -103,7 +107,10 @@ def _parse_lines(text: str, weight_scale: int) -> Graph:
                 raise ParseError("expected 'p <n> <m>'", line_no) from None
             if n < 0 or m < 0:
                 raise ParseError("negative count in p line", line_no)
-            weights = [weight_scale] * n
+            try:
+                weights = [weight_scale] * n
+            except (MemoryError, OverflowError):
+                raise ParseError(f"vertex count {n} is too large", line_no) from None
         elif tag == "e":
             if n is None:
                 raise ParseError("e line before p line", line_no)

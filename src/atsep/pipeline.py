@@ -400,8 +400,8 @@ def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> Collapsed
     T1 is connected, so that vertex is unique: the first T1 vertex on the
     vertex's root path, or T1's top vertex if the path misses T1 (every
     path from the vertex into T1 then enters through the top). One
-    pointer jump to the nearest vertex of T1 or the root finds it.
-    Weight conservation is exact.
+    pointer jump to each vertex's entry finds it: the entry is that
+    vertex, or its child, or the root. Weight conservation is exact.
     """
     # the children of T1 are marked too, for heavy_vertex_fixup: they hold
     # every piece head of a separator inside T1

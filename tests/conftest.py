@@ -28,3 +28,23 @@ def theta() -> Graph:
 def random_parent_tree(rng, n: int) -> Graph:
     """Tree where each vertex v >= 1 hangs off a random earlier vertex."""
     return build_graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def subdivided(edges, length, rng, hang=0):
+    """Each edge a path of ``length`` new vertices, plus ``hang`` pendant
+    trees of up to four vertices hung on random path vertices."""
+    n = max(max(e) for e in edges) + 1
+    out = []
+    inner = []
+    for u, v in edges:
+        chain = list(range(n, n + length))
+        n += length
+        inner += chain
+        out += zip([u] + chain, chain + [v])
+    for _ in range(hang):
+        tree = [rng.choice(inner)]
+        for _ in range(rng.randint(1, 4)):
+            out.append((rng.choice(tree), n))
+            tree.append(n)
+            n += 1
+    return build_graph(n, out)

@@ -146,6 +146,16 @@ def test_separate_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_separate_vertex_count_too_large(tmp_path, capsys):
+    # 18 digits: the weights list this asks for fails at once, allocating nothing
+    huge = tmp_path / "huge.txt"
+    huge.write_text("p 999999999999999999 0\n")
+    assert main(["separate", str(huge)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "error: line 1: vertex count 999999999999999999 is too large" in err
+    assert "Traceback" not in err
+
+
 def test_verify_pass_and_fail(tmp_path, capsys):
     f = write(tmp_path, "c6.txt", cycle(6))
     assert main(["verify", f, "1 4"]) == EXIT_OK

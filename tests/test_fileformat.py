@@ -79,6 +79,25 @@ def test_parse_errors_carry_line_numbers(text, line_no):
     assert exc.value.line_no == line_no
 
 
+# 18 digits: the weights list this asks for fails at once, allocating nothing
+_HUGE_N = 999999999999999999
+
+
+@pytest.mark.parametrize(
+    "parse,text,line_no",
+    [
+        (_parse_array, f"p {_HUGE_N} 0\n", 1),
+        (parse_graph, f"c big\nc twice\np {_HUGE_N} 0\n", 3),
+        (_parse_lines, f"p {_HUGE_N} 0\n", 1),
+        (_parse_lines, f"\np {_HUGE_N} 0\ne 1 2\n", 2),
+    ],
+)
+def test_vertex_count_too_large_is_parse_error(parse, text, line_no):
+    with pytest.raises(ParseError, match=f"vertex count {_HUGE_N} is too large") as exc:
+        parse(text, 1)
+    assert exc.value.line_no == line_no
+
+
 def test_missing_header_rejected():
     with pytest.raises(ParseError):
         parse_graph("c only a comment\n")

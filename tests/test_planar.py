@@ -15,7 +15,7 @@ from atsep.gen import GenSpec, generate, grid_graph
 from atsep.graph import build_graph, heaviest_component, verify_separator
 from atsep.planar import _greedy_balance, _prune_redundant, bfs_levels, lt_separator
 
-from conftest import complete, cycle, path, star
+from conftest import complete, cycle, path, star, subdivided
 
 
 class TestBfsLevels:
@@ -100,7 +100,8 @@ class TestLtSeparator:
 
 
 class TestPlanarEmbed:
-    """The embedding step inside lt_separator: one nx.check_planarity call."""
+    """The planarity gate inside lt_separator: one nx.check_planarity call,
+    on the graph's kernel."""
 
     def test_k5_not_planar(self, monkeypatch):
         calls = []
@@ -145,6 +146,78 @@ class TestLtGate:
         lt = lt_separator(grid_graph(5, 4))
         assert lt.cycle_info is None
         assert len(calls) == 1
+
+
+K5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+K33 = [(u, v) for u in range(3) for v in range(3, 6)]
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [
+    (5 + i, 5 + (i + 2) % 5) for i in range(5)
+]
+
+
+def _gate_cases():
+    """(id, graph, planar) triples."""
+    rng = random.Random(8)
+    yield "k5-subdivided", subdivided(K5, 40, rng, hang=30), False
+    yield "k33-subdivided", subdivided(K33, 25, rng, hang=30), False
+    # K3,3 with its edge 0-3 doubled: the two paths suppress into one
+    # edge and its parallel copy, which the kernel drops
+    yield "k33-parallel-paths", subdivided(K33 + [(0, 6), (6, 3)], 7, rng, hang=5), False
+    yield "petersen", build_graph(10, PETERSEN), False
+    for seed in range(20):
+        spec = GenSpec(n=rng.randint(50, 400), r=rng.randint(0, 40), seed=seed)
+        yield f"gen-{seed}", generate(spec), True
+    yield "cycle", cycle(3000), True
+    yield "path", path(3000), True
+    yield "tree", build_graph(500, [(v, rng.randrange(v)) for v in range(1, 500)]), True
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    yield "k4-subdivided", subdivided(k4, 30, rng, hang=20), True
+
+
+_GATE_CASES = list(_gate_cases())
+
+
+class TestKernelGate:
+    """The gate tests the kernel, whose verdict is the whole graph's."""
+
+    @pytest.mark.parametrize(
+        "G,planar", [case[1:] for case in _GATE_CASES], ids=[case[0] for case in _GATE_CASES]
+    )
+    def test_not_planar_exactly_when_the_whole_graph_is_not(self, G, planar):
+        assert nx.check_planarity(nx.Graph(list(G.edges())))[0] == planar
+        if planar:
+            lt = lt_separator(G)
+            assert verify_separator(G, lt.vertices).passed
+        else:
+            with pytest.raises(NotPlanar, match=f"{G.n} vertices and {G.m} edges"):
+                lt_separator(G)
+
+    @staticmethod
+    def record_tested_sizes(monkeypatch):
+        """(nodes, edges) of each graph handed to nx.check_planarity."""
+        seen = []
+        real = nx.check_planarity
+
+        def recording(H, *args, **kwargs):
+            seen.append((H.number_of_nodes(), H.number_of_edges()))
+            return real(H, *args, **kwargs)
+
+        monkeypatch.setattr(nx, "check_planarity", recording)
+        return seen
+
+    def test_subdivided_k5_gate_sees_five_nodes(self, monkeypatch):
+        G = subdivided(K5, 100, random.Random(1))
+        assert G.n == 5 + 1000
+        seen = self.record_tested_sizes(monkeypatch)
+        with pytest.raises(NotPlanar):
+            lt_separator(G)
+        assert seen == [(5, 10)]
+
+    def test_empty_kernel_still_tested_once(self, monkeypatch):
+        seen = self.record_tested_sizes(monkeypatch)
+        lt = lt_separator(cycle(100))
+        assert lt.cycle_info is None
+        assert seen == [(0, 0)]
 
 
 class TestLtBandCycle:
