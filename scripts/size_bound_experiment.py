@@ -9,7 +9,6 @@ contract 4 * sqrt(r + 1) + 2. Writes a CSV to stdout or --out.
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 from math import sqrt
 
 from atsep.gen import GenSpec, generate
@@ -17,28 +16,19 @@ from atsep.graph import verify_separator
 from atsep.pipeline import separate
 
 
-@dataclass
-class ExperimentConfig:
-    n: int = 100_000
-    r_values: tuple = (1, 4, 16, 64, 256, 1024)
-    seeds: int = 20
-    seed_base: int = 0
-
-
-def run(cfg: ExperimentConfig, out) -> int:
+def run(n: int, r_values, seeds: int, seed_base: int, out) -> int:
     writer = csv.writer(out)
     writer.writerow(["n", "r", "seed", "sep_size", "bound", "max_frac", "repairs", "ok"])
     violations = 0
-    for r in cfg.r_values:
+    for r in r_values:
         bound = 4 * sqrt(r + 1) + 2
-        for s in range(cfg.seeds):
-            seed = cfg.seed_base + s
-            G = generate(GenSpec(n=cfg.n, r=r, seed=seed))
+        for seed in range(seed_base, seed_base + seeds):
+            G = generate(GenSpec(n=n, r=r, seed=seed))
             sep = separate(G)
             ok = sep.size <= bound and verify_separator(G, sep.vertices).passed
             violations += not ok
             writer.writerow(
-                [cfg.n, r, seed, sep.size, f"{bound:.2f}", f"{sep.max_fraction:.4f}", sep.repairs, int(ok)]
+                [n, r, seed, sep.size, f"{bound:.2f}", f"{sep.max_fraction:.4f}", sep.repairs, int(ok)]
             )
     return violations
 
@@ -52,10 +42,9 @@ def main():
     parser.add_argument("--seed-base", type=int, default=0)
     parser.add_argument("--out")
     args = parser.parse_args()
-    cfg = ExperimentConfig(n=args.n, r_values=args.r, seeds=args.seeds, seed_base=args.seed_base)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        violations = run(cfg, out)
+        violations = run(args.n, args.r, args.seeds, args.seed_base, out)
     finally:
         if args.out:
             out.close()

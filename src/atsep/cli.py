@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen, separate, verify, oracle, lt, bench. Vertex IDs are
+Subcommands: gen, separate, verify, oracle, lt. Vertex IDs are
 1-based on the wire (matching the edge-list format) and 0-based
 internally. Exit codes: 0 success, 1 input or usage error (including a
 beta outside (1/2, 1) for separate and lt), 2 internal verification
@@ -11,9 +11,7 @@ than bad input).
 from __future__ import annotations
 
 import argparse
-import csv
 import os
-import statistics
 import sys
 from fractions import Fraction
 from time import perf_counter_ns
@@ -53,10 +51,6 @@ def _parse_weight_mode(text: str) -> tuple:
     )
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
-
-
 def cmd_gen(args) -> int:
     spec = GenSpec(n=args.n, r=args.r, seed=args.seed, weight_mode=args.weights)
     G = generate(spec)
@@ -69,14 +63,13 @@ def cmd_gen(args) -> int:
 
 def cmd_separate(args) -> int:
     G = load_graph(args.input)
-    timings: dict[str, int] | None = {} if args.stage_times else None
     t0 = perf_counter_ns()
     if args.trace:
-        sep, trace = separate(G, beta=args.beta, trace=True, timings=timings)
+        sep, trace = separate(G, beta=args.beta, trace=True)
         with open(args.trace, "w", encoding="utf-8") as f:
             f.write(format_trace(trace))
     else:
-        sep = separate(G, beta=args.beta, timings=timings)
+        sep = separate(G, beta=args.beta)
     wall = perf_counter_ns() - t0
     listing = " ".join(str(v + 1) for v in sorted(sep.vertices))
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
@@ -89,7 +82,7 @@ def cmd_separate(args) -> int:
         if args.out:
             out.close()
     if args.stage_times:
-        for name, ns in timings.items():
+        for name, ns in sep.stage_ns.items():
             print(f"stage_time {name} {ns}", file=sys.stderr)
         print(f"stage_time total {wall}", file=sys.stderr)
     # separate's last component pass already measured the heaviest component
@@ -134,43 +127,6 @@ def cmd_lt(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_bench(args) -> int:
-    rows = []
-    for n in args.n:
-        for r in args.r:
-            for s in range(args.seeds):
-                seed = args.seed_base + s
-                try:
-                    G = generate(GenSpec(n=n, r=r, seed=seed, weight_mode=args.weights))
-                except AtsepError as exc:
-                    print(f"skip n={n} r={r} seed={seed}: {exc}", file=sys.stderr)
-                    continue
-                t0 = perf_counter_ns()
-                sep = separate(G, beta=args.beta)
-                wall = perf_counter_ns() - t0
-                rows.append(
-                    (n, r, seed, sep.size, sep.max_fraction, sep.repairs, wall)
-                )
-    rows.sort(key=lambda row: row[:3])
-    out = sys.stdout if not args.out else open(args.out, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["n", "r", "seed", "sep_size", "max_frac", "repairs", "wall_ns"])
-        for row in rows:
-            writer.writerow([row[0], row[1], row[2], row[3], f"{row[4]:.6f}", row[5], row[6]])
-    finally:
-        if args.out:
-            out.close()
-    if args.summary:
-        walls = [row[6] for row in rows]
-        if walls:
-            print(
-                f"median_wall_ns {statistics.median(walls):.0f} over {len(rows)} runs",
-                file=sys.stderr,
-            )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atsep",
@@ -191,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_parse_beta, default=Fraction(2, 3))
     p.add_argument("--trace", help="write the stage trace to this file")
     p.add_argument("--out")
-    p.add_argument("--stage-times", action="store_true")
+    p.add_argument("--stage-times", action="store_true",
+                   help="print each stage's wall time in ns to stderr")
     p.set_defaults(func=cmd_separate)
 
     p = sub.add_parser("verify", help="check a separator against the balance bound")
@@ -211,17 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--beta", type=_parse_beta, default=Fraction(2, 3))
     p.set_defaults(func=cmd_lt)
-
-    p = sub.add_parser("bench", help="benchmark grid of (n, r, seed) cells to CSV")
-    p.add_argument("--n", type=_parse_int_list, required=True, help="comma-separated")
-    p.add_argument("--r", type=_parse_int_list, required=True, help="comma-separated")
-    p.add_argument("--seeds", type=int, default=1, help="number of seeds per cell")
-    p.add_argument("--seed-base", type=int, default=_default_seed())
-    p.add_argument("--weights", type=_parse_weight_mode, default=("unit",))
-    p.add_argument("--beta", type=_parse_beta, default=Fraction(2, 3))
-    p.add_argument("--out")
-    p.add_argument("--summary", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -162,8 +163,9 @@ def build_graph(n: int, edges, weights=None) -> Graph:
     """Validate and build a Graph from an edge list.
 
     ``edges`` is an iterable of (u, v) pairs or an (m, 2) int64 array,
-    which is read without a pass in Python. Raises BadVertexId, SelfLoop,
-    DuplicateEdge or Overflow on bad input, for the first bad weight,
+    which is read without a pass in Python. Weights must be integers
+    (numpy's included). Raises BadVertexId, SelfLoop, DuplicateEdge or
+    Overflow on bad input, for the first bad weight,
     else the first bad edge, in input order. Each vertex's neighbours
     keep the order of its edges in the input.
     """
@@ -172,7 +174,14 @@ def build_graph(n: int, edges, weights=None) -> Graph:
     weights = [1] * n if weights is None else list(weights)
     if len(weights) != n:
         raise BadVertexId(f"expected {n} weights, got {len(weights)}")
-    if weights and (min(weights) < 0 or sum(weights) > MAX_TOTAL_WEIGHT):
+    try:
+        total = sum(weights)
+    except TypeError:
+        total = None
+    # a float, Decimal or Fraction weight makes the total one too
+    if not isinstance(total, Integral) or (
+        weights and (min(weights) < 0 or total > MAX_TOTAL_WEIGHT)
+    ):
         _raise_first_bad_weight(weights)
 
     if (
@@ -203,6 +212,8 @@ def build_graph(n: int, edges, weights=None) -> Graph:
 def _raise_first_bad_weight(weights) -> None:
     total = 0
     for v, w in enumerate(weights):
+        if not isinstance(w, Integral):
+            raise Overflow(f"non-integer weight {w!r} at vertex {v}")
         if w < 0:
             raise Overflow(f"negative weight {w} at vertex {v}")
         total += w

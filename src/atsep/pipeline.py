@@ -429,7 +429,6 @@ class CompressedGraph:
     orig: list[int | None]
     back_map: dict[int, tuple[list[int], list[int]]]
     path_ends: dict[int, tuple[int, int]]
-    has_parallel: bool = False
 
     @property
     def num_nodes(self) -> int:
@@ -438,23 +437,14 @@ class CompressedGraph:
     def simple_graph(self) -> Graph:
         """Parallel edges collapsed; vertex separators are unaffected.
 
-        Each node's neighbours come in ascending order.
+        Each node's neighbours come in ascending order: with the edges
+        sorted by (lower, higher) end, a node's lower neighbours come
+        before its higher ones, each run ascending.
         """
         n = self.num_nodes
-        keys = _unique(_edge_keys(self.edges, n))
-        lo, hi = np.divmod(keys, n)
-        lo, hi = lo[lo != hi], hi[lo != hi]
-        src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-        order = np.lexsort((dst, src))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return Graph(n=n, indptr=indptr, indices=dst[order], weights=list(self.node_weights))
-
-
-def _edge_keys(edges, n):
-    """One integer per undirected edge: min * n + max."""
-    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return pairs.min(axis=1) * n + pairs.max(axis=1)
+        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        lo, hi = np.divmod(_unique(pairs.min(axis=1) * n + pairs.max(axis=1)), n)
+        return graph_from_edges(n, lo, hi, list(self.node_weights))
 
 
 def build_compressed_graph(
@@ -483,14 +473,12 @@ def build_compressed_graph(
         edges.append((sub, node_of[path[-1]]))
     for u, v in R.edges:
         edges.append((node_of[u], node_of[v]))
-    keys = np.sort(_edge_keys(edges, len(node_weights)))
     return CompressedGraph(
         node_weights=node_weights,
         edges=edges,
         orig=orig,
         back_map=back_map,
         path_ends=path_ends,
-        has_parallel=bool((keys[1:] == keys[:-1]).any()),
     )
 
 
@@ -553,21 +541,26 @@ def lift_separator(Sc, C: CompressedGraph):
 
 
 def tree_centroid(vertices, adjacency, weights) -> int:
-    """Vertex of a weighted tree whose removal leaves parts of weight <= W/2."""
+    """Vertex of a weighted tree whose removal leaves parts of weight <= W/2.
+
+    The walk is breadth first from the lowest vertex, each vertex hanging
+    off the first neighbour that reaches it. On a connected graph with
+    cycles, the result is the centroid of that BFS tree.
+    """
     verts = sorted(vertices)
     if not verts:
         raise EmptyTree("centroid of an empty tree")
     root = verts[0]
     parent = {root: root}
     order = []
-    stack = [root]
-    while stack:
-        u = stack.pop()
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
         order.append(u)
         for v in adjacency[u]:
             if v not in parent:
                 parent[v] = u
-                stack.append(v)
+                queue.append(v)
     subtree = {v: weights[v] for v in order}
     heaviest_child = dict.fromkeys(order, 0)
     for u in reversed(order):
@@ -596,6 +589,8 @@ class Separator:
     max_component_weight: int
     total_weight: int
     repairs: int
+    # wall time per stage in ns, in pipeline order; ``separate`` fills it
+    stage_ns: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def max_fraction(self) -> float:
@@ -718,7 +713,8 @@ def heavy_vertex_fixup(
     the components of G - S on T plus R and compares the heaviest
     exactly against beta * W. While it is too heavy: a tree component gets
     its weighted centroid added; otherwise the heaviest leftover path
-    fragment inside the component is cut at its weighted median. The round
+    fragment inside the component is cut at its weighted median, or, if no
+    fragment reaches into it, the centroid of its BFS tree is. The round
     that passes is the exact verification of the returned separator. The
     loop is capped at 4 sqrt(r + 1) + 2 repairs, r being G's excess; the
     cap signals an algorithmic bug, it is never expected to fire.
@@ -747,11 +743,9 @@ def heavy_vertex_fixup(
         inside = found.inside()
         members = np.flatnonzero(inside)
         heaviest = members.tolist()
-        if found.is_tree:
-            cut = tree_centroid(heaviest, _InducedRows(G, members, inside), G.weights)
-        else:
+        runs: list[tuple[int, list[int], list[int]]] = []
+        if not found.is_tree:
             hset = set(heaviest)
-            runs: list[tuple[int, list[int], list[int]]] = []
             for frag in fragments:
                 cur_v: list[int] = []
                 cur_w: list[int] = []
@@ -764,26 +758,13 @@ def heavy_vertex_fixup(
                         cur_v, cur_w = [], []
                 if cur_v:
                     runs.append((sum(cur_w), cur_v, cur_w))
-            if runs:
-                _, verts, ws = max(runs, key=lambda t: (t[0], -t[1][0]))
-                cut = verts[_median_cut(verts, ws)]
-            else:
-                # no fragment reaches into the component: fall back to the
-                # centroid of a BFS spanning tree of it
-                induced = _InducedRows(G, members, inside)
-                adj = {u: [] for u in heaviest}
-                start = heaviest[0]
-                queue = deque([start])
-                seen = {start}
-                while queue:
-                    u = queue.popleft()
-                    for v in induced[u]:
-                        if v not in seen:
-                            seen.add(v)
-                            adj[u].append(v)
-                            adj[v].append(u)
-                            queue.append(v)
-                cut = tree_centroid(heaviest, adj, G.weights)
+        if runs:
+            _, verts, ws = max(runs, key=lambda t: (t[0], -t[1][0]))
+            cut = verts[_median_cut(verts, ws)]
+        else:
+            # a tree, or no fragment reaches into the component: the
+            # centroid of its BFS tree from the lowest vertex
+            cut = tree_centroid(heaviest, _InducedRows(G, members, inside), G.weights)
         S.add(cut)
         removed[cut] = True
         repairs += 1
@@ -854,19 +835,18 @@ def separate(
     beta=Fraction(2, 3),
     root: int = 0,
     trace: bool = False,
-    timings: dict[str, int] | None = None,
 ):
     """Full pipeline; returns a verified Separator (and a StageTrace if asked).
 
     Raises BadBeta unless 1/2 < beta < 1, and NotPlanar, with the input's
-    vertex and edge counts, for a non-planar input.
-
-    Pass a dict as ``timings`` to collect per-stage wall times in ns.
+    vertex and edge counts, for a non-planar input. The Separator's
+    ``stage_ns`` holds each stage's wall time in ns.
     """
+    stage_ns: dict[str, int] = {}
+
     def tick(name, t0):
-        if timings is not None:
-            timings[name] = perf_counter_ns() - t0
-        return perf_counter_ns()
+        stage_ns[name] = (t := perf_counter_ns()) - t0
+        return t
 
     beta = check_beta(beta)
     if G.total_weight == 0:
@@ -886,6 +866,7 @@ def separate(
         c = tree_centroid(range(G.n), rows, G.weights)
         sep = heavy_vertex_fixup(G, T, EdgeSet(edges=[]), {c}, beta)
         tick("lift_and_repair", t0)
+        sep.stage_ns = stage_ns
         if trace:
             stages.append(TraceStage("separator", G, sorted(sep.vertices)))
             return sep, StageTrace(stages)
@@ -915,6 +896,7 @@ def separate(
     lifted, fragments = lift_separator(lt.vertices, C)
     sep = heavy_vertex_fixup(G, T, R, lifted, beta, fragments, cw)
     tick("lift_and_repair", t0)
+    sep.stage_ns = stage_ns
 
     if trace:
         stages.append(TraceStage("spanning_tree", _subgraph_same_vertices(G, T.tree_edges())))

@@ -1,13 +1,11 @@
 """CLI surface: subcommands, formats, exit codes."""
 
-import csv
-import io
-
 import pytest
 
 from atsep.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 from atsep.fileformat import format_graph, load_graph, save_graph
 from atsep.graph import build_graph
+from atsep.pipeline import separate
 
 from conftest import cycle, path
 
@@ -139,6 +137,27 @@ def test_separate_searches_input_once(tmp_path, capsys, monkeypatch):
     assert checks == [True]
 
 
+def test_separate_stage_times(tmp_path, capsys, monkeypatch):
+    import atsep.cli
+    from atsep.gen import GenSpec, generate
+
+    seps = []
+
+    def recording_separate(*args, **kwargs):
+        seps.append(separate(*args, **kwargs))
+        return seps[-1]
+
+    monkeypatch.setattr(atsep.cli, "separate", recording_separate)
+    f = write(tmp_path, "g.txt", generate(GenSpec(n=300, r=8, seed=1)))
+    assert main(["separate", f, "--stage-times"]) == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    stage_ns = seps[0].stage_ns
+    assert len(stage_ns) == 8
+    assert lines[:-1] == [f"stage_time {name} {ns}" for name, ns in stage_ns.items()]
+    tag, name, total = lines[-1].split()
+    assert (tag, name) == ("stage_time", "total") and int(total) >= sum(stage_ns.values())
+
+
 def test_separate_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("p 2 1\ne 1 5\n")
@@ -186,25 +205,7 @@ def test_lt_grid(tmp_path, capsys):
     assert out[1].startswith("size ")
 
 
-def test_bench_csv(tmp_path, capsys):
-    assert (
-        main(["bench", "--n", "30", "--r", "0,2", "--seeds", "2", "--seed-base", "5"])
-        == EXIT_OK
-    )
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert rows[0] == ["n", "r", "seed", "sep_size", "max_frac", "repairs", "wall_ns"]
-    assert len(rows) == 1 + 4
-    assert [r[:3] for r in rows[1:]] == sorted(r[:3] for r in rows[1:])
-
-
-def test_bench_deterministic_sizes(tmp_path, capsys):
-    args = ["bench", "--n", "40", "--r", "3", "--seeds", "2"]
-    main(args)
-    first = [r.split(",")[3] for r in capsys.readouterr().out.splitlines()[1:]]
-    main(args)
-    second = [r.split(",")[3] for r in capsys.readouterr().out.splitlines()[1:]]
-    assert first == second
-
-
 def test_unknown_subcommand_is_input_error(capsys):
     assert main(["frobnicate"]) == EXIT_INPUT
+    # benchmarks run through benchmark/run.py, not the CLI
+    assert main(["bench", "--n", "30", "--r", "0"]) == EXIT_INPUT

@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +158,32 @@ class TestBuildGraphParity:
             build_graph(3, [(0, 1)], [1, 2**64, 1])
         with pytest.raises(Overflow, match="negative weight -1 at vertex 0"):
             build_graph(2, [(0, 1)], [-1, 2**64])
+
+    @pytest.mark.parametrize(
+        "weights, at",
+        [
+            ([1.5, 2, 3], "1.5 at vertex 0"),
+            ([1, Decimal("2.5"), 3], "Decimal('2.5') at vertex 1"),
+            ([1, 2, Fraction(1, 2)], "Fraction(1, 2) at vertex 2"),
+            ([1, "2", 3], "'2' at vertex 1"),
+            ([2.0, 2, 3], "2.0 at vertex 0"),
+        ],
+    )
+    def test_non_integer_weight_is_overflow(self, weights, at):
+        # numpy would truncate it in weight_array while weights kept it
+        with pytest.raises(Overflow, match=re.escape(f"non-integer weight {at}")):
+            build_graph(3, [(0, 1), (1, 2)], weights)
+
+    def test_first_bad_weight_in_input_order(self):
+        with pytest.raises(Overflow, match="negative weight -1 at vertex 0"):
+            build_graph(2, [(0, 1)], [-1, 0.5])
+        with pytest.raises(Overflow, match="non-integer weight 0.5 at vertex 0"):
+            build_graph(2, [(0, 1)], [0.5, -1])
+
+    def test_numpy_integer_weights_accepted(self):
+        weights = [np.int64(1), np.int32(2), np.uint8(3)]
+        G = build_graph(3, [(0, 1), (1, 2)], weights)
+        assert G.weight_array.tolist() == [1, 2, 3] and G.total_weight == 6
 
     def test_edge_generator_and_tiny_graphs(self):
         G = build_graph(4, ((v, v + 1) for v in range(3)))

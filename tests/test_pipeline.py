@@ -524,6 +524,44 @@ class TestTreeCentroid:
             assert tree_centroid(range(n), self.adjacency_of(G), G.weights) == want
 
 
+    @staticmethod
+    def bfs_tree(G):
+        """BFS tree of G from vertex 0, each vertex hung off its first finder."""
+        adj = {v: [] for v in range(G.n)}
+        seen, queue = {0}, deque([0])
+        while queue:
+            u = queue.popleft()
+            for v in G.adjacency[u]:
+                if v not in seen:
+                    seen.add(v)
+                    adj[u].append(v)
+                    adj[v].append(u)
+                    queue.append(v)
+        return adj
+
+    @pytest.mark.parametrize("G", [cycle(6), theta(), cycle(9, [1, 3, 1, 2, 5, 1, 1, 4, 2])])
+    def test_graph_with_cycles_gives_its_bfs_tree_centroid(self, G):
+        # a depth-first walk of C6 drops the edge 1-2 and picks 4; the BFS
+        # tree drops 3-4 and gives 0
+        got = tree_centroid(range(G.n), self.adjacency_of(G), G.weights)
+        assert got == tree_centroid(range(G.n), self.bfs_tree(G), G.weights)
+        if G.n == 6:
+            assert got == 0
+
+    def test_theta_of_three_paths(self):
+        # two vertices joined by three paths of three inner vertices each
+        edges = []
+        for k in range(3):
+            inner = [2 + 3 * k + i for i in range(3)]
+            edges += zip([0] + inner, inner + [1])
+        rng = random.Random(7)
+        for _ in range(20):
+            G = build_graph(11, edges, [rng.randint(0, 6) for _ in range(11)])
+            assert tree_centroid(range(11), self.adjacency_of(G), G.weights) == tree_centroid(
+                range(11), self.bfs_tree(G), G.weights
+            )
+
+
 def fixup(G, S, *args, **kwargs):
     """heavy_vertex_fixup on G's BFS tree from vertex 0 and its extra edges."""
     T = compute_spanning_tree(G)
@@ -683,6 +721,22 @@ class TestRoot:
 
 
 class TestSeparate:
+    def test_stage_ns_of_a_tree(self):
+        sep = separate(path(9))
+        assert list(sep.stage_ns) == ["spanning_tree", "lift_and_repair"]
+
+    def test_stage_ns_in_pipeline_order(self):
+        G = generate(GenSpec(n=300, r=8, seed=1))
+        sep = separate(G)
+        assert list(sep.stage_ns) == [
+            "spanning_tree", "extra_edges", "steiner_subtree", "decompose_paths",
+            "collapse_weights", "build_compressed", "lt_separator", "lift_and_repair",
+        ]
+        assert all(type(ns) is int and ns >= 0 for ns in sep.stage_ns.values())
+        # timings differ between calls, but they take no part in equality
+        assert separate(G) == sep
+        assert "stage_ns" not in repr(sep)
+
     def test_tree_returns_centroid(self):
         sep = separate(path(9))
         assert sep.size == 1
