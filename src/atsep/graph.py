@@ -178,8 +178,10 @@ def build_graph(n: int, edges, weights=None) -> Graph:
         total = sum(weights)
     except TypeError:
         total = None
-    # a float, Decimal or Fraction weight makes the total one too
-    if not isinstance(total, Integral) or (
+    # a float, Decimal or Fraction weight makes the total one too, and
+    # numpy integers add up in fixed width, which can wrap: both are
+    # checked one weight at a time
+    if type(total) is not int or (
         weights and (min(weights) < 0 or total > MAX_TOTAL_WEIGHT)
     ):
         _raise_first_bad_weight(weights)
@@ -216,7 +218,7 @@ def _raise_first_bad_weight(weights) -> None:
             raise Overflow(f"non-integer weight {w!r} at vertex {v}")
         if w < 0:
             raise Overflow(f"negative weight {w} at vertex {v}")
-        total += w
+        total += int(w)
         if total > MAX_TOTAL_WEIGHT:
             raise Overflow("total weight exceeds 64 bits")
 

@@ -185,6 +185,14 @@ class TestBuildGraphParity:
         G = build_graph(3, [(0, 1), (1, 2)], weights)
         assert G.weight_array.tolist() == [1, 2, 3] and G.total_weight == 6
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_numpy_integer_total_that_wraps_is_overflow(self):
+        # int64 scalars sum to -2**63 in numpy's fixed width
+        with pytest.raises(Overflow, match="total weight exceeds 64 bits"):
+            build_graph(2, [(0, 1)], [np.int64(2**62), np.int64(2**62)])
+        with pytest.raises(Overflow, match="total weight exceeds 64 bits"):
+            build_graph(2, [(0, 1)], [np.uint64(2**63), np.uint64(2**63)])
+
     def test_edge_generator_and_tiny_graphs(self):
         G = build_graph(4, ((v, v + 1) for v in range(3)))
         assert G.adjacency == [[1], [0, 2], [1, 3], [2]]
