@@ -523,7 +523,6 @@ class TestTreeCentroid:
             want = min(range(n), key=lambda v: (verify_separator(G, {v}).max_component_weight, v))
             assert tree_centroid(range(n), self.adjacency_of(G), G.weights) == want
 
-
     @staticmethod
     def bfs_tree(G):
         """BFS tree of G from vertex 0, each vertex hung off its first finder."""
