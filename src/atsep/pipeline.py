@@ -503,6 +503,19 @@ def _median_cut(vertices: list[int], weights: list[int]) -> int:
     return best
 
 
+def _prefix_median_cut(vertices: list[int], ends: np.ndarray) -> int:
+    """``_median_cut`` from the prefix sums ``ends`` of the weights.
+
+    The cut at position i leaves ends[i - 1] (0 at i = 0) on one side and
+    ends[-1] - ends[i] on the other; the cheapest positions form one run,
+    and the lowest vertex ID among them wins.
+    """
+    left = np.concatenate(([0], ends[:-1]))
+    cost = np.maximum(left, ends[-1] - ends)
+    ties = np.flatnonzero(cost == cost.min()).tolist()
+    return min(ties, key=vertices.__getitem__)
+
+
 def lift_separator(Sc, C: CompressedGraph):
     """Map a compressed separator back to original vertex IDs.
 
@@ -528,15 +541,14 @@ def lift_separator(Sc, C: CompressedGraph):
                     lifted.add(cand)
                     break
             continue
-        weights = [prefix[0]] + [
-            prefix[i] - prefix[i - 1] for i in range(1, len(prefix))
-        ]
-        i = _median_cut(interior, weights)
+        ends = np.asarray(prefix, dtype=np.int64)
+        i = _prefix_median_cut(interior, ends)
         lifted.add(interior[i])
-        if interior[:i]:
-            fragments.append(PathFragment(interior[:i], weights[:i]))
-        if interior[i + 1:]:
-            fragments.append(PathFragment(interior[i + 1:], weights[i + 1:]))
+        weights = np.diff(ends, prepend=0)
+        if i > 0:
+            fragments.append(PathFragment(interior[:i], weights[:i].tolist()))
+        if i + 1 < len(interior):
+            fragments.append(PathFragment(interior[i + 1:], weights[i + 1:].tolist()))
     return lifted, fragments
 
 

@@ -6,7 +6,9 @@ the graph's kernel (pendant trees peeled off, degree-2 chains
 suppressed; planar exactly when the graph is) gate the call; then pick
 a cheap pair of BFS levels around the weighted median, and if the
 middle band still holds a heavy component, shrink it with a
-fundamental-cycle separator on the triangulated band. A greedy
+fundamental-cycle separator on the triangulated band. networkx is used
+only for its planarity test: the band's embedding is read once into a
+plain rotation system, which this module triangulates and scans. A greedy
 fallback, whose every step checks the heaviest component of G - S
 exactly against beta * W, keeps the balance contract unconditional even
 for degenerate weight profiles (e.g. one vertex holding most of the
@@ -22,7 +24,6 @@ from fractions import Fraction
 from math import isqrt
 
 import networkx as nx
-from networkx.algorithms.planar_drawing import triangulate_embedding
 
 from .errors import BadVertexId, Disconnected, NotPlanar, ZeroTotalWeight
 from .graph import Graph, check_beta, heaviest_component, verify_separator
@@ -85,25 +86,80 @@ def _band_cycle_shrink(G: Graph, heavy: list[int], level, l0: int):
     """Shrink the heavy middle-band component with a fundamental cycle.
 
     Builds the component plus a zero-weight virtual root standing for the
-    contracted levels above it (a minor of G, hence planar), triangulates,
-    and scans fundamental cycles for one whose two sides both fit in 2/3
-    of the band weight. Side weights come from dual-tree subtree sums:
-    the duals of the non-tree edges form a spanning tree of the dual, so
-    each cycle's enclosed faces are exactly one dual subtree and the scan
-    costs O(cycle length) per candidate. Returns the cycle vertex set
-    (without the virtual root) or None if no cycle balances.
+    contracted levels above it (a minor of G, hence planar), embeds it
+    with one ``nx.check_planarity`` call, triangulates the rotation system
+    read from that embedding (``_triangulate``), and scans fundamental
+    cycles for one whose two sides both fit in 2/3 of the band weight
+    (``_balanced_fundamental_cycle``). The band is connected: it lies
+    above level l0 (the components at or below l0 weigh less than W/2),
+    so each of its vertices has a BFS path down to level l0 + 1, whose
+    vertices all touch the root. Returns the cycle vertex set (without
+    the virtual root) or None if the band has fewer than 3 nodes or no
+    cycle balances.
     """
+    rot = _band_rotation(G, heavy, level, l0)
+    if rot is None:
+        return None
+    _triangulate(rot)
+    weight = {v: G.weights[v] for v in heavy}
+    weight[-1] = 0
+    return _balanced_fundamental_cycle(rot, -1, weight)
+
+
+@dataclass
+class _Rotation:
+    """A rotation system: each vertex's neighbours in clockwise order.
+
+    ``cw[v][w]`` and ``ccw[v][w]`` are the neighbours after and before w
+    around v, and ``start[v]`` is the neighbour that networkx's
+    ``PlanarEmbedding.neighbors_cw_order`` yields first; ``order`` lists
+    the vertices in the embedding's node order. The half-edge (v, w) has
+    on its right the face whose next half-edge is (w, ccw[w][v]).
+    """
+
+    order: list[int]
+    cw: dict[int, dict[int, int]]
+    ccw: dict[int, dict[int, int]]
+    start: dict[int, int]
+
+    def add_chord(self, a: int, b: int, via: int) -> None:
+        """Add the edge a-b across the face corner a -> via -> b.
+
+        b goes just clockwise of via around a, and a just counter-clockwise
+        of via around b, where it also takes over as b's start if via was
+        (networkx's ``add_half_edge(a, b, ccw=via)`` and
+        ``add_half_edge(b, a, cw=via)``).
+        """
+        cw, ccw = self.cw[a], self.ccw[a]
+        nxt = cw[via]
+        cw[via] = b
+        cw[b] = nxt
+        ccw[nxt] = b
+        ccw[b] = via
+        cw, ccw = self.cw[b], self.ccw[b]
+        prv = ccw[via]
+        ccw[via] = a
+        ccw[a] = prv
+        cw[prv] = a
+        cw[a] = via
+        if self.start[b] == via:
+            self.start[b] = a
+
+
+def _band_rotation(G: Graph, heavy: list[int], level, l0: int) -> _Rotation | None:
+    """Rotation system of the band graph (heavy plus the virtual root -1),
+    or None if it has fewer than 3 nodes or is not planar."""
     hset = set(heavy)
     B = nx.Graph()
     root = -1
     B.add_node(root)
     B.add_nodes_from(heavy)
-    for u in heavy:
-        for v in G.adjacency[u]:
-            if v in hset:
-                B.add_edge(u, v)
-            elif level[v] <= l0:
-                B.add_edge(root, u)
+    B.add_edges_from(
+        (u, v) if v in hset else (root, u)
+        for u in heavy
+        for v in G.adjacency[u]
+        if v in hset or level[v] <= l0
+    )
     if B.number_of_nodes() < 3:
         B.clear()
         return None
@@ -113,75 +169,129 @@ def _band_cycle_shrink(G: Graph, heavy: list[int], level, l0: int):
     B.clear()
     if not ok:
         return None
-    tri, _ = triangulate_embedding(emb, fully_triangulate=True)
+    rot = _Rotation(order=list(emb), cw={}, ccw={}, start={})
+    for v in rot.order:
+        ring = list(emb.neighbors_cw_order(v))
+        after = ring[1:] + ring[:1]
+        rot.cw[v] = dict(zip(ring, after))
+        rot.ccw[v] = dict(zip(after, ring))
+        rot.start[v] = ring[0]
     emb.clear()
-    weight = {v: G.weights[v] for v in heavy}
-    weight[root] = 0
-    cycle = _balanced_fundamental_cycle(tri, root, weight)
-    tri.clear()
-    return cycle
+    return rot
 
 
-def _balanced_fundamental_cycle(tri, root, weight):
-    """Vertices of a fundamental cycle of ``tri`` leaving <= 2/3 on each side.
+def _triangulate(rot: _Rotation) -> None:
+    """Triangulate a connected rotation system of at least 3 vertices in place.
 
-    The BFS tree grows from ``root``, which the result omits; None if no
-    fundamental cycle balances.
+    A port of networkx's ``triangulate_embedding(emb, fully_triangulate=True)``
+    that adds the same edges at the same places in the same order. First
+    a walk around every face, started at each vertex's half-edges in its
+    live clockwise order (so it sees the edges added on the way), links
+    the two neighbours of a vertex met twice on one face, which makes the
+    graph 2-connected. Then each face so found is fanned into triangles,
+    skipping a chord that is already an edge.
     """
+    cw, ccw, add_chord = rot.cw, rot.ccw, rot.add_chord
+    visited: set[tuple[int, int]] = set()
+    faces: list[tuple[int, int]] = []
+    for v in rot.order:
+        first = w = rot.start[v]
+        while True:
+            if (v, w) not in visited:
+                visited.add((v, w))
+                faces.append((v, w))
+                seen = {v}
+                v1, v2, v3 = v, w, ccw[w][v]
+                while v2 != v or v3 != w:
+                    if v2 in seen:
+                        add_chord(v1, v3, v2)
+                        visited.add((v2, v3))
+                        visited.add((v3, v1))
+                        v2 = v1
+                    else:
+                        seen.add(v2)
+                    v1 = v2
+                    v2, v3 = v3, ccw[v3][v2]
+                    visited.add((v1, v2))
+            w = cw[v][w]
+            if w == first:
+                break
+    for v1, v2 in faces:
+        v3 = ccw[v2][v1]
+        v4 = ccw[v3][v2]
+        while v1 != v4:
+            if v3 in cw[v1]:
+                v1, v2 = v2, v3
+            else:
+                add_chord(v1, v3, v2)
+                v2 = v3
+            v3 = v4
+            v4 = ccw[v3][v2]
+
+
+def _balanced_fundamental_cycle(rot: _Rotation, root: int, weight: dict[int, int]):
+    """Vertices of a fundamental cycle of a triangulation leaving <= 2/3
+    on each side.
+
+    The BFS tree grows from ``root`` (each vertex's neighbours in
+    ascending order), and the non-tree edges are tried in ascending
+    (lower end, higher end) order; the result omits ``root``, and is None
+    if no fundamental cycle balances. Side weights come from dual-tree
+    subtree sums: the duals of the non-tree edges form a spanning tree of
+    the dual, so each cycle's enclosed faces are exactly one dual subtree
+    and the scan costs O(cycle length) per candidate.
+    """
+    cw, ccw = rot.cw, rot.ccw
     total = sum(weight.values())
 
-    # BFS tree of the triangulated band from the virtual root
+    # BFS tree of the triangulation from the root
     parent = {root: root}
-    depth = {root: 0}
     queue = deque([root])
     while queue:
         x = queue.popleft()
-        for y in sorted(tri[x]):
+        for y in sorted(cw[x]):
             if y not in parent:
                 parent[y] = x
-                depth[y] = depth[x] + 1
                 queue.append(y)
 
-    # faces of the triangulation; face id per half-edge
-    face_of: dict[tuple[int, int], int] = {}
-    visited: set[tuple[int, int]] = set()
+    # faces; face id per half-edge (u, v), kept as face_of[u][v]
+    face_of: dict[int, dict[int, int]] = {u: {} for u in cw}
     nfaces = 0
-    for u, v in tri.edges():
-        for he in ((u, v), (v, u)):
-            if he not in visited:
-                boundary = tri.traverse_face(*he, mark_half_edges=visited)
-                k = len(boundary)
-                for i in range(k):
-                    face_of[(boundary[i], boundary[(i + 1) % k])] = nfaces
+    for u, ring in cw.items():
+        mine = face_of[u]
+        for v in ring:
+            if v not in mine:
+                a, b = u, v
+                while b not in face_of[a]:
+                    face_of[a][b] = nfaces
+                    a, b = b, ccw[b][a]
                 nfaces += 1
 
     # dual spanning tree: one dual edge per non-tree primal edge
     nontree = sorted(
-        (u, v)
-        for u, v in tri.edges()
-        if parent.get(u) != v and parent.get(v) != u
+        (u, v) for u, ring in cw.items() for v in ring
+        if u < v and parent[u] != v and parent[v] != u
     )
     dual_adj: list[list[int]] = [[] for _ in range(nfaces)]
     for u, v in nontree:
-        f1, f2 = face_of[(u, v)], face_of[(v, u)]
+        f1, f2 = face_of[u][v], face_of[v][u]
         dual_adj[f1].append(f2)
         dual_adj[f2].append(f1)
 
-    # each vertex contributes its weight to one incident face
-    face_load = [0] * nfaces
-    for x in tri.nodes:
-        nbr = next(iter(tri[x]))
-        face_load[face_of[(x, nbr)]] += weight[x]
+    # each vertex contributes its weight to one incident face; which one
+    # does not matter, as a vertex off a cycle has all its faces on one side
+    load_face = {x: face_of[x][rot.start[x]] for x in cw}
+    subtree = [0] * nfaces
+    for x, f in load_face.items():
+        subtree[f] += weight[x]
 
     # Euler intervals and subtree sums of the dual tree
     tin = [-1] * nfaces
     tout = [-1] * nfaces
-    subtree = list(face_load)
     dual_parent = [-1] * nfaces
     timer = 0
     stack = [(0, False)]
     dual_parent[0] = 0
-    order = []
     while stack:
         f, done = stack.pop()
         if done:
@@ -191,27 +301,24 @@ def _balanced_fundamental_cycle(tri, root, weight):
             continue
         tin[f] = timer
         timer += 1
-        order.append(f)
         stack.append((f, True))
         for g in dual_adj[f]:
             if dual_parent[g] == -1:
                 dual_parent[g] = f
                 stack.append((g, False))
 
-    def inside_interval(f: int, child: int) -> bool:
-        return tin[child] <= tin[f] < tout[child]
-
     for u, v in nontree:
-        f1, f2 = face_of[(u, v)], face_of[(v, u)]
+        f1, f2 = face_of[u][v], face_of[v][u]
+        # the dual subtree below edge uv is one side of its cycle; both
+        # sides are checked alike, so the dual tree's root face is immaterial
         child = f1 if dual_parent[f2] != f1 else f2
-        if dual_parent[child] == child:
-            continue  # dual root side; the reverse orientation covers it
+        lo, hi = tin[child], tout[child]
         cycle = _tree_path(parent, u, v)
-        cycle_w = sum(weight[x] for x in cycle)
+        cycle_w = 0
         inside = subtree[child]
         for x in cycle:
-            nbr = next(iter(tri[x]))
-            if inside_interval(face_of[(x, nbr)], child):
+            cycle_w += weight[x]
+            if lo <= tin[load_face[x]] < hi:
                 inside -= weight[x]
         outside = total - inside - cycle_w
         # 2/3, not beta: the cycle lemma only promises a cycle leaving at

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter, deque
+from itertools import accumulate
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,8 @@ from atsep.oracle import (
 )
 from atsep.pipeline import (
     CompressedGraph,
+    _median_cut,
+    _prefix_median_cut,
     branch_vertices,
     build_compressed_graph,
     collapse_weights,
@@ -478,6 +481,38 @@ class TestLiftSeparator:
         )
         lifted, _ = lift_separator({0, 2}, C)
         assert lifted == {4, 9}
+
+    def test_prefix_cut_matches_median_cut_with_ties(self):
+        # small weights with zeros make runs of equally cheap cuts, which
+        # both break toward the lowest vertex ID
+        rng = random.Random(11)
+        tied = 0
+        for _ in range(400):
+            k = rng.randint(1, 30)
+            interior = rng.sample(range(1000), k)
+            weights = [rng.choice((0, 0, 1, 2)) for _ in range(k)]
+            prefix = list(accumulate(weights))
+            i = _median_cut(interior, weights)
+            assert _prefix_median_cut(interior, np.asarray(prefix)) == i
+            C = CompressedGraph(
+                node_weights=[0, 0, prefix[-1]],
+                edges=[(0, 2), (2, 1)],
+                orig=[1000, 1001, None],
+                back_map={2: (interior, prefix)},
+                path_ends={2: (1000, 1001)},
+            )
+            lifted, frags = lift_separator({2}, C)
+            assert lifted == {interior[i]}
+            want = [(interior[:i], weights[:i]), (interior[i + 1:], weights[i + 1:])]
+            assert [(f.vertices, f.wprime) for f in frags] == [p for p in want if p[0]]
+            assert all(type(w) is int for f in frags for w in f.wprime)
+            left = 0
+            costs = []
+            for w in weights:
+                costs.append(max(left, prefix[-1] - left - w))
+                left += w
+            tied += costs.count(min(costs)) > 1
+        assert tied > 100
 
 
 class TestTreeCentroid:

@@ -13,8 +13,22 @@ import atsep.planar
 from atsep.errors import BadBeta, Disconnected, NotPlanar, ZeroTotalWeight
 from atsep.gen import GenSpec, generate, grid_graph
 from atsep.graph import build_graph, heaviest_component, verify_separator
-from atsep.planar import _greedy_balance, _prune_redundant, bfs_levels, lt_separator
+from atsep.planar import (
+    _balanced_fundamental_cycle,
+    _band_cycle_shrink,
+    _band_rotation,
+    _greedy_balance,
+    _prune_redundant,
+    _triangulate,
+    bfs_levels,
+    lt_separator,
+)
 
+from band_cycle_reference import (
+    reference_band_cycle_shrink,
+    reference_band_graph,
+    reference_band_triangulation,
+)
 from conftest import complete, cycle, path, star, subdivided
 
 
@@ -335,9 +349,9 @@ class TestLtComponentPasses:
 
 
 def test_band_graphs_freed_without_collection():
-    # B, its embedding and the triangulation are emptied before the band
-    # shrink returns; what a collection still finds is mostly networkx's
-    # own copies inside its planarity test
+    # B and its embedding are emptied before the band shrink returns, and
+    # the triangulation is plain dicts; what a collection still finds is
+    # mostly networkx's own copies inside its planarity test
     G = generate(GenSpec(n=2000, r=600, seed=1))
     gc.collect()
     gc.disable()
@@ -348,3 +362,84 @@ def test_band_graphs_freed_without_collection():
         gc.enable()
     assert lt.cycle_info is not None
     assert freed <= 12000
+
+
+def rotation_lists(rot):
+    """Each vertex's neighbours in clockwise order from its start neighbour."""
+    out = {}
+    for v, ring in rot.cw.items():
+        order = [rot.start[v]]
+        while ring[order[-1]] != order[0]:
+            order.append(ring[order[-1]])
+        out[v] = order
+    return out
+
+
+def check_band_port(G, heavy, level, l0):
+    """The port against networkx on one band; returns the band's cycle."""
+    tri = reference_band_triangulation(G, heavy, level, l0)
+    rot = _band_rotation(G, heavy, level, l0)
+    want = reference_band_cycle_shrink(G, heavy, level, l0)
+    assert _band_cycle_shrink(G, heavy, level, l0) == want
+    if tri is None:
+        assert rot is None and want is None
+        return None
+    _triangulate(rot)
+    assert {frozenset(e) for e in tri.edges()} == {
+        frozenset((v, w)) for v, ring in rot.cw.items() for w in ring
+    }
+    assert rotation_lists(rot) == {v: list(tri.neighbors_cw_order(v)) for v in tri}
+    weight = {v: G.weights[v] for v in heavy}
+    weight[-1] = 0
+    assert _balanced_fundamental_cycle(rot, -1, weight) == want
+    return want
+
+
+def whole_band(G):
+    """(heavy, level, l0) making the band all of G but vertex 0, the root."""
+    level, _, _ = bfs_levels(G, 0)
+    return list(range(1, G.n)), level, 0
+
+
+class TestBandCyclePort:
+    """The rotation-system triangulation and cycle scan give what networkx's
+    ``triangulate_embedding`` and ``traverse_face`` gave."""
+
+    def test_bands_of_generated_graphs(self, monkeypatch):
+        bands = []
+        real = atsep.planar._band_cycle_shrink
+
+        def recording(*args):
+            bands.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(atsep.planar, "_band_cycle_shrink", recording)
+        rng = random.Random(3)
+        for seed in range(20):
+            n, r = rng.randint(40, 300), rng.randint(8, 60)
+            lt_separator(generate(GenSpec(n=n, r=r, seed=seed)))
+        monkeypatch.undo()
+        cycles = [check_band_port(*band) for band in bands]
+        assert sum(cycle is not None for cycle in cycles) >= 18
+
+    def test_weighted_grid(self):
+        G = grid_graph(7, 6)
+        G = build_graph(G.n, list(G.edges()), [random.Random(v).randint(0, 9) for v in range(G.n)])
+        assert check_band_port(G, *whole_band(G)) is not None
+
+    def test_cut_vertices_and_pendant_trees(self):
+        # two 6-cycles joined at vertex 4 with pendant trees on both: the
+        # 2-connecting pass has cut vertices to link across
+        edges = [(0, 1), (0, 2)] + [(1 + i, 1 + (i + 1) % 6) for i in range(6)]
+        edges += [(4, 7)] + [(7 + i, 7 + (i + 1) % 5) for i in range(5)]
+        edges += [(3, 12), (12, 13), (12, 14), (9, 15), (15, 16), (10, 17)]
+        G = build_graph(18, edges, list(range(1, 19)))
+        heavy, level, l0 = whole_band(G)
+        assert list(nx.articulation_points(reference_band_graph(G, heavy, level, l0)))
+        assert check_band_port(G, heavy, level, l0) is not None
+
+    def test_band_of_two_nodes_is_none(self):
+        G = path(3)
+        level, _, _ = bfs_levels(G, 0)
+        assert _band_rotation(G, [1], level, 0) is None
+        assert check_band_port(G, [1], level, 0) is None
