@@ -503,19 +503,6 @@ def _median_cut(vertices: list[int], weights: list[int]) -> int:
     return best
 
 
-def _prefix_median_cut(vertices: list[int], ends: np.ndarray) -> int:
-    """``_median_cut`` from the prefix sums ``ends`` of the weights.
-
-    The cut at position i leaves ends[i - 1] (0 at i = 0) on one side and
-    ends[-1] - ends[i] on the other; the cheapest positions form one run,
-    and the lowest vertex ID among them wins.
-    """
-    left = np.concatenate(([0], ends[:-1]))
-    cost = np.maximum(left, ends[-1] - ends)
-    ties = np.flatnonzero(cost == cost.min()).tolist()
-    return min(ties, key=vertices.__getitem__)
-
-
 def lift_separator(Sc, C: CompressedGraph):
     """Map a compressed separator back to original vertex IDs.
 
@@ -541,14 +528,21 @@ def lift_separator(Sc, C: CompressedGraph):
                     lifted.add(cand)
                     break
             continue
-        ends = np.asarray(prefix, dtype=np.int64)
-        i = _prefix_median_cut(interior, ends)
+        ends = np.array(prefix, dtype=np.int64)
+        weights = ends.copy()
+        weights[1:] -= ends[:-1]
+        # the cut at i leaves ends[i] - weights[i] on one side and
+        # ends[-1] - ends[i] on the other; the cheapest cuts form one run,
+        # and the lowest vertex ID among them wins, as in _median_cut
+        cost = np.maximum(ends - weights, ends[-1] - ends)
+        ties = np.flatnonzero(cost == cost.min()).tolist()
+        i = min(ties, key=interior.__getitem__)
         lifted.add(interior[i])
-        weights = np.diff(ends, prepend=0)
+        weights = weights.tolist()
         if i > 0:
-            fragments.append(PathFragment(interior[:i], weights[:i].tolist()))
+            fragments.append(PathFragment(interior[:i], weights[:i]))
         if i + 1 < len(interior):
-            fragments.append(PathFragment(interior[i + 1:], weights[i + 1:].tolist()))
+            fragments.append(PathFragment(interior[i + 1:], weights[i + 1:]))
     return lifted, fragments
 
 

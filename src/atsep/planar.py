@@ -90,12 +90,12 @@ def _band_cycle_shrink(G: Graph, heavy: list[int], level, l0: int):
     with one ``nx.check_planarity`` call, triangulates the rotation system
     read from that embedding (``_triangulate``), and scans fundamental
     cycles for one whose two sides both fit in 2/3 of the band weight
-    (``_balanced_fundamental_cycle``). The band is connected: it lies
-    above level l0 (the components at or below l0 weigh less than W/2),
-    so each of its vertices has a BFS path down to level l0 + 1, whose
-    vertices all touch the root. Returns the cycle vertex set (without
-    the virtual root) or None if the band has fewer than 3 nodes or no
-    cycle balances.
+    (``_balanced_fundamental_cycle``). The band graph is connected: the
+    heavy component lies beyond level l0 (the components on the root's
+    side of l0 weigh less than W/2), so each of its vertices has a BFS
+    path back to level l0 + 1, whose vertices all touch the virtual root.
+    Returns the cycle vertex set (without the virtual root) or None if
+    the band has fewer than 3 nodes or no cycle balances.
     """
     rot = _band_rotation(G, heavy, level, l0)
     if rot is None:
