@@ -264,6 +264,7 @@ def near_tree_planar(spec: GenSpec) -> Graph:
         raise Infeasible(f"no simple planar graph with n={n}, m={n + r}")
     child, up = _tree_edges(n, spec.seed)
     tree = graph_from_edges(n, child, up, [1] * n)
+    row_at, nbr = memoryview(tree.indptr), memoryview(tree.indices)
 
     # parent pointers from vertex 0 (random-attachment trees are shallow)
     parent = [0] * n
@@ -273,7 +274,7 @@ def near_tree_planar(spec: GenSpec) -> Graph:
     queue = deque([0])
     while queue:
         u = queue.popleft()
-        for v in tree.adjacency[u]:
+        for v in nbr[row_at[u]:row_at[u + 1]]:
             if not seen[v]:
                 seen[v] = 1
                 parent[v] = u
@@ -305,7 +306,7 @@ def near_tree_planar(spec: GenSpec) -> Graph:
                 steps = 2 + int(rng.exponential(3.0))
                 v, prev = u, -1
                 for _ in range(steps):
-                    nbrs = tree.adjacency[v]
+                    nbrs = nbr[row_at[v]:row_at[v + 1]]
                     choices = [x for x in nbrs if x != prev] or nbrs
                     nxt = choices[int(rng.integers(len(choices)))]
                     prev, v = v, nxt

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from numbers import Integral
@@ -37,11 +36,16 @@ def _frozen(a) -> np.ndarray:
 class Graph:
     """Undirected simple graph with non-negative integer vertex weights.
 
-    The adjacency is a frozen CSR: the neighbours of v are
-    ``indices[indptr[v]:indptr[v + 1]]``, in the order the edges were
-    given. ``weights`` is a list of Python ints; ``weight_array`` and
-    ``total_weight`` are fixed at construction. The constructor does not
-    validate; ``build_graph`` does.
+    The frozen CSR is the only neighbour structure: the neighbours of v
+    are ``indices[indptr[v]:indptr[v + 1]]``, in the order the edges were
+    given, and Python loops read them as memoryview slices, which yield
+    ints in that order. Two traversals pick their form by size, because
+    an array pass has a fixed cost that small inputs do not repay:
+    ``connected_components`` runs scipy from ``_SCIPY_MIN_N`` vertices
+    up, and ``pipeline.compute_spanning_tree`` vectorises frontiers of
+    ``_VEC_MIN_FRONTIER`` vertices or more. ``weights`` is a list of
+    Python ints; ``weight_array`` and ``total_weight`` are fixed at
+    construction. The constructor does not validate; ``build_graph`` does.
     """
 
     n: int
@@ -68,13 +72,6 @@ class Graph:
     def excess(self) -> int:
         """r = m - n; equals -1 for a tree."""
         return self.m - self.n
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        """Neighbour lists in CSR order, derived on first use for list consumers."""
-        flat = self.indices.tolist()
-        ends = self.indptr.tolist()
-        return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -149,14 +146,6 @@ class SpanningTree:
         child = np.flatnonzero(parent != np.arange(len(parent)))
         up = parent[child]
         return list(zip(np.minimum(child, up).tolist(), np.maximum(child, up).tolist()))
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(self.parent):
-            if p != v:
-                adj[v].append(p)
-                adj[p].append(v)
-        return adj
 
 
 def build_graph(n: int, edges, weights=None) -> Graph:
@@ -236,7 +225,10 @@ def _raise_first_bad_edge(n: int, edges) -> None:
         seen.add(key)
 
 
-# below this vertex count, plain BFS beats the sparse-matrix setup cost
+# below this vertex count, a BFS over CSR rows beats scipy's setup cost:
+# scipy at every size made LT on the benchmark's many-small pool 15-30%
+# slower. many-small's compressed graphs (at most 381 nodes) fall below
+# it and core-2k's (about 10^4 nodes) above it.
 _SCIPY_MIN_N = 2048
 
 
@@ -249,6 +241,7 @@ def connected_components(G: Graph, removed=None) -> list[int]:
         return _connected_components_sparse(G, removed)
     comp = [-1] * G.n
     blocked = removed if removed is not None else frozenset()
+    row_at, nbr = memoryview(G.indptr), memoryview(G.indices)
     next_id = 0
     queue = deque()
     for s in range(G.n):
@@ -258,7 +251,7 @@ def connected_components(G: Graph, removed=None) -> list[int]:
         queue.append(s)
         while queue:
             u = queue.popleft()
-            for v in G.adjacency[u]:
+            for v in nbr[row_at[u]:row_at[u + 1]]:
                 if comp[v] == -1 and v not in blocked:
                     comp[v] = next_id
                     queue.append(v)
@@ -298,16 +291,9 @@ def _connected_components_sparse(G: Graph, removed=None) -> list[int]:
 
 def component_weights(G: Graph, comp: list[int]) -> list[int]:
     """Total weight per component ID; exact 64-bit integer sums."""
-    ncomp = max(comp, default=-1) + 1
-    if G.n >= _SCIPY_MIN_N:
-        sums = np.zeros(ncomp + 1, dtype=np.int64)
-        np.add.at(sums, np.asarray(comp) + 1, G.weight_array)
-        return sums[1:].tolist()
-    comp_w = [0] * ncomp
-    for v in range(G.n):
-        if comp[v] >= 0:
-            comp_w[comp[v]] += G.weights[v]
-    return comp_w
+    sums = np.zeros(max(comp, default=-1) + 2, dtype=np.int64)
+    np.add.at(sums, np.asarray(comp, dtype=np.int64) + 1, G.weight_array)
+    return sums[1:].tolist()
 
 
 def heaviest_component(G: Graph, S) -> tuple[list[int], int]:

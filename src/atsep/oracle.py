@@ -84,7 +84,11 @@ def nearest_in_set_oracle(T: SpanningTree, targets) -> list[int]:
     targets = sorted(set(targets))
     if not targets:
         raise EmptyTerminals("need at least one target")
-    adj = T.adjacency()
+    adj: list[list[int]] = [[] for _ in range(T.n)]
+    for v, p in enumerate(T.parent):
+        if p != v:
+            adj[v].append(p)
+            adj[p].append(v)
     target_set = set(targets)
     nearest = []
     for s in range(T.n):

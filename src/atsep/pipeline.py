@@ -490,17 +490,17 @@ class PathFragment:
     wprime: list[int]
 
 
-def _median_cut(vertices: list[int], weights: list[int]) -> int:
-    """Position of the cut that leaves the lightest heavier side; ties -> lower ID."""
-    total = sum(weights)
-    best, best_v, best_cost = -1, None, None
-    left = 0
-    for i, (v, w) in enumerate(zip(vertices, weights)):
-        cost = max(left, total - left - w)
-        if best_cost is None or cost < best_cost or (cost == best_cost and v < best_v):
-            best, best_v, best_cost = i, v, cost
-        left += w
-    return best
+def _median_cut(vertices: list[int], prefix) -> int:
+    """Position of the cut that leaves the lightest heavier side; ties -> lower ID.
+
+    ``prefix`` holds the running sums of the vertices' weights, so the cut
+    at i leaves the weight before i (prefix[i - 1], or 0) on one side and
+    prefix[-1] - prefix[i] on the other.
+    """
+    ends = np.asarray(prefix, dtype=np.int64)
+    cost = np.maximum(np.concatenate(([0], ends[:-1])), ends[-1] - ends)
+    ties = np.flatnonzero(cost == cost.min()).tolist()
+    return min(ties, key=vertices.__getitem__)
 
 
 def lift_separator(Sc, C: CompressedGraph):
@@ -528,17 +528,9 @@ def lift_separator(Sc, C: CompressedGraph):
                     lifted.add(cand)
                     break
             continue
-        ends = np.array(prefix, dtype=np.int64)
-        weights = ends.copy()
-        weights[1:] -= ends[:-1]
-        # the cut at i leaves ends[i] - weights[i] on one side and
-        # ends[-1] - ends[i] on the other; the cheapest cuts form one run,
-        # and the lowest vertex ID among them wins, as in _median_cut
-        cost = np.maximum(ends - weights, ends[-1] - ends)
-        ties = np.flatnonzero(cost == cost.min()).tolist()
-        i = min(ties, key=interior.__getitem__)
+        i = _median_cut(interior, prefix)
         lifted.add(interior[i])
-        weights = weights.tolist()
+        weights = np.diff(prefix, prepend=0).tolist()
         if i > 0:
             fragments.append(PathFragment(interior[:i], weights[:i]))
         if i + 1 < len(interior):
@@ -766,7 +758,7 @@ def heavy_vertex_fixup(
                     runs.append((sum(cur_w), cur_v, cur_w))
         if runs:
             _, verts, ws = max(runs, key=lambda t: (t[0], -t[1][0]))
-            cut = verts[_median_cut(verts, ws)]
+            cut = verts[_median_cut(verts, np.cumsum(ws))]
         else:
             # a tree, or no fragment reaches into the component: the
             # centroid of its BFS tree from the lowest vertex

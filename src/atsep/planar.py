@@ -36,13 +36,14 @@ def bfs_levels(G: Graph, root: int):
     """
     if not 0 <= root < G.n:
         raise BadVertexId(f"root {root} out of range [0, {G.n})")
+    row_at, nbr = memoryview(G.indptr), memoryview(G.indices)
     level = [-1] * G.n
     level[root] = 0
     queue = deque([root])
     levels: list[list[int]] = [[root]]
     while queue:
         u = queue.popleft()
-        for v in G.adjacency[u]:
+        for v in nbr[row_at[u]:row_at[u + 1]]:
             if level[v] == -1:
                 level[v] = level[u] + 1
                 if level[v] == len(levels):
@@ -150,6 +151,7 @@ def _band_rotation(G: Graph, heavy: list[int], level, l0: int) -> _Rotation | No
     """Rotation system of the band graph (heavy plus the virtual root -1),
     or None if it has fewer than 3 nodes or is not planar."""
     hset = set(heavy)
+    row_at, nbr = memoryview(G.indptr), memoryview(G.indices)
     B = nx.Graph()
     root = -1
     B.add_node(root)
@@ -157,7 +159,7 @@ def _band_rotation(G: Graph, heavy: list[int], level, l0: int) -> _Rotation | No
     B.add_edges_from(
         (u, v) if v in hset else (root, u)
         for u in heavy
-        for v in G.adjacency[u]
+        for v in nbr[row_at[u]:row_at[u + 1]]
         if v in hset or level[v] <= l0
     )
     if B.number_of_nodes() < 3:
@@ -363,7 +365,8 @@ def _planarity_kernel(G: Graph) -> dict[int, set[int]]:
     joining edge is already there, the parallel copy is dropped, which
     cannot change it either. A tree or a cycle leaves nothing.
     """
-    nbrs = {v: set(a) for v, a in enumerate(G.adjacency)}
+    row_at, nbr = memoryview(G.indptr), memoryview(G.indices)
+    nbrs = {v: set(nbr[row_at[v]:row_at[v + 1]]) for v in range(G.n)}
     stack = [v for v, a in nbrs.items() if len(a) <= 2]
     while stack:
         v = stack.pop()
@@ -475,6 +478,7 @@ def _prune_redundant(G: Graph, S: set[int], beta: Fraction) -> None:
     node = {v: len(weight) + i for i, v in enumerate(order)}
     weight += [G.weights[v] for v in order]
     link = list(range(len(weight)))
+    row_at, nbr = memoryview(G.indptr), memoryview(G.indices)
 
     def find(x):
         while link[x] != x:
@@ -484,7 +488,7 @@ def _prune_redundant(G: Graph, S: set[int], beta: Fraction) -> None:
 
     for v in order:
         roots = {find(comp[u] if comp[u] >= 0 else node[u])
-                 for u in G.adjacency[v] if u not in S}
+                 for u in nbr[row_at[v]:row_at[v + 1]] if u not in S}
         merged = G.weights[v] + sum(weight[x] for x in roots)
         if merged * beta.denominator <= W * beta.numerator:
             S.discard(v)

@@ -13,6 +13,8 @@ from collections import deque
 import networkx as nx
 from networkx.algorithms.planar_drawing import triangulate_embedding
 
+from conftest import row
+
 
 def reference_band_graph(G, heavy, level, l0):
     """The heavy band plus a virtual root -1 standing for levels <= l0."""
@@ -22,7 +24,7 @@ def reference_band_graph(G, heavy, level, l0):
     B.add_node(root)
     B.add_nodes_from(heavy)
     for u in heavy:
-        for v in G.adjacency[u]:
+        for v in row(G, u):
             if v in hset:
                 B.add_edge(u, v)
             elif level[v] <= l0:

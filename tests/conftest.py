@@ -3,6 +3,11 @@
 from atsep.graph import Graph, build_graph
 
 
+def row(G: Graph, v: int) -> list[int]:
+    """The neighbours of v, in the order of G's CSR row."""
+    return G.indices[G.indptr[v]:G.indptr[v + 1]].tolist()
+
+
 def cycle(n: int, weights=None) -> Graph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)], weights)
 

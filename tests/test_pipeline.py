@@ -48,7 +48,7 @@ from atsep.pipeline import (
 )
 from atsep.planar import bfs_levels, lt_separator
 
-from conftest import complete, cycle, path, random_parent_tree, star, subdivided, theta
+from conftest import complete, cycle, path, random_parent_tree, row, star, subdivided, theta
 
 
 def bfs_distances(G, root):
@@ -57,7 +57,7 @@ def bfs_distances(G, root):
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v in G.adjacency[u]:
+        for v in row(G, u):
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -91,7 +91,7 @@ def check_bfs_tree(G, T):
     assert depths_along_parents(T) == dist
     for v in range(G.n):
         if v != T.root:
-            assert parent[v] == min(u for u in G.adjacency[v] if dist[u] == dist[v] - 1)
+            assert parent[v] == min(u for u in row(G, v) if dist[u] == dist[v] - 1)
     return dist
 
 
@@ -482,8 +482,8 @@ class TestLiftSeparator:
         assert lifted == {4, 9}
 
     def test_cut_from_prefix_sums_matches_median_cut_with_ties(self):
-        # small weights with zeros make runs of equally cheap cuts, which
-        # both break toward the lowest vertex ID
+        # small weights with zeros make runs of equally cheap cuts; the
+        # loop below, the reference, breaks them toward the lowest vertex ID
         rng = random.Random(11)
         tied = 0
         for _ in range(400):
@@ -491,7 +491,18 @@ class TestLiftSeparator:
             interior = rng.sample(range(1000), k)
             weights = [rng.choice((0, 0, 1, 2)) for _ in range(k)]
             prefix = list(accumulate(weights))
-            i = _median_cut(interior, weights)
+            i, best_v, best_cost = -1, None, None
+            left = 0
+            costs = []
+            for j, (v, w) in enumerate(zip(interior, weights)):
+                cost = max(left, prefix[-1] - left - w)
+                if best_cost is None or cost < best_cost or (cost == best_cost and v < best_v):
+                    i, best_v, best_cost = j, v, cost
+                costs.append(cost)
+                left += w
+            tied += costs.count(best_cost) > 1
+            assert _median_cut(interior, prefix) == i
+            assert _median_cut(interior, np.cumsum(weights)) == i
             C = CompressedGraph(
                 node_weights=[0, 0, prefix[-1]],
                 edges=[(0, 2), (2, 1)],
@@ -504,19 +515,13 @@ class TestLiftSeparator:
             want = [(interior[:i], weights[:i]), (interior[i + 1:], weights[i + 1:])]
             assert [(f.vertices, f.wprime) for f in frags] == [p for p in want if p[0]]
             assert all(type(w) is int for f in frags for w in f.wprime)
-            left = 0
-            costs = []
-            for w in weights:
-                costs.append(max(left, prefix[-1] - left - w))
-                left += w
-            tied += costs.count(min(costs)) > 1
         assert tied > 100
 
 
 class TestTreeCentroid:
     @staticmethod
     def adjacency_of(G):
-        return {v: list(G.adjacency[v]) for v in range(G.n)}
+        return {v: row(G, v) for v in range(G.n)}
 
     def test_path_of_five(self):
         G = path(5)
@@ -563,7 +568,7 @@ class TestTreeCentroid:
         seen, queue = {0}, deque([0])
         while queue:
             u = queue.popleft()
-            for v in G.adjacency[u]:
+            for v in row(G, u):
                 if v not in seen:
                     seen.add(v)
                     adj[u].append(v)
@@ -663,7 +668,7 @@ class TestTreePlusExtraCheck:
         weight = rng.choice(G.weights)
         keep = set()
         for v in rng.sample(range(n), n):
-            if G.weights[v] == weight and not keep & set(G.adjacency[v]):
+            if G.weights[v] == weight and not keep & set(row(G, v)):
                 keep.add(v)
         yield set(range(n)) - keep
         yield set(rng.sample(range(n), n // 3))
@@ -687,7 +692,7 @@ class TestTreePlusExtraCheck:
                 assert (found.weight, found_members) == (weight, members), (i, sorted(S))
                 if members:
                     inside = set(members)
-                    inner = sum(v in inside for u in members for v in G.adjacency[u]) // 2
+                    inner = sum(v in inside for u in members for v in row(G, u)) // 2
                     assert found.is_tree == (inner == len(members) - 1)
                 checked += 1
         assert checked == 1200
@@ -837,11 +842,16 @@ class TestSeparate:
         assert verify_separator(G, sep.vertices).passed
 
     def test_edge_count_is_stored(self):
-        # m reads the frozen CSR; a call without repairs derives no lists
+        # m reads the frozen CSR, the only neighbour structure: separate
+        # caches nothing on the graph
         G = generate(GenSpec(n=3000, r=4, seed=2))
         assert G.m == len(G.indices) // 2 == 3004
+        built = dict(vars(G))
         assert separate(G).repairs == 0
-        assert "adjacency" not in vars(G)
+        assert vars(G).keys() == built.keys()
+        assert all(vars(G)[k] is v for k, v in built.items())
+        T = compute_spanning_tree(G)
+        assert not hasattr(G, "adjacency") and not hasattr(T, "adjacency")
 
     def test_not_planar_reports_input_counts(self):
         edges = list(complete(5).edges()) + [(4 + i, 5 + i) for i in range(20)]

@@ -12,12 +12,13 @@ import atsep.graph
 import atsep.planar
 from atsep.errors import BadBeta, Disconnected, NotPlanar, ZeroTotalWeight
 from atsep.gen import GenSpec, generate, grid_graph
-from atsep.graph import build_graph, heaviest_component, verify_separator
+from atsep.graph import build_graph, connected_components, heaviest_component, verify_separator
 from atsep.planar import (
     _balanced_fundamental_cycle,
     _band_cycle_shrink,
     _band_rotation,
     _greedy_balance,
+    _planarity_kernel,
     _prune_redundant,
     _triangulate,
     bfs_levels,
@@ -29,7 +30,7 @@ from band_cycle_reference import (
     reference_band_graph,
     reference_band_triangulation,
 )
-from conftest import complete, cycle, path, star, subdivided
+from conftest import complete, cycle, path, row, star, subdivided
 
 
 class TestBfsLevels:
@@ -443,3 +444,45 @@ class TestBandCyclePort:
         level, _, _ = bfs_levels(G, 0)
         assert _band_rotation(G, [1], level, 0) is None
         assert check_band_port(G, [1], level, 0) is None
+
+
+class TestRowOrderInvariance:
+    """The CSR rows follow the input's edge order. Levels, the kernel and
+    components must not depend on it; only the band's embedding may."""
+
+    @staticmethod
+    def twins(seed):
+        """One weighted graph built from its edge list and from a shuffled,
+        endpoint-flipped copy of it, whose rows differ."""
+        rng = random.Random(seed)
+        H = generate(GenSpec(n=rng.randint(80, 400), r=rng.randint(8, 80), seed=seed))
+        edges = list(H.edges())
+        weights = [rng.randint(0, 9) for _ in range(H.n)]
+        mixed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(mixed)
+        G1, G2 = build_graph(H.n, edges, weights), build_graph(H.n, mixed, weights)
+        assert any(row(G1, v) != row(G2, v) for v in range(H.n))
+        return G1, G2, rng
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_levels_and_kernel(self, seed):
+        G1, G2, _ = self.twins(seed)
+        level1, _, weights1 = bfs_levels(G1, 0)
+        level2, _, weights2 = bfs_levels(G2, 0)
+        assert level1 == level2
+        assert weights1 == weights2
+        kernel = _planarity_kernel(G1)
+        assert kernel
+        assert _planarity_kernel(G2) == kernel
+
+    @pytest.mark.parametrize("scipy_min_n", [None, 1])
+    def test_components_with_removed_set(self, monkeypatch, scipy_min_n):
+        if scipy_min_n is not None:
+            monkeypatch.setattr(atsep.graph, "_SCIPY_MIN_N", scipy_min_n)
+        for seed in range(6):
+            G1, G2, rng = self.twins(seed)
+            assert (G1.n < atsep.graph._SCIPY_MIN_N) == (scipy_min_n is None)
+            removed = set(rng.sample(range(G1.n), G1.n // 10))
+            comp = connected_components(G1, removed=removed)
+            assert max(comp) > 0
+            assert connected_components(G2, removed=removed) == comp

@@ -18,6 +18,8 @@ from atsep.pipeline import (
     tree_centroid,
 )
 
+from conftest import row
+
 
 @st.composite
 def trees(draw, max_n=40):
@@ -91,7 +93,7 @@ def test_paths_cover_subtree_edges(gr):
 def test_centroid_halves_weight(G):
     if G.total_weight == 0:
         return
-    adj = {v: list(G.adjacency[v]) for v in range(G.n)}
+    adj = {v: row(G, v) for v in range(G.n)}
     c = tree_centroid(range(G.n), adj, G.weights)
     report = verify_separator(G, {c}, Fraction(1, 2))
     assert 2 * report.max_component_weight <= G.total_weight
