@@ -34,18 +34,24 @@ def _default_seed() -> int:
 
 
 def _parse_beta(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad beta {text!r}; use a fraction such as 2/3") from None
 
 
 def _parse_weight_mode(text: str) -> tuple:
     parts = text.split(":")
     kind = parts[0]
-    if kind == "unit":
-        return ("unit",)
-    if kind == "uniform":
-        return ("uniform", int(parts[1]), int(parts[2]))
-    if kind in ("single_heavy", "heavy"):
-        return ("single_heavy", Fraction(parts[1]))
+    try:
+        if kind == "unit":
+            return ("unit",)
+        if kind == "uniform":
+            return ("uniform", int(parts[1]), int(parts[2]))
+        if kind in ("single_heavy", "heavy"):
+            return ("single_heavy", Fraction(parts[1]))
+    except (IndexError, ValueError, ZeroDivisionError):
+        pass
     raise argparse.ArgumentTypeError(
         f"bad weight mode {text!r}; use unit, uniform:LO:HI or single_heavy:FRAC"
     )

@@ -172,14 +172,6 @@ class _CompressedCore:
         self.attach(v)
         self.chords.append((u, v))
 
-    def is_planar(self) -> bool:
-        H = nx.Graph()
-        H.add_nodes_from(self.nodes)
-        H.add_edges_from(self.edge_ends.values())
-        H.add_edges_from(self.chords)
-        ok, _ = nx.check_planarity(H, counterexample=False)
-        return ok
-
     def adjacency_with(self) -> dict[int, list[int]]:
         """Simple-graph adjacency of core edges plus chords."""
         adj: dict[int, set[int]] = {v: set() for v in self.nodes}

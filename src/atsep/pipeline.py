@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain, groupby
 from math import ceil, sqrt
 from time import perf_counter_ns
 
@@ -253,33 +253,14 @@ def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
     return SteinerSubtree(member=member, top=top, degrees=degrees, parent=parent)
 
 
-@dataclass
-class BranchSet:
-    """Terminals plus every subtree vertex of degree three or more."""
-
-    members: set[int]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def branch_vertices(T1: SteinerSubtree, terminals) -> BranchSet:
+def branch_vertices(T1: SteinerSubtree, terminals) -> list[int]:
+    """Terminals plus every subtree vertex of degree three or more, sorted."""
     mask = T1.degrees >= 3
     mask[np.fromiter(terminals, dtype=np.int64)] = True
-    return BranchSet(members=set(np.flatnonzero(mask).tolist()))
+    return np.flatnonzero(mask).tolist()
 
 
-@dataclass
-class PathDecomposition:
-    """Maximal branch-to-branch paths with branch-free interiors."""
-
-    paths: list[list[int]]
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-
-def decompose_paths(T1: SteinerSubtree, U: BranchSet) -> PathDecomposition:
+def decompose_paths(T1: SteinerSubtree, U: list[int]) -> list[list[int]]:
     """Edge-disjoint cover of the subtree by maximal U-to-U paths.
 
     Every subtree vertex outside U other than ``top`` has exactly one
@@ -293,7 +274,7 @@ def decompose_paths(T1: SteinerSubtree, U: BranchSet) -> PathDecomposition:
     parent, member, top = T1.parent, T1.member, T1.top
     n = len(member)
     branch = np.zeros(n, dtype=bool)
-    branch[np.fromiter(U.members, dtype=np.int64, count=len(U.members))] = True
+    branch[np.array(U, dtype=np.int64)] = True
     inner = member & ~branch
     inner[top] = False
     child = np.flatnonzero(member)
@@ -337,7 +318,7 @@ def decompose_paths(T1: SteinerSubtree, U: BranchSet) -> PathDecomposition:
         if path[0] > path[-1]:
             path.reverse()
     paths.sort(key=lambda p: (p[0], p[1]))
-    return PathDecomposition(paths=paths)
+    return paths
 
 
 @dataclass
@@ -418,76 +399,58 @@ def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> Collapsed
 class CompressedGraph:
     """Branch nodes plus one weighted subdivision node per path.
 
-    Node IDs: 0..|U|-1 are branch nodes (``orig`` maps them to original
-    vertex IDs), the rest are subdivision nodes. ``back_map`` keeps each
-    path's interior order together with prefix sums of the collapsed
-    weights, for lifting and repairs.
+    Node i < len(branch) is the branch vertex ``branch[i]``; node
+    len(branch) + j is the subdivision node of ``paths[j]``, weighing
+    its interior. ``wprime`` holds the collapsed weight of every original
+    vertex, for lifting and repairs.
     """
 
     node_weights: list[int]
     edges: list[tuple[int, int]]
-    orig: list[int | None]
-    back_map: dict[int, tuple[list[int], list[int]]]
-    path_ends: dict[int, tuple[int, int]]
+    branch: list[int]
+    paths: list[list[int]]
+    wprime: np.ndarray
 
     @property
     def num_nodes(self) -> int:
         return len(self.node_weights)
 
     def simple_graph(self) -> Graph:
-        """Parallel edges collapsed; vertex separators are unaffected.
+        """The compressed graph as a ``Graph``.
 
-        Each node's neighbours come in ascending order: with the edges
-        sorted by (lower, higher) end, a node's lower neighbours come
-        before its higher ones, each run ascending.
+        It has no parallel edges to collapse: each subdivision node joins
+        the two ends of its path, which differ, and the edges of R are
+        distinct non-tree edges between branch nodes. Each node's
+        neighbours come in ascending order: with the edges sorted by
+        (lower, higher) end, a node's lower neighbours come before its
+        higher ones, each run ascending.
         """
         n = self.num_nodes
         pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        lo, hi = np.divmod(_unique(pairs.min(axis=1) * n + pairs.max(axis=1)), n)
+        lo, hi = np.divmod(np.sort(pairs.min(axis=1) * n + pairs.max(axis=1)), n)
         return graph_from_edges(n, lo, hi, list(self.node_weights))
 
 
 def build_compressed_graph(
-    U: BranchSet, Pi: PathDecomposition, R: EdgeSet, cw: CollapsedWeights
+    U: list[int], Pi: list[list[int]], R: EdgeSet, cw: CollapsedWeights
 ) -> CompressedGraph:
-    u_list = sorted(U.members)
-    node_of = {u: i for i, u in enumerate(u_list)}
-    interiors = [path[1:-1] for path in Pi.paths]
-    flat = np.fromiter(chain.from_iterable(interiors), dtype=np.int64)
-    interior_w = cw.wprime[flat].tolist()
-    node_weights = cw.wprime[np.array(u_list, dtype=np.int64)].tolist()
-    orig: list[int | None] = list(u_list)
+    node_of = {u: i for i, u in enumerate(U)}
+    sizes = np.array([len(path) - 2 for path in Pi], dtype=np.int64)
+    flat = np.fromiter(chain.from_iterable(path[1:-1] for path in Pi), dtype=np.int64)
+    # running sums over all interiors; a path weighs the rise across its own
+    prefix = np.concatenate(([0], np.cumsum(cw.wprime[flat])))
+    ends = np.cumsum(sizes)
+    path_w = prefix[ends] - prefix[ends - sizes]
+    node_weights = cw.wprime[np.array(U, dtype=np.int64)].tolist() + path_w.tolist()
     edges: list[tuple[int, int]] = []
-    back_map: dict[int, tuple[list[int], list[int]]] = {}
-    path_ends: dict[int, tuple[int, int]] = {}
-    at = 0
-    for path, interior in zip(Pi.paths, interiors):
-        sub = len(node_weights)
-        prefix = list(accumulate(interior_w[at:at + len(interior)]))
-        at += len(interior)
-        node_weights.append(prefix[-1] if prefix else 0)
-        orig.append(None)
-        back_map[sub] = (interior, prefix)
-        path_ends[sub] = (path[0], path[-1])
+    for sub, path in enumerate(Pi, start=len(U)):
         edges.append((node_of[path[0]], sub))
         edges.append((sub, node_of[path[-1]]))
     for u, v in R.edges:
         edges.append((node_of[u], node_of[v]))
     return CompressedGraph(
-        node_weights=node_weights,
-        edges=edges,
-        orig=orig,
-        back_map=back_map,
-        path_ends=path_ends,
+        node_weights=node_weights, edges=edges, branch=U, paths=Pi, wprime=cw.wprime
     )
-
-
-@dataclass
-class PathFragment:
-    """Leftover piece of a path interior after its cut vertex was lifted."""
-
-    vertices: list[int]
-    wprime: list[int]
 
 
 def _median_cut(vertices: list[int], prefix) -> int:
@@ -509,33 +472,23 @@ def lift_separator(Sc, C: CompressedGraph):
     Branch nodes lift to themselves. A selected subdivision node lifts to
     the weighted-median vertex of its path interior; interior-free paths
     lift to an endpoint not already covered. Returns the lifted set plus
-    the leftover interior fragments (for the repair loop).
+    the interiors that were cut, in node order, for the repair loop.
     """
-    lifted: set[int] = set()
-    fragments: list[PathFragment] = []
-    subs = []
-    for node in sorted(Sc):
-        if C.orig[node] is not None:
-            lifted.add(C.orig[node])
-        else:
-            subs.append(node)
-    for node in subs:
-        interior, prefix = C.back_map[node]
+    k = len(C.branch)
+    lifted = {C.branch[node] for node in Sc if node < k}
+    interiors: list[list[int]] = []
+    for node in sorted(node for node in Sc if node >= k):
+        path = C.paths[node - k]
+        interior = path[1:-1]
         if not interior:
-            a, b = C.path_ends[node]
-            for cand in sorted((a, b)):
+            for cand in sorted((path[0], path[-1])):
                 if cand not in lifted:
                     lifted.add(cand)
                     break
             continue
-        i = _median_cut(interior, prefix)
-        lifted.add(interior[i])
-        weights = np.diff(prefix, prepend=0).tolist()
-        if i > 0:
-            fragments.append(PathFragment(interior[:i], weights[:i]))
-        if i + 1 < len(interior):
-            fragments.append(PathFragment(interior[i + 1:], weights[i + 1:]))
-    return lifted, fragments
+        lifted.add(interior[_median_cut(interior, np.cumsum(C.wprime[interior]))])
+        interiors.append(interior)
+    return lifted, interiors
 
 
 def tree_centroid(vertices, adjacency, weights) -> int:
@@ -702,7 +655,7 @@ def heavy_vertex_fixup(
     R: EdgeSet,
     S,
     beta=Fraction(2, 3),
-    fragments: list[PathFragment] = (),
+    interiors: list[list[int]] = (),
     cw: CollapsedWeights | None = None,
 ) -> Separator:
     """Repair loop for the lifted separator; its last check is the verification.
@@ -710,13 +663,16 @@ def heavy_vertex_fixup(
     T is a spanning tree of G and R its non-tree edges. Each round finds
     the components of G - S on T plus R and compares the heaviest
     exactly against beta * W. While it is too heavy: a tree component gets
-    its weighted centroid added; otherwise the heaviest leftover path
-    fragment inside the component is cut at its weighted median, or, if no
-    fragment reaches into it, the centroid of its BFS tree is. The round
-    that passes is the exact verification of the returned separator. The
-    loop is capped at 4 sqrt(r + 1) + 2 repairs, r being G's excess; the
-    cap signals an algorithmic bug, it is never expected to fire.
-    ``cw``, the collapsed weights over T, only speeds up the search.
+    its weighted centroid added; otherwise the path ``interiors`` that
+    ``lift_separator`` cut split into runs of consecutive vertices inside
+    the component, and the heaviest run by collapsed weight (ties to the
+    lowest first vertex) is cut at its weighted median, or, if no run
+    exists, the centroid of the component's BFS tree is. The round that
+    passes is the exact verification of the returned separator. The loop
+    is capped at 4 sqrt(r + 1) + 2 repairs, r being G's excess; the cap
+    signals an algorithmic bug, it is never expected to fire. ``cw``, the
+    collapsed weights over T, weighs the runs (so ``interiors`` needs it)
+    and speeds up the search.
     """
     S = set(S)
     for v in S:
@@ -739,30 +695,18 @@ def heavy_vertex_fixup(
                 f"still unbalanced after {repairs} repairs (cap {cap})"
             )
         inside = found.inside()
-        members = np.flatnonzero(inside)
-        heaviest = members.tolist()
-        runs: list[tuple[int, list[int], list[int]]] = []
-        if not found.is_tree:
-            hset = set(heaviest)
-            for frag in fragments:
-                cur_v: list[int] = []
-                cur_w: list[int] = []
-                for v, w in zip(frag.vertices, frag.wprime):
-                    if v in hset:
-                        cur_v.append(v)
-                        cur_w.append(w)
-                    elif cur_v:
-                        runs.append((sum(cur_w), cur_v, cur_w))
-                        cur_v, cur_w = [], []
-                if cur_v:
-                    runs.append((sum(cur_w), cur_v, cur_w))
+        runs = [] if found.is_tree else [
+            list(run) for interior in interiors
+            for keep, run in groupby(interior, inside.__getitem__) if keep
+        ]
         if runs:
-            _, verts, ws = max(runs, key=lambda t: (t[0], -t[1][0]))
-            cut = verts[_median_cut(verts, np.cumsum(ws))]
+            run = max(runs, key=lambda run: (int(cw.wprime[run].sum()), -run[0]))
+            cut = run[_median_cut(run, np.cumsum(cw.wprime[run]))]
         else:
-            # a tree, or no fragment reaches into the component: the
+            # a tree, or no cut interior reaches into the component: the
             # centroid of its BFS tree from the lowest vertex
-            cut = tree_centroid(heaviest, _InducedRows(G, members, inside), G.weights)
+            members = np.flatnonzero(inside)
+            cut = tree_centroid(members.tolist(), _InducedRows(G, members, inside), G.weights)
         S.add(cut)
         removed[cut] = True
         repairs += 1
@@ -891,8 +835,8 @@ def separate(
             f"graph with {G.n} vertices and {G.n + r} edges is not planar"
         ) from None
     t0 = tick("lt_separator", t0)
-    lifted, fragments = lift_separator(lt.vertices, C)
-    sep = heavy_vertex_fixup(G, T, R, lifted, beta, fragments, cw)
+    lifted, interiors = lift_separator(lt.vertices, C)
+    sep = heavy_vertex_fixup(G, T, R, lifted, beta, interiors, cw)
     tick("lift_and_repair", t0)
     sep.stage_ns = stage_ns
 
@@ -903,7 +847,7 @@ def separate(
             TraceStage("steiner_subtree", _subgraph_same_vertices(G, T1.edges()), T1.vertices())
         )
         stages.append(
-            TraceStage("branch_set", _subgraph_same_vertices(G, T1.edges()), sorted(U.members))
+            TraceStage("branch_set", _subgraph_same_vertices(G, T1.edges()), U)
         )
         stages.append(TraceStage("compressed", Gc))
         stages.append(TraceStage("compressed_separator", Gc, sorted(lt.vertices)))

@@ -190,7 +190,7 @@ def test_06_structural_invariants(capsys):
             failures.append(("weight-conservation", case))
         Pi = decompose_paths(T1, U)
         covered = sorted(
-            (min(a, b), max(a, b)) for p in Pi.paths for a, b in zip(p, p[1:])
+            (min(a, b), max(a, b)) for p in Pi for a, b in zip(p, p[1:])
         )
         if covered != sorted((min(a, b), max(a, b)) for a, b in T1.edges()):
             failures.append(("path-cover", case))

@@ -77,6 +77,23 @@ def test_beta_outside_open_interval_is_input_error(tmp_path, capsys, command, be
     assert "beta must lie strictly between 1/2 and 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["separate", "{f}", "--beta", "1/0"],
+    ["verify", "{f}", "1", "--beta", "1/0"],
+    ["oracle", "{f}", "--beta", "1/0"],
+    ["lt", "{f}", "--beta", "1/0"],
+    ["gen", "--n", "8", "--r", "1", "--weights", "single_heavy:1/0"],
+    ["gen", "--n", "8", "--r", "1", "--weights", "single_heavy"],
+    ["gen", "--n", "8", "--r", "1", "--weights", "uniform:1"],
+], ids=["separate", "verify", "oracle", "lt", "heavy-1/0", "heavy-bare", "uniform-one-bound"])
+def test_malformed_option_value_is_input_error(tmp_path, capsys, argv):
+    # a zero denominator or a missing field is an input error, not a traceback
+    f = write(tmp_path, "c6.txt", cycle(6))
+    assert main([a.replace("{f}", f) for a in argv]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "usage: atsep" in err and "Traceback" not in err
+
+
 def test_repair_cap_is_internal_fault(tmp_path, capsys, monkeypatch):
     import atsep.pipeline
     from atsep.errors import RepairCapExceeded

@@ -227,13 +227,13 @@ class TestBranchSet:
         T = SpanningTree(root=0, parent=[0, 0, 0, 0])
         T1 = steiner_subtree(T, {1, 2, 3})
         U = branch_vertices(T1, {1, 2, 3})
-        assert U.members == {0, 1, 2, 3}
+        assert U == [0, 1, 2, 3]
         assert len(U) <= 2 * 3
 
     def test_path_subtree(self):
         T = SpanningTree(root=0, parent=[0, 0, 1, 2, 3])
         T1 = steiner_subtree(T, {1, 3})
-        assert branch_vertices(T1, {1, 3}).members == {1, 3}
+        assert branch_vertices(T1, {1, 3}) == [1, 3]
 
     def test_size_bound_random(self):
         rng = random.Random(21)
@@ -254,13 +254,13 @@ class TestPathDecomposition:
         U = branch_vertices(T1, {1, 2, 3})
         Pi = decompose_paths(T1, U)
         assert len(Pi) == len(U) - 1 == 3
-        assert sorted(sorted((p[0], p[-1])) for p in Pi.paths) == [[0, 1], [0, 2], [0, 3]]
+        assert sorted(sorted((p[0], p[-1])) for p in Pi) == [[0, 1], [0, 2], [0, 3]]
 
     def test_path_with_interior(self):
         T = SpanningTree(root=0, parent=[0, 0, 1, 2, 3])
         T1 = steiner_subtree(T, {1, 3})
         Pi = decompose_paths(T1, branch_vertices(T1, {1, 3}))
-        assert Pi.paths == [[1, 2, 3]]
+        assert Pi == [[1, 2, 3]]
 
     def test_edge_disjoint_cover(self):
         rng = random.Random(31)
@@ -273,11 +273,11 @@ class TestPathDecomposition:
             U = branch_vertices(T1, terms)
             Pi = decompose_paths(T1, U)
             covered = []
-            for p in Pi.paths:
+            for p in Pi:
                 for a, b in zip(p, p[1:]):
                     covered.append((min(a, b), max(a, b)))
                 for inner in p[1:-1]:
-                    assert inner not in U.members
+                    assert inner not in U
             assert sorted(covered) == sorted(
                 (min(a, b), max(a, b)) for a, b in T1.edges()
             )
@@ -414,32 +414,53 @@ class TestCompressedGraph:
     def test_triangle_by_hand(self):
         C, U, Pi = self.stages_for(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
         # one R edge {1,2}, one path 1-0-2 through the subdivision node
-        assert U.members == {1, 2}
+        assert U == [1, 2]
         assert C.num_nodes == 3
         assert sum(C.node_weights) == 3
 
     def test_interior_free_path_gets_zero_weight_node(self):
-        C, _, Pi = self.stages_for(theta())
-        assert any(len(p) == 2 for p in Pi.paths)
-        for s, (interior, prefix) in C.back_map.items():
-            want = prefix[-1] if prefix else 0
-            assert C.node_weights[s] == want
-            if not interior:
+        C, U, Pi = self.stages_for(theta())
+        assert any(len(p) == 2 for p in Pi)
+        assert C.branch is U and C.paths is Pi
+        for i, u in enumerate(U):
+            assert C.node_weights[i] == C.wprime[u]
+        for j, p in enumerate(Pi):
+            s = len(U) + j
+            assert C.node_weights[s] == sum(C.wprime[p[1:-1]].tolist())
+            assert type(C.node_weights[s]) is int
+            if len(p) == 2:
                 assert C.node_weights[s] == 0
 
-    def test_simple_graph_drops_parallel_edges(self):
-        C, _, _ = self.stages_for(theta())
+    @pytest.mark.parametrize("seed", range(12))
+    def test_simple_graph_keeps_every_edge(self, seed):
+        # tree paths are unique and the edges of R distinct, so no two
+        # compressed edges join the same pair of nodes
+        G = theta() if seed == 0 else generate(GenSpec(n=40 * seed, r=seed, seed=seed))
+        C, _, _ = self.stages_for(G)
         Gc = C.simple_graph()
-        assert len({tuple(sorted(e)) for e in Gc.edges()}) == Gc.m
+        assert len(set(Gc.edges())) == Gc.m == len(C.edges)
+        assert set(Gc.edges()) == {(min(e), max(e)) for e in C.edges}
+
+
+def hand_built(branch, paths, weights):
+    """A CompressedGraph over the given paths; ``weights`` maps vertex -> w'."""
+    wprime = np.zeros(max(max(p) for p in paths) + 1, dtype=np.int64)
+    for v, w in weights.items():
+        wprime[v] = w
+    node_of = {u: i for i, u in enumerate(branch)}
+    edges = []
+    for sub, p in enumerate(paths, start=len(branch)):
+        edges += [(node_of[p[0]], sub), (sub, node_of[p[-1]])]
+    node_weights = [0] * len(branch) + [sum(wprime[p[1:-1]].tolist()) for p in paths]
+    return CompressedGraph(node_weights, edges, branch, paths, wprime)
 
 
 class TestLiftSeparator:
     def test_branch_nodes_lift_verbatim(self):
         C, U, Pi = TestCompressedGraph.stages_for(theta())
-        branch_ids = [i for i, o in enumerate(C.orig) if o is not None]
-        lifted, frags = lift_separator(set(branch_ids), C)
-        assert lifted == U.members
-        assert frags == []
+        lifted, interiors = lift_separator(set(range(len(C.branch))), C)
+        assert lifted == set(U)
+        assert interiors == []
 
     def test_empty_lifts_to_empty(self):
         C, _, _ = TestCompressedGraph.stages_for(theta())
@@ -448,36 +469,20 @@ class TestLiftSeparator:
     def test_weighted_median_cut(self):
         # interior weights (1, 1, 5, 1): cutting the weight-5 vertex leaves
         # sides of weight 2 and 1, better than any other cut
-        C = CompressedGraph(
-            node_weights=[0, 0, 8],
-            edges=[(0, 2), (2, 1)],
-            orig=[5, 6, None],
-            back_map={2: ([10, 11, 12, 13], [1, 2, 7, 8])},
-            path_ends={2: (5, 6)},
-        )
-        lifted, frags = lift_separator({2}, C)
+        C = hand_built([5, 6], [[5, 10, 11, 12, 13, 6]], {10: 1, 11: 1, 12: 5, 13: 1})
+        assert C.node_weights == [0, 0, 8]
+        lifted, interiors = lift_separator({2}, C)
         assert lifted == {12}
-        assert [f.vertices for f in frags] == [[10, 11], [13]]
+        assert interiors == [[10, 11, 12, 13]]
 
     def test_interior_free_node_lifts_to_lower_endpoint(self):
-        C = CompressedGraph(
-            node_weights=[1, 1, 0],
-            edges=[(0, 2), (2, 1)],
-            orig=[4, 9, None],
-            back_map={2: ([], [])},
-            path_ends={2: (9, 4)},
-        )
-        lifted, _ = lift_separator({2}, C)
+        C = hand_built([4, 9], [[9, 4]], {})
+        lifted, interiors = lift_separator({2}, C)
         assert lifted == {4}
+        assert interiors == []
 
     def test_interior_free_node_avoids_covered_endpoint(self):
-        C = CompressedGraph(
-            node_weights=[1, 1, 0],
-            edges=[(0, 2), (2, 1)],
-            orig=[4, 9, None],
-            back_map={2: ([], [])},
-            path_ends={2: (9, 4)},
-        )
+        C = hand_built([4, 9], [[9, 4]], {})
         lifted, _ = lift_separator({0, 2}, C)
         assert lifted == {4, 9}
 
@@ -503,19 +508,61 @@ class TestLiftSeparator:
             tied += costs.count(best_cost) > 1
             assert _median_cut(interior, prefix) == i
             assert _median_cut(interior, np.cumsum(weights)) == i
-            C = CompressedGraph(
-                node_weights=[0, 0, prefix[-1]],
-                edges=[(0, 2), (2, 1)],
-                orig=[1000, 1001, None],
-                back_map={2: (interior, prefix)},
-                path_ends={2: (1000, 1001)},
-            )
-            lifted, frags = lift_separator({2}, C)
+            C = hand_built([1000, 1001], [[1000, *interior, 1001]], dict(zip(interior, weights)))
+            assert C.node_weights[2] == prefix[-1]
+            lifted, interiors = lift_separator({2}, C)
             assert lifted == {interior[i]}
-            want = [(interior[:i], weights[:i]), (interior[i + 1:], weights[i + 1:])]
-            assert [(f.vertices, f.wprime) for f in frags] == [p for p in want if p[0]]
-            assert all(type(w) is int for f in frags for w in f.wprime)
+            assert interiors == [interior]
+            assert all(type(v) is int for v in interiors[0])
         assert tied > 100
+
+
+class TestRepairRuns:
+    """The repair loop's choice among the runs of the cut path interiors."""
+
+    @staticmethod
+    def three_paths():
+        # vertices 0 and 1 joined by three paths; the BFS tree from 0 takes
+        # the short one, (0, 5, 6, 7, 8, 2, 3, 4, 1), whole, and puts one
+        # edge of R on each long one
+        short = [5, 6, 7, 8, 2, 3, 4]
+        edges = []
+        for inner in (short, list(range(9, 18)), list(range(18, 27))):
+            edges += zip([0] + inner, inner + [1])
+        weights = [0, 0] + [1] * 25
+        for v, w in zip(short, [2, 2, 2, 1, 2, 2, 2]):
+            weights[v] = w
+        return build_graph(27, edges, weights)
+
+    def test_ties_go_to_the_lowest_first_vertex_and_runs_split_again(self, monkeypatch):
+        G = self.three_paths()
+        T = compute_spanning_tree(G)
+        R = extra_edges(G, T)
+        T1 = steiner_subtree(T, R.endpoints())
+        U = branch_vertices(T1, R.endpoints())
+        Pi = decompose_paths(T1, U)
+        cw = collapse_weights(G, T, T1)
+        C = build_compressed_graph(U, Pi, R, cw)
+        j, = [j for j, p in enumerate(C.paths) if (p[0], p[-1]) == (0, 1)]
+        cuts = []
+        real = atsep.pipeline._median_cut
+
+        def recording(vertices, prefix):
+            cuts.append(list(vertices))
+            return real(vertices, prefix)
+
+        monkeypatch.setattr(atsep.pipeline, "_median_cut", recording)
+        # the lifted median, 8, splits the short path into two runs of
+        # weight 6; the one starting at 2 beats the one starting at 5
+        lifted, interiors = lift_separator({len(C.branch) + j}, C)
+        assert lifted == {8}
+        sep = heavy_vertex_fixup(G, T, R, lifted, Fraction(2, 3), interiors, cw)
+        # cutting 3 leaves [4] hanging off 1 and then cutting 6 leaves [5]
+        # off 0: two runs of weight 2, and 4 beats 5, splitting the first
+        # repair's run again; the component then weighs 20 <= 2/3 * 31
+        assert cuts == [[5, 6, 7, 8, 2, 3, 4], [2, 3, 4], [5, 6, 7], [4]]
+        assert sep.vertices == {8, 3, 6, 4} and sep.repairs == 3
+        assert sep.max_component_weight == 20
 
 
 class TestTreeCentroid:

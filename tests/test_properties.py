@@ -81,7 +81,7 @@ def test_paths_cover_subtree_edges(gr):
     U = branch_vertices(T1, R.endpoints())
     Pi = decompose_paths(T1, U)
     covered = sorted(
-        (min(a, b), max(a, b)) for p in Pi.paths for a, b in zip(p, p[1:])
+        (min(a, b), max(a, b)) for p in Pi for a, b in zip(p, p[1:])
     )
     assert covered == sorted((min(a, b), max(a, b)) for a, b in T1.edges())
     if len(U) >= 2:
