@@ -54,6 +54,11 @@ class GenSpec:
         kind = self.weight_mode[0]
         if kind not in ("unit", "uniform", "single_heavy"):
             raise Infeasible(f"unknown weight mode {kind!r}")
+        if kind == "uniform":
+            lo, hi = int(self.weight_mode[1]), int(self.weight_mode[2])
+            # weights are non-negative and not all zero
+            if not (0 <= lo <= hi and hi >= 1):
+                raise Infeasible(f"uniform weights need 0 <= LO <= HI and HI >= 1, got {lo}:{hi}")
         if kind == "single_heavy":
             f = Fraction(self.weight_mode[1]).limit_denominator(10**6)
             if not Fraction(1, 2) < f < 1:

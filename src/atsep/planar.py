@@ -6,19 +6,21 @@ the graph's kernel (pendant trees peeled off, degree-2 chains
 suppressed; planar exactly when the graph is) gate the call; then pick
 a cheap pair of BFS levels around the weighted median, and if the
 middle band still holds a heavy component, shrink it with a
-fundamental-cycle separator on the triangulated band. networkx is used
-only for its planarity test: the band's embedding is read once into a
-plain rotation system, which this module triangulates and scans. A greedy
-fallback, whose every step checks the heaviest component of G - S
-exactly against beta * W, keeps the balance contract unconditional even
-for degenerate weight profiles (e.g. one vertex holding most of the
-weight); a final pruning pass drops separator vertices that balance
-does not need.
+fundamental-cycle separator on the triangulated band. networkx serves
+only the gate's planarity test. The band is embedded by this module's
+port of the left-right planarity test, which gives the same rotation
+system as networkx's, and that plain rotation system is triangulated
+and scanned here. A greedy fallback, whose every step checks the
+heaviest component of G - S exactly against beta * W, keeps the
+balance contract unconditional even for degenerate weight profiles
+(e.g. one vertex holding most of the weight); a final pruning pass
+drops separator vertices that balance does not need.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -88,8 +90,8 @@ def _band_cycle_shrink(G: Graph, heavy: list[int], level, l0: int):
 
     Builds the component plus a zero-weight virtual root standing for the
     contracted levels above it (a minor of G, hence planar), embeds it
-    with one ``nx.check_planarity`` call, triangulates the rotation system
-    read from that embedding (``_triangulate``), and scans fundamental
+    with the left-right planarity test (``_band_rotation``), triangulates
+    that rotation system (``_triangulate``), and scans fundamental
     cycles for one whose two sides both fit in 2/3 of the band weight
     (``_balanced_fundamental_cycle``). The band graph is connected: the
     heavy component lies beyond level l0 (the components on the root's
@@ -112,10 +114,12 @@ class _Rotation:
     """A rotation system: each vertex's neighbours in clockwise order.
 
     ``cw[v][w]`` and ``ccw[v][w]`` are the neighbours after and before w
-    around v, and ``start[v]`` is the neighbour that networkx's
-    ``PlanarEmbedding.neighbors_cw_order`` yields first; ``order`` lists
-    the vertices in the embedding's node order. The half-edge (v, w) has
-    on its right the face whose next half-edge is (w, ccw[w][v]).
+    around v, ``cw[v]`` is filled in ring order from ``start[v]``, and
+    ``start[v]`` is v's leftmost neighbour as ``_lr_rotation`` places it
+    (the one networkx's ``PlanarEmbedding.neighbors_cw_order`` yields
+    first; a vertex without neighbours has none); ``order`` lists the
+    vertices in the embedding's node order. The half-edge (v, w) has on
+    its right the face whose next half-edge is (w, ccw[w][v]).
     """
 
     order: list[int]
@@ -149,36 +153,360 @@ class _Rotation:
 
 def _band_rotation(G: Graph, heavy: list[int], level, l0: int) -> _Rotation | None:
     """Rotation system of the band graph (heavy plus the virtual root -1),
-    or None if it has fewer than 3 nodes or is not planar."""
-    hset = set(heavy)
+    or None if it has fewer than 3 nodes or is not planar.
+
+    The nodes are the root, then ``heavy`` in order. Each node's
+    neighbours are listed in the order the CSR rows first reach them
+    (heavy in order, each row in order), an edge to a level <= l0 standing
+    for one to the root, and a repeat dropped: the graph networkx would
+    have built with ``add_edges_from``, so the embedding is the one its
+    planarity test gave.
+    """
+    nodes = [-1, *heavy]
+    if len(nodes) < 3:
+        return None
+    at = {v: i for i, v in enumerate(nodes)}
     row_at, nbr = memoryview(G.indptr), memoryview(G.indices)
-    B = nx.Graph()
-    root = -1
-    B.add_node(root)
-    B.add_nodes_from(heavy)
-    B.add_edges_from(
-        (u, v) if v in hset else (root, u)
-        for u in heavy
-        for v in nbr[row_at[u]:row_at[u + 1]]
-        if v in hset or level[v] <= l0
-    )
-    if B.number_of_nodes() < 3:
-        B.clear()
+    adj: list[dict[int, None]] = [{} for _ in nodes]
+    to_root = adj[0]
+    for i, u in enumerate(heavy, 1):
+        mine = adj[i]
+        for v in nbr[row_at[u]:row_at[u + 1]]:
+            j = at.get(v)
+            if j is not None:
+                mine[j] = None
+                adj[j][i] = None
+            elif level[v] <= l0:
+                to_root[i] = None
+                mine[0] = None
+    return _lr_rotation(nodes, adj)
+
+
+def _lr_rotation(nodes: list[int], adj: list[Iterable[int]]) -> _Rotation | None:
+    """Planar rotation system of a simple graph, or None if it is not planar.
+
+    Node i is ``nodes[i]`` and ``adj[i]`` yields its neighbours' indices,
+    each edge once at both ends. An iterative port of networkx's
+    ``LRPlanarity`` (the left-right planarity test, Brandes 2009) that
+    gives what ``nx.check_planarity`` gives on the nx.Graph with this node
+    order and adjacency order: the same node order, the same clockwise
+    ring at every vertex and the same start neighbour. Its phases keep
+    networkx's names: ``dfs_orientation`` (lowpoints and nesting depths),
+    ``dfs_testing`` (``add_constraints``, ``remove_back_edges``), ``sign``
+    and ``dfs_embedding``. Oriented edges are numbered in the order the
+    orientation meets them, and their lowpoints, references and sides are
+    flat lists. A conflict pair is a 4-slot list ``[left low, left high,
+    right low, right high]`` of edges or None, and pairs are compared by
+    identity, as networkx compares its ``ConflictPair`` objects.
+    """
+    n = len(nodes)
+    # LRPlanarity first copies the graph edge by edge, which lists each
+    # vertex's neighbours earlier in node order first, in node order
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    m = 0
+    for x, row in enumerate(adj):
+        mine = nbrs[x]
+        for y in row:
+            if y > x:
+                mine.append(y)
+                nbrs[y].append(x)
+                m += 1
+    if n > 2 and m > 3 * n - 6:
         return None
-    ok, emb = nx.check_planarity(B, counterexample=False)
-    # empty each networkx graph once done with it, as lt_separator's gate
-    # does: they are reference cycles that would wait for a full collection
-    B.clear()
-    if not ok:
-        return None
-    rot = _Rotation(order=list(emb), cw={}, ccw={}, start={})
-    for v in rot.order:
-        ring = list(emb.neighbors_cw_order(v))
+
+    # dfs_orientation: orient the edges by DFS; lowpoints and nesting depth
+    height = [-1] * n
+    parent_edge = [-1] * n
+    src: list[int] = []
+    dst: list[int] = []
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+    depth: list[int] = []
+    out: list[list[int]] = [[] for _ in range(n)]
+    roots: list[int] = []
+    ind = [0] * n
+    pend = [-1] * n  # the tree edge whose subtree a vertex waits on
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            row = nbrs[v]
+            i = ind[v]
+            ei = pend[v]
+            pend[v] = -1
+            while i < len(row):
+                if ei < 0:
+                    w = row[i]
+                    hw = height[w]
+                    # a finished descendant or the parent oriented vw already
+                    if hw > hv or (e >= 0 and src[e] == w):
+                        i += 1
+                        continue
+                    ei = len(src)
+                    src.append(v)
+                    dst.append(w)
+                    lowpt.append(hv)
+                    lowpt2.append(hv)
+                    depth.append(0)
+                    out[v].append(ei)
+                    if hw < 0:  # tree edge
+                        parent_edge[w] = ei
+                        height[w] = hv + 1
+                        ind[v] = i
+                        pend[v] = ei
+                        stack.append(v)
+                        stack.append(w)
+                        break
+                    lowpt[ei] = hw  # back edge
+                lo, lo2 = lowpt[ei], lowpt2[ei]
+                depth[ei] = 2 * lo + (lo2 < hv)  # odd when chordal
+                if e >= 0:
+                    le = lowpt[e]
+                    if lo < le:
+                        lowpt2[e] = min(le, lo2)
+                        lowpt[e] = lo
+                    elif lo > le:
+                        lowpt2[e] = min(lowpt2[e], lo)
+                    else:
+                        lowpt2[e] = min(lowpt2[e], lo2)
+                ei = -1
+                i += 1
+
+    # dfs_testing: the LR partition, as references between return edges
+    nedges = len(src)
+    ref: list = [None] * nedges
+    side = [1] * nedges
+    lowpt_edge: list = [None] * nedges
+    stack_bottom: list = [None] * nedges
+    S: list[list] = []
+
+    def conflicting(high, b) -> bool:
+        """Interval.conflicting: the interval whose high end is ``high``
+        conflicts with edge b."""
+        return high is not None and lowpt[high] > lowpt[b]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        P = [None, None, None, None]
+        # merge return edges of e_i into P.right
+        while True:
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] is not None or Q[1] is not None:
+                return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[2] is None and P[3] is None:  # topmost interval
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:  # align
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is stack_bottom[ei]:
+                break
+        # merge conflicting return edges of e_1, ..., e_{i-1} into P.left
+        while True:
+            T = S[-1]
+            if not (conflicting(T[1], ei) or conflicting(T[3], ei)):
+                break
+            Q = S.pop()
+            if conflicting(Q[3], ei):
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if conflicting(Q[3], ei):
+                return False
+            # merge the interval below lowpt(e_i) into P.right
+            if P[2] is not None:
+                ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:  # topmost interval
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if any(x is not None for x in P):
+            S.append(P)
+        return True
+
+    def lowest(P) -> int:
+        if P[0] is None and P[1] is None:
+            return lowpt[P[2]]
+        if P[2] is None and P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
+
+    def remove_back_edges(e: int) -> None:
+        u = src[e]
+        hu = height[u]
+        # trim back edges ending at parent u: drop whole conflict pairs
+        while S and lowest(S[-1]) == hu:
+            P = S.pop()
+            if P[0] is not None:
+                side[P[0]] = -1
+        if S:  # one more conflict pair to consider
+            P = S[-1]
+            while P[1] is not None and dst[P[1]] == u:  # trim left interval
+                P[1] = ref[P[1]]
+            if P[1] is None and P[0] is not None:  # just emptied
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            while P[3] is not None and dst[P[3]] == u:  # trim right interval
+                P[3] = ref[P[3]]
+            if P[3] is None and P[2] is not None:  # just emptied
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
+        # side of e is side of a highest return edge
+        if lowpt[e] < hu:
+            hl, hr = S[-1][1], S[-1][3]
+            if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
+
+    by_depth = depth.__getitem__
+    ordered = [sorted(o, key=by_depth) for o in out]
+    ind = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            e = parent_edge[v]
+            hv = height[v]
+            row = ordered[v]
+            i = ind[v]
+            ei = pend[v]
+            pend[v] = -1
+            while i < len(row):
+                if ei < 0:
+                    ei = row[i]
+                    stack_bottom[ei] = S[-1] if S else None
+                    if parent_edge[dst[ei]] == ei:  # tree edge
+                        ind[v] = i
+                        pend[v] = ei
+                        stack.append(v)
+                        stack.append(dst[ei])
+                        break
+                    lowpt_edge[ei] = ei  # back edge
+                    S.append([None, None, ei, ei])
+                # integrate new return edges
+                if lowpt[ei] < hv:
+                    if i == 0:
+                        lowpt_edge[e] = lowpt_edge[ei]
+                    elif not add_constraints(ei, e):
+                        return None
+                ei = -1
+                i += 1
+            else:
+                if e >= 0:
+                    remove_back_edges(e)
+
+    # sign: resolve each side relative to its reference into an absolute one
+    for v in range(n):
+        for e in out[v]:
+            chain = []
+            f = e
+            while ref[f] is not None:
+                chain.append(f)
+                nxt = ref[f]
+                ref[f] = None
+                f = nxt
+            s = side[f]
+            for f in reversed(chain):
+                s = side[f] = side[f] * s
+            depth[e] *= s
+
+    # dfs_embedding: each vertex's outgoing edges in signed-depth order
+    # make its first ring; then each back edge goes into its target's ring
+    # beside the target's right or left reference, by its side. The rings
+    # hold labels; first[v] is v's leftmost neighbour, the one networkx
+    # keeps last in its _succ[v]
+    ordered = [sorted(o, key=by_depth) for o in out]
+    cw: list[dict[int, int]] = []
+    ccw: list[dict[int, int]] = []
+    first: list = [None] * n
+    for v, row in enumerate(ordered):
+        ring = [nodes[dst[e]] for e in row]
         after = ring[1:] + ring[:1]
-        rot.cw[v] = dict(zip(ring, after))
-        rot.ccw[v] = dict(zip(after, ring))
-        rot.start[v] = ring[0]
-    emb.clear()
+        cw.append(dict(zip(ring, after)))
+        ccw.append(dict(zip(after, ring)))
+        if ring:
+            first[v] = ring[0]
+    left_ref: list = [None] * n
+    right_ref: list = [None] * n
+    ind = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            x = nodes[v]
+            row = ordered[v]
+            i = ind[v]
+            while i < len(row):
+                ei = row[i]
+                i += 1
+                w = dst[ei]
+                ring_cw, ring_ccw = cw[w], ccw[w]
+                if parent_edge[w] == ei:
+                    # add_half_edge_first(w, v): v goes counter-clockwise
+                    # of w's leftmost neighbour and becomes leftmost
+                    f = first[w]
+                    if f is None:
+                        ring_cw[x] = ring_ccw[x] = x
+                    else:
+                        prv = ring_ccw[f]
+                        ring_ccw[f] = x
+                        ring_ccw[x] = prv
+                        ring_cw[prv] = x
+                        ring_cw[x] = f
+                    first[w] = x
+                    left_ref[v] = right_ref[v] = nodes[w]
+                    ind[v] = i
+                    stack.append(v)
+                    stack.append(w)
+                    break
+                if side[ei] == 1:  # clockwise after w's right reference
+                    c = right_ref[w]
+                    nxt = ring_cw[c]
+                    ring_cw[c] = x
+                    ring_cw[x] = nxt
+                    ring_ccw[nxt] = x
+                    ring_ccw[x] = c
+                else:  # counter-clockwise before w's left reference
+                    c = left_ref[w]
+                    prv = ring_ccw[c]
+                    ring_ccw[c] = x
+                    ring_ccw[x] = prv
+                    ring_cw[prv] = x
+                    ring_cw[x] = c
+                    if first[w] == c:
+                        first[w] = x
+                    left_ref[w] = x
+
+    # cw[x] is refilled in ring order from start[x], as callers iterate it
+    rot = _Rotation(order=list(nodes), cw={}, ccw={}, start={})
+    for v, x in enumerate(nodes):
+        f = first[v]
+        rot.ccw[x] = ccw[v]
+        ring_cw = cw[v]
+        if f is None:
+            rot.cw[x] = ring_cw
+            continue
+        rot.start[x] = f
+        rot.cw[x] = mine = {}
+        y = f
+        while True:
+            nxt = mine[y] = ring_cw[y]
+            y = nxt
+            if y == f:
+                break
     return rot
 
 
@@ -407,9 +735,7 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
     if not ok:
         raise NotPlanar(f"graph with {G.n} vertices and {G.m} edges is not planar")
     # networkx graphs with cached views are reference cycles: empty them so
-    # their dicts go now, not at the next full collection (the band's graphs
-    # below hold over 10 MB at 10^4 nodes, which would otherwise stay alive
-    # through lift and repair)
+    # their dicts go now, not at the next full collection
     H.clear()
     emb.clear()
 

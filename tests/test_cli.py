@@ -94,6 +94,16 @@ def test_malformed_option_value_is_input_error(tmp_path, capsys, argv):
     assert "usage: atsep" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["uniform:-3:2", "uniform:0:0", "uniform:5:2"],
+                         ids=["negative", "all-zero", "reversed"])
+def test_gen_rejects_weight_range(capsys, mode):
+    # weights must be non-negative and not all zero, or separate rejects the file
+    assert main(["gen", "--n", "8", "--r", "1", "--weights", mode]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "uniform weights need 0 <= LO <= HI and HI >= 1" in err and "Traceback" not in err
+
+
 def test_repair_cap_is_internal_fault(tmp_path, capsys, monkeypatch):
     import atsep.pipeline
     from atsep.errors import RepairCapExceeded

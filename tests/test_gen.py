@@ -131,6 +131,9 @@ class TestGenSpec:
             {"n": 5, "r": -2, "seed": 0},
             {"n": 5, "r": 0, "seed": 0, "weight_mode": ("bogus",)},
             {"n": 5, "r": 0, "seed": 0, "weight_mode": ("single_heavy", Fraction(1, 3))},
+            {"n": 5, "r": 0, "seed": 0, "weight_mode": ("uniform", -3, 2)},
+            {"n": 5, "r": 0, "seed": 0, "weight_mode": ("uniform", 0, 0)},
+            {"n": 5, "r": 0, "seed": 0, "weight_mode": ("uniform", 5, 2)},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):

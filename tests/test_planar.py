@@ -18,6 +18,7 @@ from atsep.planar import (
     _band_cycle_shrink,
     _band_rotation,
     _greedy_balance,
+    _lr_rotation,
     _planarity_kernel,
     _prune_redundant,
     _triangulate,
@@ -350,9 +351,9 @@ class TestLtComponentPasses:
 
 
 def test_band_graphs_freed_without_collection():
-    # B and its embedding are emptied before the band shrink returns, and
-    # the triangulation is plain dicts; what a collection still finds is
-    # mostly networkx's own copies inside its planarity test
+    # the band's embedding and triangulation are plain lists and dicts, so
+    # what a collection still finds is the gate's networkx objects: its
+    # copies of the kernel inside nx.check_planarity
     G = generate(GenSpec(n=2000, r=600, seed=1))
     gc.collect()
     gc.disable()
@@ -362,7 +363,7 @@ def test_band_graphs_freed_without_collection():
     finally:
         gc.enable()
     assert lt.cycle_info is not None
-    assert freed <= 12000
+    assert freed <= 2000
 
 
 def rotation_lists(rot):
@@ -444,6 +445,103 @@ class TestBandCyclePort:
         level, _, _ = bfs_levels(G, 0)
         assert _band_rotation(G, [1], level, 0) is None
         assert check_band_port(G, [1], level, 0) is None
+
+
+def stacked_triangulation(n, rng):
+    """nx.Graph of a random stacked triangulation on n >= 3 nodes."""
+    G = nx.Graph([(0, 1), (1, 2), (0, 2)])
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        G.add_edges_from([(v, a), (v, b), (v, c)])
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return G
+
+
+def shuffled(G, rng):
+    """G with its labels, node order, edge order and edge directions shuffled."""
+    label = list(range(G.number_of_nodes()))
+    rng.shuffle(label)
+    nodes = list(G)
+    rng.shuffle(nodes)
+    edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in G.edges()]
+    rng.shuffle(edges)
+    H = nx.Graph()
+    H.add_nodes_from(label[v] for v in nodes)
+    H.add_edges_from((label[u], label[v]) for u, v in edges)
+    return H
+
+
+def check_lr_port(G):
+    """``_lr_rotation`` against ``nx.check_planarity`` on the nx.Graph G:
+    the same verdict and, if planar, the same node order, clockwise ring
+    and start neighbour at every vertex. Returns the verdict."""
+    nodes = list(G)
+    at = {v: i for i, v in enumerate(nodes)}
+    rot = _lr_rotation(nodes, [[at[w] for w in G[v]] for v in nodes])
+    ok, emb = nx.check_planarity(G)
+    if not ok:
+        assert rot is None
+        return False
+    assert rot.order == list(emb)
+    for v in nodes:
+        ring = list(emb.neighbors_cw_order(v))
+        after = ring[1:] + ring[:1]
+        assert list(rot.cw[v]) == ring  # filled in ring order from start
+        assert rot.cw[v] == dict(zip(ring, after))
+        assert rot.ccw[v] == dict(zip(after, ring))
+        assert rot.start.get(v) == (ring[0] if ring else None)
+    return True
+
+
+class TestLrRotation:
+    """The port of networkx's left-right planarity test gives networkx's
+    verdict and, on a planar graph, networkx's embedding."""
+
+    def test_planar_graphs(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            G = stacked_triangulation(rng.randint(3, 60), rng)
+            edges = list(G.edges())
+            rng.shuffle(edges)
+            G.remove_edges_from(edges[:rng.randint(0, len(edges) // 2)])
+            assert check_lr_port(shuffled(G, rng))
+
+    def test_non_planar_graphs(self):
+        rng = random.Random(6)
+        tested = 0  # rejected by the LR test itself, not by m > 3n - 6
+        for _ in range(300):
+            n = rng.randint(6, 60)
+            G = stacked_triangulation(n, rng)
+            edges = list(G.edges())
+            rng.shuffle(edges)
+            G.remove_edges_from(edges[:rng.randint(0, len(edges) // 3)])
+            while nx.check_planarity(G)[0]:
+                u, v = rng.sample(range(n), 2)
+                G.add_edge(u, v)
+            assert not check_lr_port(shuffled(G, rng))
+            tested += G.number_of_edges() <= 3 * n - 6
+        assert tested >= 100
+
+    def test_k5_k33_and_small_graphs(self):
+        assert not check_lr_port(nx.complete_graph(5))
+        assert not check_lr_port(nx.complete_bipartite_graph(3, 3))
+        assert not check_lr_port(nx.petersen_graph())
+        for G in (nx.empty_graph(1), nx.empty_graph(4), nx.path_graph(2),
+                  nx.complete_graph(4), nx.wheel_graph(7)):
+            assert check_lr_port(G)
+
+    def test_band_of_ten_thousand_nodes(self):
+        # the iterative DFS at the size of core-2k's bands
+        G = grid_graph(100, 100)
+        heavy, level, l0 = whole_band(G)
+        B = reference_band_graph(G, heavy, level, l0)
+        ok, emb = nx.check_planarity(B)
+        rot = _band_rotation(G, heavy, level, l0)
+        assert ok and rot.order == list(emb)
+        for v in rot.order:
+            ring = list(emb.neighbors_cw_order(v))
+            assert list(rot.cw[v]) == ring and rot.start[v] == ring[0]
 
 
 class TestRowOrderInvariance:
