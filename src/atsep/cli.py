@@ -103,9 +103,9 @@ def cmd_verify(args) -> int:
     G = load_graph(args.input)
     if args.separator_file:
         with open(args.separator_file, "r", encoding="utf-8") as f:
-            S = parse_vertex_list(f.read())
+            S = parse_vertex_list(f.read(), G.n)
     else:
-        S = parse_vertex_list(args.separator or "")
+        S = parse_vertex_list(args.separator or "", G.n)
     report = verify_separator(G, S, args.beta)
     verdict = "PASS" if report.passed else "FAIL"
     print(f"{verdict} max_frac={report.max_fraction:.4f}")

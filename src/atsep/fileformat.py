@@ -10,7 +10,8 @@ Layout::
 Comment and blank lines may appear anywhere, e and w lines in any order
 after the p line, and the last w line of a vertex wins. Weights may be
 written as decimals when loading with a fixed-point ``weight_scale``;
-they are stored internally as integers. Errors carry the line number.
+they are stored internally as integers. Errors carry the line number
+and name vertices by their 1-based IDs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DuplicateEdge, Overflow, ParseError, SelfLoop
 from .graph import Graph, build_graph
 
 # Text as format_graph writes it: leading c lines and the p line, then
@@ -49,8 +50,8 @@ def parse_graph(text: str, weight_scale: int = 1) -> Graph:
 def _parse_array(text: str, weight_scale: int) -> Graph | None:
     """The graph of well-formed text, or None if the line loop must read it.
 
-    Errors ``build_graph`` raises on a well-formed text pass through: the
-    line loop would hand it the same edges and weights.
+    Text that ``build_graph`` rejects goes to the line loop too, which
+    finds the same fault and names its line and 1-based IDs.
     """
     if type(weight_scale) is not int or weight_scale != 1:
         return None  # the loop's weights are weight_scale and Decimal products
@@ -81,7 +82,10 @@ def _parse_array(text: str, weight_scale: int) -> Graph | None:
         raise ParseError(f"vertex count {n} is too large", p_line) from None
     for v, w in zip(heavy.tolist(), numbers[m:, 1].tolist()):
         weights[v] = w
-    return build_graph(n, edges, weights)
+    try:
+        return build_graph(n, edges, weights)
+    except (SelfLoop, DuplicateEdge, Overflow):
+        return None
 
 
 def _parse_lines(text: str, weight_scale: int) -> Graph:
@@ -89,6 +93,7 @@ def _parse_lines(text: str, weight_scale: int) -> Graph:
     n = None
     m = None
     edges: list[tuple[int, int]] = []
+    edge_line: dict[int, int] = {}  # each edge's line, keyed by its 1-based ends
     weights: list[int] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -122,6 +127,12 @@ def _parse_lines(text: str, weight_scale: int) -> Graph:
                 raise ParseError("expected 'e <u> <v>'", line_no) from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"vertex out of range in '{line}'", line_no)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u + 1}", line_no)
+            lo, hi = sorted((u + 1, v + 1))
+            first = edge_line.setdefault(lo * (n + 1) + hi, line_no)
+            if first != line_no:
+                raise ParseError(f"duplicate edge ({lo}, {hi}), first given on line {first}", line_no)
             edges.append((u, v))
         elif tag == "w":
             if n is None or weights is None:
@@ -167,12 +178,18 @@ def save_graph(G: Graph, path) -> None:
         f.write(format_graph(G))
 
 
-def parse_vertex_list(text: str) -> list[int]:
-    """Whitespace-separated 1-based vertex IDs -> sorted 0-based list."""
+def parse_vertex_list(text: str, n: int) -> list[int]:
+    """Whitespace-separated 1-based vertex IDs -> sorted 0-based list.
+
+    An ID outside [1, n] raises ParseError naming the token as written.
+    """
     ids = []
     for tok in text.split():
         try:
-            ids.append(int(tok) - 1)
+            v = int(tok)
         except ValueError:
             raise ParseError(f"bad vertex ID '{tok}'") from None
+        if not 1 <= v <= n:
+            raise ParseError(f"separator vertex '{tok}' out of range [1, {n}]")
+        ids.append(v - 1)
     return sorted(set(ids))

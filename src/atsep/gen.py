@@ -17,7 +17,6 @@ receiving the new chord, which is also exact.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
@@ -26,7 +25,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import Infeasible
-from .graph import Graph, build_graph, graph_from_edges
+from .graph import Graph, _bfs_layers, build_graph, graph_from_edges
 
 _STAGE_TREE = 0
 _STAGE_EDGES = 1
@@ -263,20 +262,12 @@ def near_tree_planar(spec: GenSpec) -> Graph:
     tree = graph_from_edges(n, child, up, [1] * n)
     row_at, nbr = memoryview(tree.indptr), memoryview(tree.indices)
 
-    # parent pointers from vertex 0 (random-attachment trees are shallow)
-    parent = [0] * n
-    depth = [0] * n
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in nbr[row_at[u]:row_at[u + 1]]:
-            if not seen[v]:
-                seen[v] = 1
-                parent[v] = u
-                depth[v] = depth[u] + 1
-                queue.append(v)
+    # parent pointers and depths from vertex 0; a tree has only one of each
+    parent = np.empty(n, dtype=np.int64)
+    depth = np.empty(n, dtype=np.int64)
+    for d, layer in enumerate(_bfs_layers(tree, 0, parent)):
+        depth[layer] = d
+    parent, depth = parent.tolist(), depth.tolist()
 
     core = _CompressedCore(parent, 0)
     rng = _rng(spec.seed, _STAGE_EDGES)

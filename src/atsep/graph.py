@@ -42,10 +42,12 @@ class Graph:
     ints in that order. Two traversals pick their form by size, because
     an array pass has a fixed cost that small inputs do not repay:
     ``connected_components`` runs scipy from ``_SCIPY_MIN_N`` vertices
-    up, and ``pipeline.compute_spanning_tree`` vectorises frontiers of
-    ``_VEC_MIN_FRONTIER`` vertices or more. ``weights`` is a list of
-    Python ints; ``weight_array`` and ``total_weight`` are fixed at
-    construction. The constructor does not validate; ``build_graph`` does.
+    up, and ``_bfs_layers``, the one single-source BFS (behind the
+    spanning tree, LT's levels and the generator's tree walk), vectorises
+    frontiers of ``_VEC_MIN_FRONTIER`` vertices or more. ``weights`` is a
+    list of Python ints; ``weight_array`` and ``total_weight`` are fixed
+    at construction. The constructor does not validate; ``build_graph``
+    does.
     """
 
     n: int
@@ -223,6 +225,85 @@ def _raise_first_bad_edge(n: int, edges) -> None:
         if key in seen:
             raise DuplicateEdge(f"duplicate edge ({key[0]}, {key[1]})")
         seen.add(key)
+
+
+# frontiers below this size step through plain Python; larger ones vectorize
+_VEC_MIN_FRONTIER = 128
+
+
+def _frontier_neighbors(indptr, indices, frontier):
+    """All neighbors of the frontier (with repetition), plus per-vertex counts."""
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    ends = np.cumsum(counts)
+    # the k-th entry overall lies at starts[i] + k - (ends[i] - counts[i])
+    at = np.repeat(starts - ends + counts, counts)
+    at += np.arange(len(at), dtype=np.int64)
+    return indices[at], counts
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D integer array.
+
+    Plain np.unique imports numpy.ma on its first call (40-130 ms), which
+    a process that separates one small graph would pay in full.
+    """
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[np.flatnonzero(keep)]  # faster than indexing by the mask itself
+
+
+def _bfs_layers(G: Graph, root: int, parent: np.ndarray):
+    """Yield the BFS layers from ``root``, each in ascending vertex-ID order.
+
+    Frontiers below ``_VEC_MIN_FRONTIER`` vertices step through Python
+    over CSR rows and yield lists of ints; bigger ones run as array passes
+    and yield int64 arrays. Once the walk ends, the int64 array ``parent``
+    holds each vertex's lowest-ID neighbour one layer up, and the root.
+    Raises BadVertexId for a root outside [0, n), and Disconnected after
+    the last layer if some vertex is unreachable.
+    """
+    n = G.n
+    if not 0 <= root < n:
+        raise BadVertexId(f"root {root} out of range [0, {n})")
+    indptr, indices = G.indptr, G.indices
+    parent.fill(n)  # above every ID, for the vector steps' np.minimum.at
+    seen = bytearray(n)  # 1 once found; the scalar steps index it directly
+    seen[root] = 1
+    mark = np.frombuffer(seen, dtype=np.uint8)  # the same bytes, for vector steps
+    # memoryviews index and slice to Python ints faster than the arrays do
+    row_at, nbr = memoryview(indptr), memoryview(indices)
+    # scalar steps write their finds to ``parent`` once, at the end: a
+    # numpy write per small layer costs more than the layer on a deep tree
+    kids, ups = [root], [root]
+    frontier = [root]
+    while len(frontier):
+        yield frontier
+        if len(frontier) < _VEC_MIN_FRONTIER:
+            new = []
+            # ascending finders, so each vertex's first finder is its lowest
+            for u in frontier if isinstance(frontier, list) else frontier.tolist():
+                for v in nbr[row_at[u]:row_at[u + 1]]:
+                    if not seen[v]:
+                        seen[v] = 1
+                        new.append(v)
+                        ups.append(u)
+            kids += new
+            new.sort()
+            frontier = new
+        else:
+            fr = np.asarray(frontier, dtype=np.int64)
+            nbrs, counts = _frontier_neighbors(indptr, indices, fr)
+            found = np.flatnonzero(mark[nbrs] == 0)  # positions index faster than a mask
+            finds = nbrs[found]
+            np.minimum.at(parent, finds, np.repeat(fr, counts)[found])
+            frontier = _unique(finds)
+            mark[frontier] = 1
+    parent[kids] = ups
+    reached = np.count_nonzero(mark)
+    if reached != n:
+        raise Disconnected(f"only {reached} of {n} vertices reachable from {root}")
 
 
 # below this vertex count, a BFS over CSR rows beats scipy's setup cost:

@@ -29,11 +29,13 @@ class OracleResult:
 def min_balanced_separator(
     G: Graph, beta=Fraction(2, 3), max_size: int | None = None
 ) -> OracleResult:
-    """Smallest balanced separator by exhaustive subset enumeration."""
+    """Smallest balanced separator of at most ``max_size`` (0 to n) vertices."""
     if G.n > MAX_ORACLE_VERTICES:
         raise TooLarge(f"oracle capped at {MAX_ORACLE_VERTICES} vertices, got {G.n}")
     if max_size is None:
         max_size = min(DEFAULT_MAX_SIZE, G.n)
+    if max_size < 0:
+        raise ValueError(f"max_size must be at least 0, got {max_size}")
     if max_size > G.n:
         raise TooLarge(f"max_size {max_size} exceeds vertex count {G.n}")
     beta = Fraction(beta)

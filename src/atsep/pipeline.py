@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     BadVertexId,
-    Disconnected,
     EmptyTerminals,
     EmptyTree,
     NotPlanar,
@@ -34,6 +33,9 @@ from .graph import (
     EdgeSet,
     Graph,
     SpanningTree,
+    _bfs_layers,
+    _frontier_neighbors,
+    _unique,
     check_beta,
     graph_from_edges,
     verify_separator,  # unused here; benchmark/test_benchmark.py reads this binding
@@ -41,93 +43,17 @@ from .graph import (
 from .planar import lt_separator
 
 
-# frontiers below this size step through plain Python; larger ones vectorize
-_VEC_MIN_FRONTIER = 128
-
-
-def _frontier_neighbors(indptr, indices, frontier):
-    """All neighbors of the frontier (with repetition), plus per-vertex counts."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    ends = np.cumsum(counts)
-    # the k-th entry overall lies at starts[i] + k - (ends[i] - counts[i])
-    at = np.repeat(starts - ends + counts, counts)
-    at += np.arange(len(at), dtype=np.int64)
-    return indices[at], counts
-
-
 def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
     """BFS spanning tree; raises Disconnected if some vertex is unreachable.
 
-    Levels are visited in ascending vertex-ID order; within a level, the
-    parent of a newly found vertex is its first discoverer, so each
-    vertex's parent is its lowest-ID neighbour one level up. Small
-    frontiers step through Python over CSR rows; big ones run as
-    vectorized level steps. Raises BadVertexId for a root outside [0, n).
+    The tree is the walk of ``graph._bfs_layers``: each vertex's parent is
+    its lowest-ID neighbour one BFS layer up. Raises BadVertexId for a
+    root outside [0, n).
     """
-    n = G.n
-    if not 0 <= root < n:
-        raise BadVertexId(f"root {root} out of range [0, {n})")
-    indptr, indices = G.indptr, G.indices
-    parent = np.full(n, -1, dtype=np.int64)
-    seen = bytearray(n)  # 1 once found; the scalar steps index it directly
-    seen[root] = 1
-    mark = np.frombuffer(seen, dtype=np.uint8)  # the same bytes, for vector steps
-    # memoryviews index and slice to Python ints faster than the arrays do
-    row_at, nbr = memoryview(indptr), memoryview(indices)
-    # Scalar steps keep their finds in lists and write them to the arrays
-    # once at the end: a numpy write per small level costs more than the
-    # level itself on a deep tree.
-    kids, ups = [root], [root]
-    frontier = [root]
-    while len(frontier):
-        if len(frontier) < _VEC_MIN_FRONTIER:
-            frontier = frontier if isinstance(frontier, list) else frontier.tolist()
-            while 0 < len(frontier) < _VEC_MIN_FRONTIER:
-                new = []
-                for u in frontier:
-                    for v in nbr[row_at[u]:row_at[u + 1]]:
-                        if not seen[v]:
-                            seen[v] = 1
-                            new.append(v)
-                            ups.append(u)
-                kids += new
-                new.sort()
-                frontier = new
-        else:
-            fr = np.asarray(frontier, dtype=np.int64)
-            nbrs, counts = _frontier_neighbors(indptr, indices, fr)
-            found = mark[nbrs] == 0
-            frontier = _first_finders(parent, mark, nbrs[found], np.repeat(fr, counts)[found])
-    reached = np.count_nonzero(mark)
-    if reached != n:
-        raise Disconnected(f"only {reached} of {n} vertices reachable from {root}")
-    parent[kids] = ups
+    parent = np.empty(G.n, dtype=np.int64)
+    for _ in _bfs_layers(G, root, parent):
+        pass
     return SpanningTree(root=root, parent=parent)
-
-
-def _first_finders(parent, mark, nbrs, src):
-    """Record each new vertex's first finder; return the new vertices, sorted.
-
-    ``nbrs`` lists the level's finds in frontier order and ``src`` who
-    found each; a vertex found twice keeps the earlier finder.
-    """
-    s = np.sort(nbrs)
-    first = np.ones(s.size, dtype=bool)
-    first[1:] = s[1:] != s[:-1]
-    new = s[first]
-    parent[nbrs] = src  # for a vertex found twice, either finder may win here
-    if new.size < s.size:
-        mark[s[~first]] = 2
-        pos = np.flatnonzero(mark[nbrs] == 2)  # every find of a repeated vertex
-        rep = nbrs[pos]
-        by_vertex = np.argsort(rep, kind="stable")
-        rep, pos = rep[by_vertex], pos[by_vertex]
-        keep = np.ones(rep.size, dtype=bool)
-        keep[1:] = rep[1:] != rep[:-1]
-        parent[rep[keep]] = src[pos[keep]]
-    mark[new] = 1
-    return new
 
 
 def extra_edges(G: Graph, T: SpanningTree) -> EdgeSet:
@@ -177,18 +103,6 @@ class SteinerSubtree:
         lo, hi = np.minimum(child, up), np.maximum(child, up)
         order = np.lexsort((hi, lo))
         return list(zip(lo[order].tolist(), hi[order].tolist()))
-
-
-def _unique(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D integer array.
-
-    Plain np.unique imports numpy.ma on its first call (40-130 ms), which
-    a process that separates one small graph would pay in full.
-    """
-    a = np.sort(a)
-    keep = np.ones(a.size, dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
 
 
 def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:

@@ -26,35 +26,27 @@ from fractions import Fraction
 from math import isqrt
 
 import networkx as nx
+import numpy as np
 
-from .errors import BadVertexId, Disconnected, NotPlanar, ZeroTotalWeight
-from .graph import Graph, check_beta, heaviest_component, verify_separator
+from .errors import NotPlanar, ZeroTotalWeight
+from .graph import Graph, _bfs_layers, check_beta, heaviest_component, verify_separator
 
 
 def bfs_levels(G: Graph, root: int):
     """BFS distance per vertex plus per-level vertex lists and weights.
 
-    Raises BadVertexId for a root outside [0, n).
+    The levels are the layers of ``graph._bfs_layers``, each in ascending
+    ID order. Raises BadVertexId for a root outside [0, n) and
+    Disconnected if some vertex is unreachable.
     """
-    if not 0 <= root < G.n:
-        raise BadVertexId(f"root {root} out of range [0, {G.n})")
-    row_at, nbr = memoryview(G.indptr), memoryview(G.indices)
-    level = [-1] * G.n
-    level[root] = 0
-    queue = deque([root])
-    levels: list[list[int]] = [[root]]
-    while queue:
-        u = queue.popleft()
-        for v in nbr[row_at[u]:row_at[u + 1]]:
-            if level[v] == -1:
-                level[v] = level[u] + 1
-                if level[v] == len(levels):
-                    levels.append([])
-                levels[level[v]].append(v)
-                queue.append(v)
-    if any(l == -1 for l in level):
-        raise Disconnected("bfs_levels requires a connected graph")
-    level_weights = [sum(G.weights[v] for v in lv) for lv in levels]
+    parent = np.empty(G.n, dtype=np.int64)
+    levels = [layer if isinstance(layer, list) else layer.tolist()
+              for layer in _bfs_layers(G, root, parent)]
+    level = [0] * G.n
+    for d, layer in enumerate(levels):
+        for v in layer:
+            level[v] = d
+    level_weights = [sum(map(G.weights.__getitem__, layer)) for layer in levels]
     return level, levels, level_weights
 
 

@@ -217,6 +217,43 @@ def test_verify_separator_file(tmp_path, capsys):
     assert main(["verify", f, "--separator-file", str(sep)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("ids,token", [("1 5", "5"), ("0 2", "0"), ("3 -1", "-1"), ("1 007", "007")])
+def test_verify_separator_out_of_range_names_the_token(tmp_path, capsys, ids, token):
+    f = write(tmp_path, "c4.txt", cycle(4))
+    sep = tmp_path / "sep.txt"
+    sep.write_text(ids + "\n")
+    for argv in (["verify", f, ids], ["verify", f, "--separator-file", str(sep)]):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: separator vertex '{token}' out of range [1, 4]" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("p 3 2\ne 1 2\ne 2 2\n", "error: line 3: self-loop at vertex 2\n",
+                 id="self-loop"),
+    pytest.param("p 3 2\ne 1 2\ne 2 1\n",
+                 "error: line 3: duplicate edge (1, 2), first given on line 2\n",
+                 id="reversed repeat"),
+    pytest.param("c x\np 3 2\ne 3 1\n\ne 1 3\n",
+                 "error: line 5: duplicate edge (1, 3), first given on line 3\n",
+                 id="reversed repeat, line loop"),
+])
+def test_separate_bad_edge_names_line_and_ids(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["separate", str(bad)]) == EXIT_INPUT
+    assert capsys.readouterr().err == message
+
+
+def test_oracle_negative_max_size_is_input_error(tmp_path, capsys):
+    f = write(tmp_path, "c6.txt", cycle(6))
+    assert main(["oracle", f, "--max-size", "-2"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: max_size must be at least 0, got -2" in captured.err
+
+
 def test_oracle_c6(tmp_path, capsys):
     f = write(tmp_path, "c6.txt", cycle(6))
     assert main(["oracle", f]) == EXIT_OK

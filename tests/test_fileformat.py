@@ -1,6 +1,7 @@
 """Edge-list text format round-trips and error reporting."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,35 @@ def test_vertex_count_too_large_is_parse_error(parse, text, line_no):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize(
+    "text,line_no,message",
+    [
+        pytest.param("p 3 2\ne 1 2\ne 2 2\n", 3, "self-loop at vertex 2", id="self-loop"),
+        pytest.param("p 3 2\ne 1 2\ne 2 1\n", 3,
+                     "duplicate edge (1, 2), first given on line 2", id="reversed repeat"),
+        pytest.param("c x\np 4 3\ne 3 4\ne 1 2\ne 3 4\n", 5,
+                     "duplicate edge (3, 4), first given on line 3", id="repeat"),
+        pytest.param("p 10 2\ne 1 2\ne 3 3\n" + "".join(
+                         f"w {v} 999999999999999999\n" for v in range(1, 11)), 3,
+                     "self-loop at vertex 3", id="self-loop and weights above 2**63"),
+    ],
+)
+@pytest.mark.parametrize("parse", [parse_graph, _parse_lines])
+def test_bad_edges_name_the_line_and_one_based_ids(parse, text, line_no, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text, 1)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
+
+
+def test_array_path_hands_rejected_edges_to_the_line_loop():
+    # as format_graph lays it out, so only build_graph can reject it
+    heavy = "".join(f"w {v} 999999999999999999\n" for v in range(1, 11))
+    for text in ("p 3 2\ne 1 2\ne 2 2\n", "p 3 2\ne 1 2\ne 2 1\n",
+                 "p 10 2\ne 1 2\ne 3 3\n" + heavy):
+        assert _parse_array(text, 1) is None
+
+
 def test_missing_header_rejected():
     with pytest.raises(ParseError):
         parse_graph("c only a comment\n")
@@ -109,10 +139,17 @@ def test_edge_count_mismatch_rejected():
 
 
 def test_parse_vertex_list():
-    assert parse_vertex_list("3 1 4 1") == [0, 2, 3]
-    assert parse_vertex_list("") == []
+    assert parse_vertex_list("3 1 4 1", 4) == [0, 2, 3]
+    assert parse_vertex_list("", 4) == []
     with pytest.raises(ParseError):
-        parse_vertex_list("1 x")
+        parse_vertex_list("1 x", 4)
+
+
+@pytest.mark.parametrize("text,token", [("1 5", "5"), ("0", "0"), ("2 -1", "-1"), ("+9", "+9")])
+def test_parse_vertex_list_names_an_id_outside_the_graph(text, token):
+    with pytest.raises(ParseError, match=re.escape(f"separator vertex '{token}' out of range [1, 4]")):
+        parse_vertex_list(text, 4)
+    assert parse_vertex_list("4 1 +2 04", 4) == [0, 1, 3]
 
 
 def _outcome(parse, text, weight_scale=1):

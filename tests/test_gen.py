@@ -1,5 +1,6 @@
 """Seeded generators: determinism, structure, planarity."""
 
+import hashlib
 from fractions import Fraction
 
 import networkx as nx
@@ -139,3 +140,33 @@ class TestGenSpec:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(Infeasible):
             GenSpec(**kwargs)
+
+
+# sha256 of format_graph(generate(spec)): a change to the tree shape, the
+# tree walk that near_tree_planar's chord sampler reads, or the weights
+# shifts every graph generated from a pinned seed
+_PINNED_TEXTS = [
+    ((40, -1, 3, ("unit",)),
+     "b662ae26e89b0c6e87d2a3590f6fc281b26dabc8847b6997ebafcff0ac97bdf4"),
+    ((10**5, -1, 1, ("uniform", 0, 9)),
+     "3834da8f7090ce3aaf0a0553eab10df4a6b28bb9fb2282b40e8aebf7ce0de8db"),
+    ((10**5, 0, 3, ("unit",)),
+     "eb040d99894b8c1511f4a67b0c7589217ece648dc87abb2a5a7837bc535edd54"),
+    ((60, 40, 2, ("single_heavy", Fraction(3, 4))),
+     "8eef64732e4d15efac1472fb4661e1b9de0181aceb3efefafe1f892dc9a1f96f"),
+    ((3000, 37, 5, ("uniform", 0, 9)),
+     "8122eaca9cfc28b1a25d6d50697776393c382879739ad6b5489455ec080df49e"),
+    ((20000, 250, 4, ("unit",)),
+     "68f28a0a9843a2d02661bfff516c21a1479b4864e37d6346680827c398b8b62a"),
+    ((10**5, 900, 13, ("unit",)),
+     "80ab624a12fe713b8fd1564caa4247888479f07b199734492c38c38a3a4b6284"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,digest", _PINNED_TEXTS, ids=[f"n={s[0]} r={s[1]}" for s, _ in _PINNED_TEXTS]
+)
+def test_generated_text_is_pinned(spec, digest):
+    n, r, seed, weight_mode = spec
+    text = format_graph(generate(GenSpec(n=n, r=r, seed=seed, weight_mode=weight_mode)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -70,6 +70,11 @@ class TestMinBalancedSeparator:
         with pytest.raises(TooLarge):
             min_balanced_separator(path(3), max_size=4)
 
+    @pytest.mark.parametrize("max_size", [-1, -2])
+    def test_negative_max_size_raises(self, max_size):
+        with pytest.raises(ValueError, match=f"max_size must be at least 0, got {max_size}"):
+            min_balanced_separator(path(3), max_size=max_size)
+
 
 class TestSteinerOracle:
     def test_path_tree(self):

@@ -10,7 +10,7 @@ import pytest
 
 import atsep.graph
 import atsep.planar
-from atsep.errors import BadBeta, Disconnected, NotPlanar, ZeroTotalWeight
+from atsep.errors import BadBeta, BadVertexId, Disconnected, NotPlanar, ZeroTotalWeight
 from atsep.gen import GenSpec, generate, grid_graph
 from atsep.graph import build_graph, connected_components, heaviest_component, verify_separator
 from atsep.planar import (
@@ -52,6 +52,50 @@ class TestBfsLevels:
         G = build_graph(4, [(0, 1), (1, 2), (2, 3)], [2, 3, 5, 7])
         _, _, level_weights = bfs_levels(G, 1)
         assert sum(level_weights) == 17
+
+
+# graphs with BFS layers of 128 vertices or more, which the walk steps as arrays
+_WIDE = [
+    pytest.param(lambda: generate(GenSpec(n=20000, r=40, seed=2, weight_mode=("uniform", 0, 9))),
+                 id="generated"),
+    pytest.param(lambda: grid_graph(150, 160), id="grid"),
+    pytest.param(lambda: build_graph(600, [(0, v) for v in range(1, 600)], range(600)),
+                 id="star"),
+]
+
+
+class TestBfsLevelsOnWideLayers:
+    @pytest.mark.parametrize("make", _WIDE)
+    def test_levels_are_bfs_distances(self, make):
+        G = make()
+        H = nx.Graph(list(G.edges()))
+        H.add_nodes_from(range(G.n))
+        for root in (0, G.n // 3, G.n - 1):
+            level, levels, level_weights = bfs_levels(G, root)
+            dist = nx.single_source_shortest_path_length(H, root)
+            assert level == [dist[v] for v in range(G.n)]
+            assert max(map(len, levels)) >= 128
+            want = [[] for _ in range(max(dist.values()) + 1)]
+            for v in range(G.n):
+                want[dist[v]].append(v)
+            assert levels == want
+            assert all(type(v) is int for layer in levels for v in layer)
+            assert level_weights == [sum(G.weights[v] for v in layer) for layer in levels]
+
+    @pytest.mark.parametrize("make", _WIDE)
+    def test_root_outside_the_graph_raises(self, make):
+        G = make()
+        for root in (-1, G.n):
+            with pytest.raises(BadVertexId, match=f"root {root} out of range \\[0, {G.n}\\)"):
+                bfs_levels(G, root)
+
+    @pytest.mark.parametrize("make", _WIDE)
+    def test_unreachable_vertex_raises(self, make):
+        G = make()
+        # one more vertex, isolated, keeps every layer as wide as before
+        H = build_graph(G.n + 1, list(G.edges()))
+        with pytest.raises(Disconnected, match=f"only {G.n} of {G.n + 1} vertices reachable"):
+            bfs_levels(H, 0)
 
 
 class TestLtSeparator:
