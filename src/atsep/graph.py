@@ -102,8 +102,9 @@ def graph_from_edges(n: int, u, v, weights) -> Graph:
     dst = np.empty(2 * m, dtype=np.int64)
     src[0::2], src[1::2] = u, v
     dst[0::2], dst[1::2] = v, u
-    # sort by (source, position): the keys are distinct, so any sort is stable
-    order = np.argsort(src * (2 * m) + np.arange(2 * m, dtype=np.int64))
+    # sort by (source, position): the keys are distinct, so their sorted
+    # values modulo 2m are the positions in sorted order
+    order = np.sort(src * (2 * m) + np.arange(2 * m, dtype=np.int64)) % (2 * m)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(n=n, indptr=indptr, indices=dst[order], weights=weights)

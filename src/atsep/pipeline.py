@@ -71,7 +71,7 @@ def extra_edges(G: Graph, T: SpanningTree) -> EdgeSet:
     ends = np.flatnonzero(np.diff(G.indptr) > tree_degree)
     nbrs, counts = _frontier_neighbors(G.indptr, G.indices, ends)
     src = np.repeat(ends, counts)
-    keep = (src < nbrs) & (parent[src] != nbrs) & (parent[nbrs] != src)
+    keep = np.flatnonzero((src < nbrs) & (parent[src] != nbrs) & (parent[nbrs] != src))
     return EdgeSet(edges=list(zip(src[keep].tolist(), nbrs[keep].tolist())))
 
 
@@ -141,8 +141,8 @@ def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
         frontier = _unique(up[~member[up]])
         batch *= 2
     verts = np.flatnonzero(member)
-    child = verts[verts != root]
-    children = np.bincount(parent[child], minlength=n)
+    children = np.bincount(parent[verts], minlength=n)
+    children[root] -= 1  # the root, always marked, is its own parent
     # depth of each marked vertex: after k rounds, up jumps 2^k levels
     # (stopping at the root) and depth holds min(2^k, depth)
     index = np.empty(n, dtype=np.int64)
@@ -153,16 +153,16 @@ def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
     while (up != at_root).any():
         depth += depth[up]
         up = up[up]
-    top_like = member & (children != 1)
-    top_like[terms] = True
-    candidates = np.flatnonzero(top_like[verts])
+    top_like = children[verts] != 1
+    top_like[index[terms]] = True
+    candidates = np.flatnonzero(top_like)
     i = candidates[np.argmin(depth[candidates])]
     top = int(verts[i])
-    chain = verts[depth < depth[i]]
+    chain = verts[np.flatnonzero(depth < depth[i])]
     member[chain] = False
-    children[chain] = 0
     degrees = children  # marked children; every member but top adds its parent
-    degrees[member] += 1
+    degrees[verts] += 1
+    degrees[chain] = 0
     degrees[top] -= 1
     return SteinerSubtree(member=member, top=top, degrees=degrees, parent=parent)
 
@@ -180,45 +180,17 @@ def decompose_paths(T1: SteinerSubtree, U: list[int]) -> list[list[int]]:
     Every subtree vertex outside U other than ``top`` has exactly one
     subtree child, so each path is the upward chain from a branch vertex
     b != top; a ``top`` outside U joins the two chains that meet at it.
-    Pointer doubling over the one-child pointers gives each interior
-    vertex its chain's bottom and its distance from it; one sort groups
-    the chains. Paths run from their smaller endpoint and come in order
-    of (that endpoint, its neighbour on the path).
+    Paths run from their smaller endpoint and come in order of (that
+    endpoint, its neighbour on the path).
     """
-    parent, member, top = T1.parent, T1.member, T1.top
-    n = len(member)
-    branch = np.zeros(n, dtype=bool)
-    branch[np.array(U, dtype=np.int64)] = True
-    inner = member & ~branch
-    inner[top] = False
-    child = np.flatnonzero(member)
-    child = child[child != top]
-    up = parent[child]
-    ptr = np.arange(n, dtype=np.int64)  # non-interior vertices point at themselves
-    below = inner[up]
-    ptr[up[below]] = child[below]
-    dist = inner.astype(np.int64)
-    interior = np.flatnonzero(inner)
-    active = interior
-    while active.size:
-        nxt = ptr[active]
-        dist[active] += dist[nxt]
-        ptr[active] = ptr[nxt]
-        active = active[inner[ptr[active]]]
-    bottom = ptr[interior]
-    interior = interior[np.lexsort((dist[interior], bottom))]
-    starts = np.flatnonzero(branch & member)
-    starts = starts[starts != top]
-    counts = np.bincount(bottom, minlength=n)[starts]
-    ends = np.cumsum(counts)
-    last = starts.copy()  # each chain's highest vertex
-    last[counts > 0] = interior[ends[counts > 0] - 1]
-    flat = interior.tolist()
-    join_at_top = not branch[top]
+    top = T1.top
+    starts, ends, flat, tops = _chains(T1, U)
+    flat = flat.tolist()
+    join_at_top = top not in U
     paths = []
     joined = []
     lo = 0
-    for b, hi, end in zip(starts.tolist(), ends.tolist(), parent[last].tolist()):
+    for b, hi, end in zip(starts.tolist(), ends.tolist(), tops.tolist()):
         path = [b, *flat[lo:hi], end]
         lo = hi
         if join_at_top and end == top:
@@ -235,28 +207,77 @@ def decompose_paths(T1: SteinerSubtree, U: list[int]) -> list[list[int]]:
     return paths
 
 
+def _chains(T1: SteinerSubtree, U: list[int]):
+    """The upward chains of ``decompose_paths``, one per branch vertex b != top.
+
+    Returns the chains' bottoms b in ascending order, the running totals
+    of their interior sizes, their interiors listed chain by chain from
+    the bottom up, and the vertices they end at. Pointer doubling over
+    the members' one-child pointers gives each interior vertex its
+    chain's bottom and its distance from it, and so its place in that
+    list: its chain's offset plus that distance.
+    """
+    parent, member = T1.parent, T1.member
+    verts = np.flatnonzero(member)
+    k = verts.size
+    # work on the members' positions in verts
+    pos = np.empty(len(member), dtype=np.int64)
+    pos[verts] = np.arange(k)
+    branch = np.zeros(k, dtype=bool)
+    branch[pos[np.array(U, dtype=np.int64)]] = True
+    t = pos[T1.top]
+    inner = ~branch
+    inner[t] = False
+    child = np.flatnonzero(np.arange(k) != t)
+    up = pos[parent[verts[child]]]
+    del pos
+    ptr = np.arange(k)  # non-interior members point at themselves
+    below = np.flatnonzero(inner[up])
+    ptr[up[below]] = child[below]
+    dist = inner.astype(np.int64)
+    interior = np.flatnonzero(inner)
+    active = interior
+    while active.size:
+        nxt = ptr[active]
+        dist[active] += dist[nxt]
+        ptr[active] = ptr[nxt]
+        active = active[np.flatnonzero(inner[ptr[active]])]
+    bottom = ptr[interior]
+    starts = np.flatnonzero(branch)
+    starts = starts[starts != t]
+    counts = np.bincount(bottom, minlength=k)[starts]
+    ends = np.cumsum(counts)
+    offset = np.zeros(k, dtype=np.int64)
+    offset[starts] = ends - counts
+    flat = np.empty(interior.size, dtype=np.int64)
+    flat[offset[bottom] + dist[interior] - 1] = verts[interior]
+    starts = verts[starts]
+    last = starts.copy()  # each chain's highest vertex
+    last[counts > 0] = flat[ends[counts > 0] - 1]
+    return starts, ends, flat, parent[last]
+
+
 @dataclass
 class CollapsedWeights:
     """Weights after every outside vertex donates to its nearest subtree vertex.
 
     A vertex's entry is the nearest vertex on its root path, itself
     included, that is the root, a subtree vertex or a child of one;
-    ``entries`` marks them. ``skip`` takes every other vertex to its entry
-    and an entry to its parent, and ``nearest`` is worked out from it.
-    Arrays are indexed by vertex; ``attach`` lists the nearest subtree
-    vertices as Python ints.
+    ``entries`` marks them. ``index`` gives each vertex the position of its
+    entry in ``np.flatnonzero(entries)``, as int32 below 2^31 vertices,
+    and ``nearest`` is worked out from it. Arrays are indexed by vertex;
+    ``attach`` lists the nearest subtree vertices as Python ints.
     """
 
     wprime: np.ndarray
-    skip: np.ndarray
+    index: np.ndarray
     entries: np.ndarray
     T1: SteinerSubtree
     root: int
 
     @property
     def nearest(self) -> np.ndarray:
-        ids = np.arange(len(self.skip), dtype=np.int64)
-        return _attach(np.where(self.entries, ids, self.skip), self.T1, self.root)
+        return _attach(np.flatnonzero(self.entries), self.T1, self.root)[self.index]
 
     @property
     def attach(self) -> list[int]:
@@ -264,8 +285,8 @@ class CollapsedWeights:
 
 
 def _attach(entry: np.ndarray, T1: SteinerSubtree, root: int) -> np.ndarray:
-    """Each vertex's nearest subtree vertex, from its entry: the entry or
-    its parent, and T1's top for the vertices whose root path misses T1."""
+    """The nearest subtree vertex of each of the given entries: the entry or
+    its parent, and T1's top for the root when T1 misses it."""
     attach = np.where(T1.member[entry], entry, T1.parent[entry])
     if not T1.member[root]:
         attach[attach == root] = T1.top
@@ -273,15 +294,14 @@ def _attach(entry: np.ndarray, T1: SteinerSubtree, root: int) -> np.ndarray:
 
 
 def _nearest_marked(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
-    """Each vertex's nearest marked vertex on its root path, itself included.
+    """Each node's nearest marked node on its root path, itself included.
 
-    The root must be marked. ``up`` takes each vertex to a proper
-    ancestor with no marked vertex strictly between, such as its parent.
-    Marked vertices point at themselves and the others along ``up``;
-    jumping every pointer to its target's pointer halves the distance
-    left, so O(log D) numpy passes over all vertices suffice (D the depth
-    of the tree; whole-array gathers beat tracking the vertices still
-    moving).
+    The root must be marked. ``up`` takes each node to a proper ancestor
+    with no marked node strictly between, such as its parent. Marked
+    nodes point at themselves and the others along ``up``; jumping every
+    pointer to its target's pointer halves the distance left, so O(log D)
+    numpy passes over all nodes suffice (D the depth of the tree;
+    whole-array gathers beat tracking the nodes still moving).
     """
     ptr = np.where(mark, np.arange(len(up), dtype=np.int64), up)
     while not mark[ptr].all():
@@ -296,17 +316,29 @@ def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> Collapsed
     vertex's root path, or T1's top vertex if the path misses T1 (every
     path from the vertex into T1 then enters through the top). One
     pointer jump to each vertex's entry finds it: the entry is that
-    vertex, or its child, or the root. Weight conservation is exact.
+    vertex, or its child, or the root. The weights are summed once per
+    entry and then moved to the entries' subtree vertices, so weight
+    conservation is exact.
     """
     # the children of T1 are marked too, for heavy_vertex_fixup: they hold
     # every piece head of a separator inside T1
     entries = T1.member | T1.member[T1.parent]
     entries[T.root] = True
-    entry = _nearest_marked(T1.parent, entries)
+    ids = np.flatnonzero(entries)
+    ptr = T1.parent.copy()
+    ptr[ids] = ids
+    while not entries[ptr].all():
+        ptr = ptr[ptr]
+    # each vertex's entry as its position in ids
+    slot = np.empty(G.n, dtype=np.int32 if G.n < 2**31 else np.int64)
+    slot[ids] = np.arange(len(ids))
+    index = slot[ptr]
+    del ptr, slot
+    sums = np.zeros(len(ids), dtype=np.int64)
+    np.add.at(sums, index, G.weight_array)
     wprime = np.zeros(G.n, dtype=np.int64)
-    np.add.at(wprime, _attach(entry, T1, T.root), G.weight_array)
-    skip = np.where(entries, T1.parent, entry)
-    return CollapsedWeights(wprime=wprime, skip=skip, entries=entries, T1=T1, root=T.root)
+    np.add.at(wprime, _attach(ids, T1, T.root), sums)
+    return CollapsedWeights(wprime=wprime, index=index, entries=entries, T1=T1, root=T.root)
 
 
 @dataclass
@@ -465,19 +497,59 @@ class Separator:
 
 
 @dataclass
+class _Slots:
+    """What a search of G - S runs over: G's vertices, or the entries of
+    ``collapse_weights``, in vertex order either way.
+
+    ``up`` takes each slot to the next slot above it (the root's to
+    itself), ``weights`` holds what each slot weighs and ``ends`` holds
+    R's edges as pairs of slots. For the entries, ``index`` takes each
+    vertex to its slot and ``ids`` each slot to its vertex.
+    """
+
+    up: np.ndarray
+    weights: np.ndarray
+    ends: np.ndarray
+    root: int
+    index: np.ndarray | None = None
+    ids: np.ndarray | None = None
+
+    def per_vertex(self, a: np.ndarray) -> np.ndarray:
+        """A per-slot array read at each vertex's slot."""
+        return a if self.index is None else a[self.index]
+
+    def vertex(self, slot):
+        return slot if self.ids is None else self.ids[slot]
+
+
+@dataclass
 class _Heaviest:
-    """Heaviest component of G - S: its weight, label and whether it is a tree."""
+    """Heaviest component of G - S: its weight, label and whether it is a tree.
+
+    ``head`` takes each slot to its piece's head slot, ``labels`` each
+    head slot to its component's, and ``slot`` names this component.
+    """
 
     weight: int
-    label: int
+    slot: int
     is_tree: bool
-    head_of: np.ndarray
+    head: np.ndarray
     labels: np.ndarray
     removed: np.ndarray
+    slots: _Slots
+
+    @property
+    def label(self) -> int:
+        """The vertex that names it, or -1 when G - S is empty."""
+        return -1 if self.slot < 0 else int(self.slots.vertex(self.slot))
+
+    def head_of(self) -> np.ndarray:
+        """Each vertex's piece head."""
+        return self.slots.per_vertex(self.slots.vertex(self.head))
 
     def inside(self) -> np.ndarray:
         """Mask of its vertices."""
-        return (self.labels[self.head_of] == self.label) & ~self.removed
+        return self.slots.per_vertex(self.labels[self.head] == self.slot) & ~self.removed
 
 
 class _TreePlusExtra:
@@ -489,10 +561,11 @@ class _TreePlusExtra:
     union-find over the at most r + 1 edges of R joins the pieces. A
     tree comes with an empty R.
 
-    With ``cw``, while every head is an entry (S inside T1), each vertex
-    jumps straight to its entry along ``cw.skip``, so the pointers meet
-    few distinct targets, which keeps the jump's gathers in cache on
-    large graphs.
+    With ``cw``, while every head is an entry (S inside T1), the search
+    runs over the entries alone: each entry steps to the entry of its
+    parent, and weighs what the vertices whose entry it is weigh.
+    Vertices come back only through ``inside``, when a repair needs
+    them, and to break a tie between heaviest components.
     """
 
     def __init__(self, G: Graph, T: SpanningTree, R: EdgeSet,
@@ -503,38 +576,52 @@ class _TreePlusExtra:
             raise ValueError(
                 f"R has {len(R)} edges but G needs m - n + 1 = {G.m - G.n + 1}"
             )
-        self.parent = np.asarray(T.parent, dtype=np.int64)
-        self.root = T.root
-        self.cw = cw
+        parent = np.asarray(T.parent, dtype=np.int64)
         ends = np.array(R.edges, dtype=np.int64).reshape(-1, 2)
-        self.ru, self.rv = ends[:, 0], ends[:, 1]
-        self.weights = G.weight_array
+        self.vertices = _Slots(parent, G.weight_array, ends, T.root)
+        self.entries = None
+        if cw is not None:
+            index = cw.index
+            ids = np.flatnonzero(cw.entries)
+            weights = np.zeros(len(ids), dtype=np.int64)
+            np.add.at(weights, index, G.weight_array)
+            # R's ends are terminals, so entries
+            self.entries = _Slots(index[parent[ids]].astype(np.int64), weights,
+                                  np.searchsorted(ids, ends), int(index[T.root]), index, ids)
+            self.member = cw.T1.member
 
     def heaviest(self, removed: np.ndarray) -> _Heaviest:
         """The heaviest component of G - S, S given as a mask over the vertices."""
-        parent = self.parent
-        n = len(parent)
-        head = removed | removed[parent]
-        head[self.root] = True
-        up = parent
-        if self.cw is not None and not (head & ~self.cw.entries).any():
-            up = self.cw.skip  # no head lies strictly between a vertex and its entry
-        ptr = _nearest_marked(up, head)
+        slots, removed_s = self.vertices, removed
+        if self.entries is not None and (
+            np.count_nonzero(removed & self.member) == np.count_nonzero(removed)
+        ):
+            # S lies in T1, whose children are entries: so are all heads,
+            # and an entry's parent is in S when its entry is
+            slots = self.entries
+            removed_s = removed[slots.ids]
+        head = removed_s | removed_s[slots.up]
+        head[slots.root] = True
+        n = len(head)
+        ptr = _nearest_marked(slots.up, head)
         piece_w = np.zeros(n, dtype=np.int64)
-        np.add.at(piece_w, ptr, self.weights)  # a vertex of S keeps its own weight
-        heads = np.flatnonzero(head & ~removed)
+        np.add.at(piece_w, ptr, slots.weights)  # a slot of S keeps its own weight
+        heads = np.flatnonzero(head ^ removed_s)  # the slots of S are heads too
+        head_w = piece_w[heads]
+        del piece_w
 
         # union-find over the pieces that edges of R outside S join
-        outside = ~(removed[self.ru] | removed[self.rv])
+        outside = ~removed_s[slots.ends].any(axis=1)
         link: dict[int, int] = {}
         cyclic: list[int] = []
 
         def find(x):
-            while link.get(x, x) != x:
+            while x in link:  # roots are never keys
                 x = link[x]
             return x
 
-        for a, b in zip(ptr[self.ru[outside]].tolist(), ptr[self.rv[outside]].tolist()):
+        # slots follow vertex order, so the lower slot is the lower vertex
+        for a, b in ptr[slots.ends[outside]].tolist():
             a, b = find(a), find(b)
             if a == b:
                 cyclic.append(a)
@@ -543,24 +630,24 @@ class _TreePlusExtra:
         # each piece's component, named by one of its heads
         label = np.arange(n, dtype=np.int64)
         if link:
-            joined = np.fromiter(link, dtype=np.int64, count=len(link))
-            label[joined] = [find(x) for x in joined.tolist()]
+            label[list(link)] = [find(x) for x in link]
         if heads.size == 0:
-            return _Heaviest(0, -1, False, ptr, label, removed)
-        comp_w = np.zeros(n, dtype=np.int64)
-        np.add.at(comp_w, label[heads], piece_w[heads])
+            return _Heaviest(0, -1, False, ptr, label, removed, slots)
+        # a component's label is one of its heads: weigh them in heads' order
+        comp_w = np.zeros(heads.size, dtype=np.int64)
+        np.add.at(comp_w, np.searchsorted(heads, label[heads]), head_w)
         weight = comp_w.max()
-        best = np.flatnonzero(comp_w == weight)
+        best = heads[comp_w == weight]
         if best.size > 1:
             # ties go to the component holding the lowest vertex
             tied = np.zeros(n, dtype=bool)
             tied[best] = True
-            first = np.flatnonzero(tied[label[ptr]] & ~removed)[0]
-            best = label[ptr[first]]
+            first = int(np.argmax(slots.per_vertex(tied[label[ptr]]) & ~removed))
+            best = label[ptr[first if slots.index is None else slots.index[first]]]
         else:
             best = best[0]
         acyclic = all(find(x) != best for x in cyclic)
-        return _Heaviest(int(weight), int(best), acyclic, ptr, label, removed)
+        return _Heaviest(int(weight), int(best), acyclic, ptr, label, removed, slots)
 
 
 def heavy_vertex_fixup(
@@ -614,7 +701,10 @@ def heavy_vertex_fixup(
             for keep, run in groupby(interior, inside.__getitem__) if keep
         ]
         if runs:
-            run = max(runs, key=lambda run: (int(cw.wprime[run].sum()), -run[0]))
+            flat = np.fromiter(chain.from_iterable(runs), dtype=np.int64)
+            firsts = np.cumsum([0, *map(len, runs[:-1])])
+            run_w = np.add.reduceat(cw.wprime[flat], firsts).tolist()
+            run = max(zip(run_w, runs), key=lambda wr: (wr[0], -wr[1][0]))[1]
             cut = run[_median_cut(run, np.cumsum(cw.wprime[run]))]
         else:
             # a tree, or no cut interior reaches into the component: the
