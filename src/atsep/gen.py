@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
 
-import networkx as nx
 import numpy as np
 
 from .errors import Infeasible
 from .graph import Graph, _bfs_layers, build_graph, graph_from_edges
+from .planar import _lr_rotation
 
 _STAGE_TREE = 0
 _STAGE_EDGES = 1
@@ -197,9 +197,12 @@ class _CompressedCore:
         block = _edge_block(self.adjacency_with(), s, t)
         if len(block) <= 2:
             return True
-        H = nx.Graph(block)
-        ok, _ = nx.check_planarity(H, counterexample=False)
-        return ok
+        nodes, ends = np.unique(block, return_inverse=True)
+        adj: list[list[int]] = [[] for _ in nodes]
+        for a, b in ends.reshape(-1, 2).tolist():
+            adj[a].append(b)
+            adj[b].append(a)
+        return _lr_rotation(nodes.tolist(), adj) is not None
 
 
 def _edge_block(adj: dict[int, list[int]], s: int, t: int) -> list[tuple[int, int]]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby
 from math import ceil, sqrt
 from time import perf_counter_ns
 
@@ -174,59 +173,42 @@ def branch_vertices(T1: SteinerSubtree, terminals) -> list[int]:
     return np.flatnonzero(mask).tolist()
 
 
-def decompose_paths(T1: SteinerSubtree, U: list[int]) -> list[list[int]]:
+@dataclass
+class Paths:
+    """P paths as int64 arrays: path j runs from ``ends[j, 0]`` to ``ends[j, 1]``
+    through ``interiors[offsets[j]:offsets[j + 1]]``, in that order."""
+
+    ends: np.ndarray
+    interiors: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+
+def decompose_paths(T1: SteinerSubtree, U: list[int]) -> Paths:
     """Edge-disjoint cover of the subtree by maximal U-to-U paths.
 
     Every subtree vertex outside U other than ``top`` has exactly one
     subtree child, so each path is the upward chain from a branch vertex
     b != top; a ``top`` outside U joins the two chains that meet at it.
     Paths run from their smaller endpoint and come in order of (that
-    endpoint, its neighbour on the path).
+    endpoint, its neighbour on the path). Pointer doubling over the
+    members' one-child pointers gives each interior vertex its chain and
+    its distance d from the chain's bottom b. Of a path's n interior
+    vertices, the one at d then sits d - 1 places from its start if the
+    path runs up from b, and n - d if it runs down to b.
     """
-    top = T1.top
-    starts, ends, flat, tops = _chains(T1, U)
-    flat = flat.tolist()
-    join_at_top = top not in U
-    paths = []
-    joined = []
-    lo = 0
-    for b, hi, end in zip(starts.tolist(), ends.tolist(), tops.tolist()):
-        path = [b, *flat[lo:hi], end]
-        lo = hi
-        if join_at_top and end == top:
-            joined.append(path)
-        else:
-            paths.append(path)
-    if joined:
-        a, b = joined
-        paths.append(a + b[-2::-1])
-    for path in paths:
-        if path[0] > path[-1]:
-            path.reverse()
-    paths.sort(key=lambda p: (p[0], p[1]))
-    return paths
-
-
-def _chains(T1: SteinerSubtree, U: list[int]):
-    """The upward chains of ``decompose_paths``, one per branch vertex b != top.
-
-    Returns the chains' bottoms b in ascending order, the running totals
-    of their interior sizes, their interiors listed chain by chain from
-    the bottom up, and the vertices they end at. Pointer doubling over
-    the members' one-child pointers gives each interior vertex its
-    chain's bottom and its distance from it, and so its place in that
-    list: its chain's offset plus that distance.
-    """
-    parent, member = T1.parent, T1.member
-    verts = np.flatnonzero(member)
+    parent, top = T1.parent, T1.top
+    verts = np.flatnonzero(T1.member)
     k = verts.size
     # work on the members' positions in verts
-    pos = np.empty(len(member), dtype=np.int64)
+    pos = np.empty(len(parent), dtype=np.int64)
     pos[verts] = np.arange(k)
-    branch = np.zeros(k, dtype=bool)
-    branch[pos[np.array(U, dtype=np.int64)]] = True
-    t = pos[T1.top]
-    inner = ~branch
+    inner = np.ones(k, dtype=bool)
+    inner[pos[np.array(U, dtype=np.int64)]] = False
+    t = pos[top]
+    joined = inner[t]
     inner[t] = False
     child = np.flatnonzero(np.arange(k) != t)
     up = pos[parent[verts[child]]]
@@ -234,6 +216,7 @@ def _chains(T1: SteinerSubtree, U: list[int]):
     ptr = np.arange(k)  # non-interior members point at themselves
     below = np.flatnonzero(inner[up])
     ptr[up[below]] = child[below]
+    del child, up, below
     dist = inner.astype(np.int64)
     interior = np.flatnonzero(inner)
     active = interior
@@ -242,19 +225,38 @@ def _chains(T1: SteinerSubtree, U: list[int]):
         dist[active] += dist[nxt]
         ptr[active] = ptr[nxt]
         active = active[np.flatnonzero(inner[ptr[active]])]
-    bottom = ptr[interior]
-    starts = np.flatnonzero(branch)
+    starts = np.flatnonzero(~inner)
     starts = starts[starts != t]
-    counts = np.bincount(bottom, minlength=k)[starts]
-    ends = np.cumsum(counts)
-    offset = np.zeros(k, dtype=np.int64)
-    offset[starts] = ends - counts
+    ptr[starts] = np.arange(starts.size)  # the bottoms' chains
+    chain = ptr[ptr[interior]]
+    del ptr
+    dist, interior = dist[interior], verts[interior]
+    sizes = np.bincount(chain, minlength=starts.size)
+    # a chain ends at the parent of its highest vertex
+    last = verts[starts]
+    high = np.flatnonzero(dist == sizes[chain])
+    last[chain[high]] = interior[high]
+    ends = np.column_stack((verts[starts], parent[last]))
+    if joined:
+        # chain b, read down, continues chain a through top
+        a, b = np.flatnonzero(ends[:, 1] == top)
+        on_b = chain == b
+        dist[on_b] = sizes[a] + sizes[b] + 2 - dist[on_b]
+        chain = np.append(np.where(on_b, a, chain), a)
+        chain -= chain > b
+        dist, interior = np.append(dist, sizes[a] + 1), np.append(interior, top)
+        ends[a, 1], sizes[a] = ends[b, 0], sizes[a] + sizes[b] + 1
+        ends, sizes = np.delete(ends, b, axis=0), np.delete(sizes, b)
+    at = np.where((ends[:, 0] > ends[:, 1])[chain], sizes[chain] - dist, dist - 1)
+    ends = np.column_stack((ends.min(axis=1), ends.max(axis=1)))
+    second = ends[:, 1].copy()
+    first = np.flatnonzero(at == 0)
+    second[chain[first]] = interior[first]
+    order = np.lexsort((second, ends[:, 0]))
+    offsets = np.concatenate(([0], np.cumsum(sizes[order])))
     flat = np.empty(interior.size, dtype=np.int64)
-    flat[offset[bottom] + dist[interior] - 1] = verts[interior]
-    starts = verts[starts]
-    last = starts.copy()  # each chain's highest vertex
-    last[counts > 0] = flat[ends[counts > 0] - 1]
-    return starts, ends, flat, parent[last]
+    flat[offsets[np.argsort(order)][chain] + at] = interior
+    return Paths(ends[order], flat, offsets)
 
 
 @dataclass
@@ -346,15 +348,17 @@ class CompressedGraph:
     """Branch nodes plus one weighted subdivision node per path.
 
     Node i < len(branch) is the branch vertex ``branch[i]``; node
-    len(branch) + j is the subdivision node of ``paths[j]``, weighing
-    its interior. ``wprime`` holds the collapsed weight of every original
-    vertex, for lifting and repairs.
+    len(branch) + j is the subdivision node of path j of ``paths``,
+    weighing its interior. ``edges`` is an (E, 2) int64 array: for each
+    path, (its first end's node, its node) and (its node, its last end's
+    node), then R's edges as pairs of branch nodes. ``wprime`` holds the
+    collapsed weight of every original vertex, for lifting and repairs.
     """
 
     node_weights: list[int]
-    edges: list[tuple[int, int]]
+    edges: np.ndarray
     branch: list[int]
-    paths: list[list[int]]
+    paths: Paths
     wprime: np.ndarray
 
     @property
@@ -371,70 +375,58 @@ class CompressedGraph:
         (lower, higher) end, a node's lower neighbours come before its
         higher ones, each run ascending.
         """
-        n = self.num_nodes
-        pairs = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        n, pairs = self.num_nodes, self.edges
         lo, hi = np.divmod(np.sort(pairs.min(axis=1) * n + pairs.max(axis=1)), n)
         return graph_from_edges(n, lo, hi, list(self.node_weights))
 
 
-def build_compressed_graph(
-    U: list[int], Pi: list[list[int]], R: EdgeSet, cw: CollapsedWeights
-) -> CompressedGraph:
-    node_of = {u: i for i, u in enumerate(U)}
-    sizes = np.array([len(path) - 2 for path in Pi], dtype=np.int64)
-    flat = np.fromiter(chain.from_iterable(path[1:-1] for path in Pi), dtype=np.int64)
+def build_compressed_graph(U: list[int], Pi: Paths, R: EdgeSet,
+                           cw: CollapsedWeights) -> CompressedGraph:
+    branch = np.array(U, dtype=np.int64)
     # running sums over all interiors; a path weighs the rise across its own
-    prefix = np.concatenate(([0], np.cumsum(cw.wprime[flat])))
-    ends = np.cumsum(sizes)
-    path_w = prefix[ends] - prefix[ends - sizes]
-    node_weights = cw.wprime[np.array(U, dtype=np.int64)].tolist() + path_w.tolist()
-    edges: list[tuple[int, int]] = []
-    for sub, path in enumerate(Pi, start=len(U)):
-        edges.append((node_of[path[0]], sub))
-        edges.append((sub, node_of[path[-1]]))
-    for u, v in R.edges:
-        edges.append((node_of[u], node_of[v]))
-    return CompressedGraph(
-        node_weights=node_weights, edges=edges, branch=U, paths=Pi, wprime=cw.wprime
-    )
+    prefix = np.concatenate(([0], np.cumsum(cw.wprime[Pi.interiors])))
+    node_weights = cw.wprime[branch].tolist() + np.diff(prefix[Pi.offsets]).tolist()
+    sub = np.arange(len(U), len(U) + len(Pi))
+    ends = np.searchsorted(branch, Pi.ends)
+    edges = np.column_stack((ends[:, 0], sub, sub, ends[:, 1])).reshape(-1, 2)
+    R_nodes = np.searchsorted(branch, np.array(R.edges, dtype=np.int64).reshape(-1, 2))
+    return CompressedGraph(node_weights=node_weights, edges=np.concatenate((edges, R_nodes)),
+                           branch=U, paths=Pi, wprime=cw.wprime)
 
 
-def _median_cut(vertices: list[int], prefix) -> int:
-    """Position of the cut that leaves the lightest heavier side; ties -> lower ID.
-
-    ``prefix`` holds the running sums of the vertices' weights, so the cut
-    at i leaves the weight before i (prefix[i - 1], or 0) on one side and
-    prefix[-1] - prefix[i] on the other.
-    """
-    ends = np.asarray(prefix, dtype=np.int64)
-    cost = np.maximum(np.concatenate(([0], ends[:-1])), ends[-1] - ends)
-    ties = np.flatnonzero(cost == cost.min()).tolist()
-    return min(ties, key=vertices.__getitem__)
+def _median_cut(vertices: np.ndarray, wprime: np.ndarray) -> int:
+    """The vertex whose cut leaves the lightest heavier side, of the weight
+    before it and the weight after it; ties -> lower ID."""
+    w = wprime[vertices]
+    ends = np.cumsum(w)
+    cost = np.maximum(ends - w, ends[-1] - ends)
+    return int(vertices[cost == cost.min()].min())
 
 
 def lift_separator(Sc, C: CompressedGraph):
     """Map a compressed separator back to original vertex IDs.
 
     Branch nodes lift to themselves. A selected subdivision node lifts to
-    the weighted-median vertex of its path interior; interior-free paths
-    lift to an endpoint not already covered. Returns the lifted set plus
-    the interiors that were cut, in node order, for the repair loop.
+    the weighted-median vertex of its path interior, read off a slice of
+    the flat interiors; interior-free paths lift to an endpoint not
+    already covered. Returns the lifted set plus the selected paths with
+    an interior, in node order, as a ``Paths`` record for the repair loop.
     """
     k = len(C.branch)
     lifted = {C.branch[node] for node in Sc if node < k}
-    interiors: list[list[int]] = []
-    for node in sorted(node for node in Sc if node >= k):
-        path = C.paths[node - k]
-        interior = path[1:-1]
-        if not interior:
-            for cand in sorted((path[0], path[-1])):
-                if cand not in lifted:
-                    lifted.add(cand)
-                    break
-            continue
-        lifted.add(interior[_median_cut(interior, np.cumsum(C.wprime[interior]))])
-        interiors.append(interior)
-    return lifted, interiors
+    paths, offsets = C.paths, C.paths.offsets
+    cut, pieces = [], []
+    for j in sorted(node - k for node in Sc if node >= k):
+        interior = paths.interiors[offsets[j]:offsets[j + 1]]
+        if interior.size:
+            lifted.add(_median_cut(interior, C.wprime))
+            cut.append(j)
+            pieces.append(interior)
+        else:
+            a, b = sorted(paths.ends[j].tolist())
+            lifted.add(b if a in lifted else a)
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *pieces])
+    return lifted, Paths(paths.ends[cut], flat, np.cumsum([0, *map(len, pieces)]))
 
 
 def tree_centroid(vertices, adjacency, weights) -> int:
@@ -656,7 +648,7 @@ def heavy_vertex_fixup(
     R: EdgeSet,
     S,
     beta=Fraction(2, 3),
-    interiors: list[list[int]] = (),
+    interiors: Paths | None = None,
     cw: CollapsedWeights | None = None,
 ) -> Separator:
     """Repair loop for the lifted separator; its last check is the verification.
@@ -664,16 +656,16 @@ def heavy_vertex_fixup(
     T is a spanning tree of G and R its non-tree edges. Each round finds
     the components of G - S on T plus R and compares the heaviest
     exactly against beta * W. While it is too heavy: a tree component gets
-    its weighted centroid added; otherwise the path ``interiors`` that
-    ``lift_separator`` cut split into runs of consecutive vertices inside
-    the component, and the heaviest run by collapsed weight (ties to the
-    lowest first vertex) is cut at its weighted median, or, if no run
-    exists, the centroid of the component's BFS tree is. The round that
-    passes is the exact verification of the returned separator. The loop
-    is capped at 4 sqrt(r + 1) + 2 repairs, r being G's excess; the cap
-    signals an algorithmic bug, it is never expected to fire. ``cw``, the
-    collapsed weights over T, weighs the runs (so ``interiors`` needs it)
-    and speeds up the search.
+    its weighted centroid added; otherwise the component's mask splits
+    the flat interiors of the paths ``lift_separator`` cut (``interiors``)
+    into runs inside the component, and the heaviest run by collapsed
+    weight (ties to the lowest first vertex) is cut at its weighted
+    median, or, if no run exists, the centroid of the component's BFS
+    tree is. The round that passes is the exact verification of the
+    returned separator. The loop is capped at 4 sqrt(r + 1) + 2 repairs, r
+    being G's excess; the cap signals an algorithmic bug, it is never
+    expected to fire. ``cw``, the collapsed weights over T, weighs the
+    runs (so ``interiors`` needs it) and speeds up the search.
     """
     S = set(S)
     for v in S:
@@ -696,17 +688,8 @@ def heavy_vertex_fixup(
                 f"still unbalanced after {repairs} repairs (cap {cap})"
             )
         inside = found.inside()
-        runs = [] if found.is_tree else [
-            list(run) for interior in interiors
-            for keep, run in groupby(interior, inside.__getitem__) if keep
-        ]
-        if runs:
-            flat = np.fromiter(chain.from_iterable(runs), dtype=np.int64)
-            firsts = np.cumsum([0, *map(len, runs[:-1])])
-            run_w = np.add.reduceat(cw.wprime[flat], firsts).tolist()
-            run = max(zip(run_w, runs), key=lambda wr: (wr[0], -wr[1][0]))[1]
-            cut = run[_median_cut(run, np.cumsum(cw.wprime[run]))]
-        else:
+        cut = None if found.is_tree or interiors is None else _run_cut(interiors, inside, cw)
+        if cut is None:
             # a tree, or no cut interior reaches into the component: the
             # centroid of its BFS tree from the lowest vertex
             members = np.flatnonzero(inside)
@@ -721,6 +704,20 @@ def heavy_vertex_fixup(
         total_weight=W,
         repairs=repairs,
     )
+
+
+def _run_cut(paths: Paths, inside: np.ndarray, cw: CollapsedWeights):
+    """The median cut of the heaviest run of consecutive interior vertices in
+    a vertex set, ties to the lowest first vertex; None if the set has none."""
+    flat = paths.interiors
+    held = np.flatnonzero(inside[flat])
+    if held.size == 0:
+        return None
+    # a run starts after a gap or where an interior starts
+    firsts = np.flatnonzero((np.diff(held, prepend=-2) != 1) | np.isin(held, paths.offsets))
+    run_w = np.add.reduceat(cw.wprime[flat[held]], firsts)
+    i = np.lexsort((flat[held[firsts]], -run_w))[0]
+    return _median_cut(flat[held[firsts[i]:np.append(firsts, held.size)[i + 1]]], cw.wprime)
 
 
 class _InducedRows:

@@ -53,3 +53,10 @@ def subdivided(edges, length, rng, hang=0):
             tree.append(n)
             n += 1
     return build_graph(n, out)
+
+
+def path_lists(paths) -> list[list[int]]:
+    """A ``Paths`` record as one list per path, endpoints included."""
+    flat, offsets = paths.interiors.tolist(), paths.offsets.tolist()
+    return [[a, *flat[lo:hi], b]
+            for (a, b), lo, hi in zip(paths.ends.tolist(), offsets, offsets[1:])]

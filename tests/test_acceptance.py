@@ -32,7 +32,7 @@ from atsep.pipeline import (
 )
 from atsep.planar import lt_separator
 
-from conftest import random_parent_tree, row
+from conftest import path_lists, random_parent_tree, row
 
 
 def report(capsys, name, ok, detail):
@@ -188,7 +188,7 @@ def test_06_structural_invariants(capsys):
         cw = collapse_weights(G, T, T1)
         if sum(cw.wprime) != G.total_weight:
             failures.append(("weight-conservation", case))
-        Pi = decompose_paths(T1, U)
+        Pi = path_lists(decompose_paths(T1, U))
         covered = sorted(
             (min(a, b), max(a, b)) for p in Pi for a, b in zip(p, p[1:])
         )

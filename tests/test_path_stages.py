@@ -3,12 +3,16 @@
 ``steiner_subtree``, ``branch_vertices`` and ``decompose_paths`` must
 give exactly what the reference in ``path_stages_reference`` gives: the
 same membership, branch set, degrees, edges and paths, in the same order
-and orientation.
+and orientation. The paths come as one ``Paths`` record of int64 arrays
+and are compared as lists.
 """
 
+import gc
 import random
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from atsep.gen import GenSpec, generate
@@ -23,6 +27,7 @@ from atsep.pipeline import (
     steiner_subtree,
 )
 
+from conftest import path_lists, subdivided
 from path_stages_reference import (
     reference_branch_vertices,
     reference_decompose_paths,
@@ -43,7 +48,10 @@ def check_against_reference(T, terminals):
     U = branch_vertices(T1, terminals)
     branch = reference_branch_vertices(adjacency, terminals)
     assert U == sorted(branch)
-    Pi = decompose_paths(T1, U)
+    paths = decompose_paths(T1, U)
+    assert paths.ends.dtype == paths.interiors.dtype == paths.offsets.dtype == np.int64
+    assert paths.ends.shape == (len(paths), 2) and paths.offsets.shape == (len(paths) + 1,)
+    Pi = path_lists(paths)
     assert Pi == reference_decompose_paths(adjacency, branch)
     return T1, U, Pi
 
@@ -122,3 +130,28 @@ def test_trace_byte_for_byte():
     # the dict-walk stages
     trace = format_trace(dump_stages(generate(GenSpec(n=60, r=8, seed=3))))
     assert trace == GOLDEN_TRACE.read_text(encoding="utf-8")
+
+
+def test_paths_hold_eight_bytes_per_interior_vertex():
+    # a 45 x 45 grid with every edge subdivided by 50 vertices: about
+    # 2 * 10^5 vertices, nearly all of them path interiors; the record
+    # keeps each as one int64, where a Python list per path took about
+    # 43 bytes a vertex
+    grid = [(45 * i + j, 45 * i + j + 1) for i in range(45) for j in range(44)]
+    grid += [(45 * i + j, 45 * i + j + 45) for i in range(44) for j in range(45)]
+    G = subdivided(grid, 50, random.Random(1))
+    T = compute_spanning_tree(G)
+    terminals = extra_edges(G, T).endpoints()
+    T1 = steiner_subtree(T, terminals)
+    U = branch_vertices(T1, terminals)
+    interior = np.count_nonzero(T1.member) - len(U)
+    assert interior > 150_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        paths = decompose_paths(T1, U)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(paths) == len(U) - 1
+    assert live <= 8 * interior + 32 * len(paths) + 4096

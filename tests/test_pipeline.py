@@ -33,6 +33,7 @@ from atsep.oracle import (
 )
 from atsep.pipeline import (
     CompressedGraph,
+    Paths,
     _median_cut,
     branch_vertices,
     build_compressed_graph,
@@ -50,7 +51,17 @@ from atsep.pipeline import (
 )
 from atsep.planar import bfs_levels, lt_separator
 
-from conftest import complete, cycle, path, random_parent_tree, row, star, subdivided, theta
+from conftest import (
+    complete,
+    cycle,
+    path,
+    path_lists,
+    random_parent_tree,
+    row,
+    star,
+    subdivided,
+    theta,
+)
 
 
 def bfs_distances(G, root):
@@ -256,13 +267,13 @@ class TestPathDecomposition:
         U = branch_vertices(T1, {1, 2, 3})
         Pi = decompose_paths(T1, U)
         assert len(Pi) == len(U) - 1 == 3
-        assert sorted(sorted((p[0], p[-1])) for p in Pi) == [[0, 1], [0, 2], [0, 3]]
+        assert Pi.ends.tolist() == [[0, 1], [0, 2], [0, 3]]
 
     def test_path_with_interior(self):
         T = SpanningTree(root=0, parent=[0, 0, 1, 2, 3])
         T1 = steiner_subtree(T, {1, 3})
         Pi = decompose_paths(T1, branch_vertices(T1, {1, 3}))
-        assert Pi == [[1, 2, 3]]
+        assert path_lists(Pi) == [[1, 2, 3]]
 
     def test_edge_disjoint_cover(self):
         rng = random.Random(31)
@@ -273,7 +284,7 @@ class TestPathDecomposition:
             terms = rng.sample(range(n), rng.randint(2, n))
             T1 = steiner_subtree(T, terms)
             U = branch_vertices(T1, terms)
-            Pi = decompose_paths(T1, U)
+            Pi = path_lists(decompose_paths(T1, U))
             covered = []
             for p in Pi:
                 for a, b in zip(p, p[1:]):
@@ -422,8 +433,9 @@ class TestCompressedGraph:
 
     def test_interior_free_path_gets_zero_weight_node(self):
         C, U, Pi = self.stages_for(theta())
-        assert any(len(p) == 2 for p in Pi)
         assert C.branch is U and C.paths is Pi
+        Pi = path_lists(Pi)
+        assert any(len(p) == 2 for p in Pi)
         for i, u in enumerate(U):
             assert C.node_weights[i] == C.wprime[u]
         for j, p in enumerate(Pi):
@@ -438,10 +450,26 @@ class TestCompressedGraph:
         # tree paths are unique and the edges of R distinct, so no two
         # compressed edges join the same pair of nodes
         G = theta() if seed == 0 else generate(GenSpec(n=40 * seed, r=seed, seed=seed))
-        C, _, _ = self.stages_for(G)
+        C, U, Pi = self.stages_for(G)
         Gc = C.simple_graph()
+        assert C.edges.dtype == np.int64 and C.edges.shape == (len(C.edges), 2)
         assert len(set(Gc.edges())) == Gc.m == len(C.edges)
-        assert set(Gc.edges()) == {(min(e), max(e)) for e in C.edges}
+        assert set(Gc.edges()) == {(min(e), max(e)) for e in C.edges.tolist()}
+        # per path its two edges, then R's, in the order the lists gave
+        edges = []
+        for sub, p in enumerate(path_lists(Pi), start=len(U)):
+            edges += [[U.index(p[0]), sub], [sub, U.index(p[-1])]]
+        R = extra_edges(G, compute_spanning_tree(G))
+        edges += [[U.index(u), U.index(v)] for u, v in R.edges]
+        assert C.edges.tolist() == edges
+
+
+def paths_record(paths):
+    """The ``Paths`` record of paths given as lists, endpoints included."""
+    interiors = [v for p in paths for v in p[1:-1]]
+    offsets = np.cumsum([0] + [len(p) - 2 for p in paths])
+    return Paths(np.array([[p[0], p[-1]] for p in paths], dtype=np.int64).reshape(-1, 2),
+                 np.array(interiors, dtype=np.int64), offsets)
 
 
 def hand_built(branch, paths, weights):
@@ -454,34 +482,36 @@ def hand_built(branch, paths, weights):
     for sub, p in enumerate(paths, start=len(branch)):
         edges += [(node_of[p[0]], sub), (sub, node_of[p[-1]])]
     node_weights = [0] * len(branch) + [sum(wprime[p[1:-1]].tolist()) for p in paths]
-    return CompressedGraph(node_weights, edges, branch, paths, wprime)
+    return CompressedGraph(node_weights, np.array(edges, dtype=np.int64), branch,
+                           paths_record(paths), wprime)
 
 
 class TestLiftSeparator:
     def test_branch_nodes_lift_verbatim(self):
         C, U, Pi = TestCompressedGraph.stages_for(theta())
-        lifted, interiors = lift_separator(set(range(len(C.branch))), C)
+        lifted, cut = lift_separator(set(range(len(C.branch))), C)
         assert lifted == set(U)
-        assert interiors == []
+        assert path_lists(cut) == []
 
     def test_empty_lifts_to_empty(self):
         C, _, _ = TestCompressedGraph.stages_for(theta())
-        assert lift_separator(set(), C) == (set(), [])
+        lifted, cut = lift_separator(set(), C)
+        assert lifted == set() and path_lists(cut) == []
 
     def test_weighted_median_cut(self):
         # interior weights (1, 1, 5, 1): cutting the weight-5 vertex leaves
         # sides of weight 2 and 1, better than any other cut
         C = hand_built([5, 6], [[5, 10, 11, 12, 13, 6]], {10: 1, 11: 1, 12: 5, 13: 1})
         assert C.node_weights == [0, 0, 8]
-        lifted, interiors = lift_separator({2}, C)
+        lifted, cut = lift_separator({2}, C)
         assert lifted == {12}
-        assert interiors == [[10, 11, 12, 13]]
+        assert path_lists(cut) == [[5, 10, 11, 12, 13, 6]]
 
     def test_interior_free_node_lifts_to_lower_endpoint(self):
         C = hand_built([4, 9], [[9, 4]], {})
-        lifted, interiors = lift_separator({2}, C)
+        lifted, cut = lift_separator({2}, C)
         assert lifted == {4}
-        assert interiors == []
+        assert path_lists(cut) == []
 
     def test_interior_free_node_avoids_covered_endpoint(self):
         C = hand_built([4, 9], [[9, 4]], {})
@@ -508,14 +538,13 @@ class TestLiftSeparator:
                 costs.append(cost)
                 left += w
             tied += costs.count(best_cost) > 1
-            assert _median_cut(interior, prefix) == i
-            assert _median_cut(interior, np.cumsum(weights)) == i
             C = hand_built([1000, 1001], [[1000, *interior, 1001]], dict(zip(interior, weights)))
+            assert _median_cut(np.array(interior), C.wprime) == interior[i]
             assert C.node_weights[2] == prefix[-1]
-            lifted, interiors = lift_separator({2}, C)
+            lifted, cut = lift_separator({2}, C)
             assert lifted == {interior[i]}
-            assert interiors == [interior]
-            assert all(type(v) is int for v in interiors[0])
+            assert all(type(v) is int for v in lifted)
+            assert path_lists(cut) == [[1000, *interior, 1001]]
         assert tied > 100
 
 
@@ -545,13 +574,13 @@ class TestRepairRuns:
         Pi = decompose_paths(T1, U)
         cw = collapse_weights(G, T, T1)
         C = build_compressed_graph(U, Pi, R, cw)
-        j, = [j for j, p in enumerate(C.paths) if (p[0], p[-1]) == (0, 1)]
+        j, = [j for j, ends in enumerate(C.paths.ends.tolist()) if ends == [0, 1]]
         cuts = []
         real = atsep.pipeline._median_cut
 
-        def recording(vertices, prefix):
-            cuts.append(list(vertices))
-            return real(vertices, prefix)
+        def recording(vertices, wprime):
+            cuts.append(vertices.tolist())
+            return real(vertices, wprime)
 
         monkeypatch.setattr(atsep.pipeline, "_median_cut", recording)
         # the lifted median, 8, splits the short path into two runs of

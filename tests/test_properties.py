@@ -18,7 +18,7 @@ from atsep.pipeline import (
     tree_centroid,
 )
 
-from conftest import row
+from conftest import path_lists, row
 
 
 @st.composite
@@ -79,7 +79,7 @@ def test_paths_cover_subtree_edges(gr):
     R = extra_edges(G, T)
     T1 = steiner_subtree(T, R.endpoints())
     U = branch_vertices(T1, R.endpoints())
-    Pi = decompose_paths(T1, U)
+    Pi = path_lists(decompose_paths(T1, U))
     covered = sorted(
         (min(a, b), max(a, b)) for p in Pi for a, b in zip(p, p[1:])
     )
