@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import Infeasible
 from .graph import Graph, _bfs_layers, build_graph, graph_from_edges
-from .planar import _lr_rotation
+from .planar import _lr_test
 
 _STAGE_TREE = 0
 _STAGE_EDGES = 1
@@ -202,7 +202,7 @@ class _CompressedCore:
         for a, b in ends.reshape(-1, 2).tolist():
             adj[a].append(b)
             adj[b].append(a)
-        return _lr_rotation(nodes.tolist(), adj) is not None
+        return _lr_test(adj) is not None
 
 
 def _edge_block(adj: dict[int, list[int]], s: int, t: int) -> list[tuple[int, int]]:

@@ -9,8 +9,9 @@ middle band still holds a heavy component, shrink it with a
 fundamental-cycle separator on the triangulated band. networkx serves
 only the gate's planarity test. The band is embedded by this module's
 port of the left-right planarity test, which gives the same rotation
-system as networkx's, and that plain rotation system is triangulated
-and scanned here. A greedy fallback, whose every step checks the
+system as networkx's as one record of flat half-edge lists
+(``_HalfEdges``); that record is triangulated in place and scanned
+here. A greedy fallback, whose every step checks the
 heaviest component of G - S exactly against beta * W, keeps the
 balance contract unconditional even for degenerate weight profiles
 (e.g. one vertex holding most of the weight); a final pruning pass
@@ -19,7 +20,6 @@ drops separator vertices that balance does not need.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +29,15 @@ import networkx as nx
 import numpy as np
 
 from .errors import NotPlanar, ZeroTotalWeight
-from .graph import Graph, _bfs_layers, check_beta, heaviest_component, verify_separator
+from .graph import (
+    Graph,
+    _bfs_layers,
+    _frontier_neighbors,
+    _unique,
+    check_beta,
+    heaviest_component,
+    verify_separator,
+)
 
 
 def bfs_levels(G: Graph, root: int):
@@ -92,106 +100,117 @@ def _band_cycle_shrink(G: Graph, heavy: list[int], level, l0: int):
     Returns the cycle vertex set (without the virtual root) or None if
     the band has fewer than 3 nodes or no cycle balances.
     """
-    rot = _band_rotation(G, heavy, level, l0)
-    if rot is None:
+    he = _band_rotation(G, heavy, level, l0)
+    if he is None:
         return None
-    _triangulate(rot)
-    weight = {v: G.weights[v] for v in heavy}
-    weight[-1] = 0
-    return _balanced_fundamental_cycle(rot, -1, weight)
+    _triangulate(he)
+    return _balanced_fundamental_cycle(he, [0, *map(G.weights.__getitem__, heavy)])
 
 
 @dataclass
-class _Rotation:
-    """A rotation system: each vertex's neighbours in clockwise order.
+class _HalfEdges:
+    """A rotation system as one record over half-edges.
 
-    ``cw[v][w]`` and ``ccw[v][w]`` are the neighbours after and before w
-    around v, ``cw[v]`` is filled in ring order from ``start[v]``, and
-    ``start[v]`` is v's leftmost neighbour as ``_lr_rotation`` places it
-    (the one networkx's ``PlanarEmbedding.neighbors_cw_order`` yields
-    first; a vertex without neighbours has none); ``order`` lists the
-    vertices in the embedding's node order. The half-edge (v, w) has on
-    its right the face whose next half-edge is (w, ccw[w][v]).
+    Node i is ``label[i]``. Half-edge h runs from node ``tail[h]`` to node
+    ``head[h]`` and its twin is ``h ^ 1``, so edge k is the pair
+    (2k, 2k + 1). ``rnext[h]`` and ``rprev[h]`` are the half-edges just
+    clockwise and counter-clockwise of h in the ring around ``tail[h]``.
+    ``start[v]`` is v's first half-edge, the one to v's leftmost neighbour
+    as ``_lr_rotation`` places it (the neighbour networkx's
+    ``PlanarEmbedding.neighbors_cw_order`` yields first), or -1 if v has
+    none. The face on the right of h goes on with ``rprev[h ^ 1]``
+    (networkx's ``next_face_half_edge``). The fields are plain int lists,
+    as the walks over them are sequential.
     """
 
-    order: list[int]
-    cw: dict[int, dict[int, int]]
-    ccw: dict[int, dict[int, int]]
-    start: dict[int, int]
-
-    def add_chord(self, a: int, b: int, via: int) -> None:
-        """Add the edge a-b across the face corner a -> via -> b.
-
-        b goes just clockwise of via around a, and a just counter-clockwise
-        of via around b, where it also takes over as b's start if via was
-        (networkx's ``add_half_edge(a, b, ccw=via)`` and
-        ``add_half_edge(b, a, cw=via)``).
-        """
-        cw, ccw = self.cw[a], self.ccw[a]
-        nxt = cw[via]
-        cw[via] = b
-        cw[b] = nxt
-        ccw[nxt] = b
-        ccw[b] = via
-        cw, ccw = self.cw[b], self.ccw[b]
-        prv = ccw[via]
-        ccw[via] = a
-        ccw[a] = prv
-        cw[prv] = a
-        cw[a] = via
-        if self.start[b] == via:
-            self.start[b] = a
+    label: list[int]
+    tail: list[int]
+    head: list[int]
+    rnext: list[int]
+    rprev: list[int]
+    start: list[int]
 
 
-def _band_rotation(G: Graph, heavy: list[int], level, l0: int) -> _Rotation | None:
+def _band_rotation(G: Graph, heavy: list[int], level, l0: int) -> _HalfEdges | None:
     """Rotation system of the band graph (heavy plus the virtual root -1),
     or None if it has fewer than 3 nodes or is not planar.
 
-    The nodes are the root, then ``heavy`` in order. Each node's
-    neighbours are listed in the order the CSR rows first reach them
-    (heavy in order, each row in order), an edge to a level <= l0 standing
-    for one to the root, and a repeat dropped: the graph networkx would
-    have built with ``add_edges_from``, so the embedding is the one its
-    planarity test gave.
+    The nodes are the root, then ``heavy`` in order. An edge to a level
+    <= l0 stands for one to the root, and a repeat is dropped. Each node's
+    neighbours after it in node order are listed as the CSR rows first
+    reach them (heavy in order, each row in order): the graph networkx
+    would have built with ``add_edges_from``, so the embedding is the one
+    its planarity test gave.
     """
-    nodes = [-1, *heavy]
-    if len(nodes) < 3:
+    k = len(heavy)
+    if k < 2:
         return None
-    at = {v: i for i, v in enumerate(nodes)}
-    row_at, nbr = memoryview(G.indptr), memoryview(G.indices)
-    adj: list[dict[int, None]] = [{} for _ in nodes]
-    to_root = adj[0]
-    for i, u in enumerate(heavy, 1):
-        mine = adj[i]
-        for v in nbr[row_at[u]:row_at[u + 1]]:
-            j = at.get(v)
-            if j is not None:
-                mine[j] = None
-                adj[j][i] = None
-            elif level[v] <= l0:
-                to_root[i] = None
-                mine[0] = None
-    return _lr_rotation(nodes, adj)
+    ids = np.asarray(heavy, dtype=np.int64)
+    # each vertex's band node: the root at a level <= l0, -1 off the band
+    at = np.where(np.asarray(level) <= l0, 0, -1)
+    at[ids] = np.arange(1, k + 1)
+    nb, counts = _frontier_neighbors(G.indptr, G.indices, ids)
+    owner = np.repeat(np.arange(1, k + 1), counts)
+    j = at[nb]
+    up = np.flatnonzero(j > owner)
+    higher = j[up].tolist()
+    cut = np.searchsorted(owner[up], np.arange(1, k + 2)).tolist()
+    adj = [_unique(owner[np.flatnonzero(j == 0)]).tolist()]
+    adj += [higher[lo:hi] for lo, hi in zip(cut, cut[1:])]
+    return _lr_rotation([-1, *heavy], adj)
 
 
-def _lr_rotation(nodes: list[int], adj: list[Iterable[int]]) -> _Rotation | None:
+@dataclass
+class _LRPartition:
+    """What the left-right test leaves for the embedding of a planar graph.
+
+    The DFS orientation: its ``roots``, each vertex's ``parent_edge`` (-1
+    at a root) and oriented edge e from ``src[e]`` to ``dst[e]``, edges
+    numbered in the order the orientation meets them; each edge's nesting
+    ``depth``; and the LR partition as each edge's ``ref`` (an edge or
+    None) and ``side`` (1 or -1) relative to it.
+    """
+
+    roots: list[int]
+    parent_edge: list[int]
+    src: list[int]
+    dst: list[int]
+    depth: list[int]
+    ref: list
+    side: list[int]
+
+
+def _lr_rotation(nodes: list[int], adj: list[Iterable[int]]) -> _HalfEdges | None:
     """Planar rotation system of a simple graph, or None if it is not planar.
 
-    Node i is ``nodes[i]`` and ``adj[i]`` yields its neighbours' indices,
-    each edge once at both ends. An iterative port of networkx's
+    Node i is ``nodes[i]`` and ``adj[i]`` yields its neighbours' indices.
+    Only the neighbours after i are read, in the order given, so an edge
+    may be listed at its lower end alone. An iterative port of networkx's
     ``LRPlanarity`` (the left-right planarity test, Brandes 2009) that
     gives what ``nx.check_planarity`` gives on the nx.Graph with this node
     order and adjacency order: the same node order, the same clockwise
-    ring at every vertex and the same start neighbour. Its phases keep
-    networkx's names: ``dfs_orientation`` (lowpoints and nesting depths),
-    ``dfs_testing`` (``add_constraints``, ``remove_back_edges``), ``sign``
-    and ``dfs_embedding``. Oriented edges are numbered in the order the
-    orientation meets them, and their lowpoints, references and sides are
-    flat lists. A conflict pair is a 4-slot list ``[left low, left high,
-    right low, right high]`` of edges or None, and pairs are compared by
-    identity, as networkx compares its ``ConflictPair`` objects.
+    ring at every vertex and the same start neighbour. ``_lr_test``
+    decides planarity and ``_lr_embedding`` turns its partition into the
+    half-edge record.
     """
-    n = len(nodes)
+    lr = _lr_test(adj)
+    return None if lr is None else _lr_embedding(nodes, lr)
+
+
+def _lr_test(adj: list[Iterable[int]]) -> _LRPartition | None:
+    """The left-right planarity test on node indices: the partition the
+    embedding needs, or None if the graph is not planar.
+
+    ``adj`` is as for ``_lr_rotation``. The phases keep networkx's names:
+    ``dfs_orientation`` (lowpoints and nesting depths) and
+    ``dfs_testing`` (``add_constraints``, ``remove_back_edges``).
+    Oriented edges are numbered in the order the orientation meets them,
+    and their lowpoints, references and sides are flat lists. A conflict
+    pair is a 4-slot list ``[left low, left high, right low, right high]``
+    of edges or None, and pairs are compared by identity, as networkx
+    compares its ``ConflictPair`` objects.
+    """
+    n = len(adj)
     # LRPlanarity first copies the graph edge by edge, which lists each
     # vertex's neighbours earlier in node order first, in node order
     nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -206,15 +225,16 @@ def _lr_rotation(nodes: list[int], adj: list[Iterable[int]]) -> _Rotation | None
     if n > 2 and m > 3 * n - 6:
         return None
 
-    # dfs_orientation: orient the edges by DFS; lowpoints and nesting depth
+    # dfs_orientation: orient the edges by DFS, each edge once; lowpoints
+    # and nesting depth
     height = [-1] * n
     parent_edge = [-1] * n
-    src: list[int] = []
-    dst: list[int] = []
-    lowpt: list[int] = []
-    lowpt2: list[int] = []
-    depth: list[int] = []
-    out: list[list[int]] = [[] for _ in range(n)]
+    src = [0] * m
+    dst = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    depth = [0] * m
+    count = 0
     roots: list[int] = []
     ind = [0] * n
     pend = [-1] * n  # the tree edge whose subtree a vertex waits on
@@ -240,13 +260,11 @@ def _lr_rotation(nodes: list[int], adj: list[Iterable[int]]) -> _Rotation | None
                     if hw > hv or (e >= 0 and src[e] == w):
                         i += 1
                         continue
-                    ei = len(src)
-                    src.append(v)
-                    dst.append(w)
-                    lowpt.append(hv)
-                    lowpt2.append(hv)
-                    depth.append(0)
-                    out[v].append(ei)
+                    ei = count
+                    count += 1
+                    src[ei] = v
+                    dst[ei] = w
+                    lowpt[ei] = lowpt2[ei] = hv
                     if hw < 0:  # tree edge
                         parent_edge[w] = ei
                         height[w] = hv + 1
@@ -271,11 +289,10 @@ def _lr_rotation(nodes: list[int], adj: list[Iterable[int]]) -> _Rotation | None
                 i += 1
 
     # dfs_testing: the LR partition, as references between return edges
-    nedges = len(src)
-    ref: list = [None] * nedges
-    side = [1] * nedges
-    lowpt_edge: list = [None] * nedges
-    stack_bottom: list = [None] * nedges
+    ref: list = [None] * m
+    side = [1] * m
+    lowpt_edge: list = [None] * m
+    stack_bottom: list = [None] * m
     S: list[list] = []
 
     def conflicting(high, b) -> bool:
@@ -363,22 +380,21 @@ def _lr_rotation(nodes: list[int], adj: list[Iterable[int]]) -> _Rotation | None
             else:
                 ref[e] = hr
 
-    by_depth = depth.__getitem__
-    ordered = [sorted(o, key=by_depth) for o in out]
-    ind = [0] * n
+    ordered, out_at = _out_by_depth(src, depth, n)
+    ind = out_at[:-1]
     for root in roots:
         stack = [root]
         while stack:
             v = stack.pop()
             e = parent_edge[v]
             hv = height[v]
-            row = ordered[v]
             i = ind[v]
+            end = out_at[v + 1]
             ei = pend[v]
             pend[v] = -1
-            while i < len(row):
+            while i < end:
                 if ei < 0:
-                    ei = row[i]
+                    ei = ordered[i]
                     stack_bottom[ei] = S[-1] if S else None
                     if parent_edge[dst[ei]] == ei:  # tree edge
                         ind[v] = i
@@ -390,7 +406,7 @@ def _lr_rotation(nodes: list[int], adj: list[Iterable[int]]) -> _Rotation | None
                     S.append([None, None, ei, ei])
                 # integrate new return edges
                 if lowpt[ei] < hv:
-                    if i == 0:
+                    if i == out_at[v]:
                         lowpt_edge[e] = lowpt_edge[ei]
                     elif not add_constraints(ei, e):
                         return None
@@ -400,260 +416,295 @@ def _lr_rotation(nodes: list[int], adj: list[Iterable[int]]) -> _Rotation | None
                 if e >= 0:
                     remove_back_edges(e)
 
-    # sign: resolve each side relative to its reference into an absolute one
-    for v in range(n):
-        for e in out[v]:
-            chain = []
-            f = e
-            while ref[f] is not None:
-                chain.append(f)
-                nxt = ref[f]
-                ref[f] = None
-                f = nxt
-            s = side[f]
-            for f in reversed(chain):
-                s = side[f] = side[f] * s
-            depth[e] *= s
+    return _LRPartition(roots, parent_edge, src, dst, depth, ref, side)
 
-    # dfs_embedding: each vertex's outgoing edges in signed-depth order
-    # make its first ring; then each back edge goes into its target's ring
-    # beside the target's right or left reference, by its side. The rings
-    # hold labels; first[v] is v's leftmost neighbour, the one networkx
-    # keeps last in its _succ[v]
-    ordered = [sorted(o, key=by_depth) for o in out]
-    cw: list[dict[int, int]] = []
-    ccw: list[dict[int, int]] = []
-    first: list = [None] * n
-    for v, row in enumerate(ordered):
-        ring = [nodes[dst[e]] for e in row]
-        after = ring[1:] + ring[:1]
-        cw.append(dict(zip(ring, after)))
-        ccw.append(dict(zip(after, ring)))
-        if ring:
-            first[v] = ring[0]
-    left_ref: list = [None] * n
-    right_ref: list = [None] * n
-    ind = [0] * n
-    for root in roots:
+
+def _out_by_depth(src: list[int], depth: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Each vertex's outgoing edges by depth, ties in edge order.
+
+    One flat list of edges and n + 1 offsets: v's edges are
+    ``ordered[out_at[v]:out_at[v + 1]]``. One stable sort over all edges
+    stands for networkx's per-vertex ``sorted`` by nesting depth.
+    """
+    tails = np.array(src, dtype=np.int64)
+    order = np.lexsort((np.array(depth, dtype=np.int64), tails))
+    out_at = np.searchsorted(tails[order], np.arange(n + 1))
+    return order.tolist(), out_at.tolist()
+
+
+def _lr_embedding(nodes: list[int], lr: _LRPartition) -> _HalfEdges:
+    """The half-edge record of a partition from ``_lr_test``.
+
+    networkx's ``sign`` and ``dfs_embedding``: each edge's side is
+    resolved against its reference into an absolute one, each vertex's
+    outgoing edges in signed-depth order make its first ring, and then a
+    DFS puts each edge's reverse half-edge into its target's ring: a tree
+    edge's as the target's new leftmost, a back edge's beside the
+    target's right or left reference, by its side. Oriented edge e is the
+    half-edge 2e and its reverse 2e + 1. It uses ``lr`` up: references are
+    cleared and sides and depths signed in place.
+    """
+    src, dst, depth, ref, side = lr.src, lr.dst, lr.depth, lr.ref, lr.side
+    parent_edge = lr.parent_edge
+    n = len(nodes)
+
+    # sign: resolve each side relative to its reference into an absolute
+    # one; a resolved edge drops its reference, so the order is immaterial
+    for e in range(len(src)):
+        chain = []
+        f = e
+        while ref[f] is not None:
+            chain.append(f)
+            nxt = ref[f]
+            ref[f] = None
+            f = nxt
+        s = side[f]
+        for f in reversed(chain):
+            s = side[f] = side[f] * s
+        depth[e] *= s
+
+    # dfs_embedding
+    ordered, out_at = _out_by_depth(src, depth, n)
+    count = 2 * len(src)
+    tail = [0] * count
+    tail[::2] = src
+    tail[1::2] = dst
+    head = [0] * count
+    head[::2] = dst
+    head[1::2] = src
+    rnext = [0] * count
+    rprev = [0] * count
+    first = [-1] * n
+    for v in range(n):
+        lo, hi = out_at[v], out_at[v + 1]
+        if lo < hi:
+            prv = 2 * ordered[hi - 1]
+            for e in ordered[lo:hi]:
+                h = 2 * e
+                rnext[prv] = h
+                rprev[h] = prv
+                prv = h
+            first[v] = 2 * ordered[lo]
+    # a vertex's left and right references are half-edges out of it
+    left_ref = [-1] * n
+    right_ref = [-1] * n
+    ind = out_at[:-1]
+    for root in lr.roots:
         stack = [root]
         while stack:
             v = stack.pop()
-            x = nodes[v]
-            row = ordered[v]
             i = ind[v]
-            while i < len(row):
-                ei = row[i]
+            end = out_at[v + 1]
+            while i < end:
+                ei = ordered[i]
                 i += 1
                 w = dst[ei]
-                ring_cw, ring_ccw = cw[w], ccw[w]
+                t = 2 * ei + 1  # w -> v
                 if parent_edge[w] == ei:
-                    # add_half_edge_first(w, v): v goes counter-clockwise
-                    # of w's leftmost neighbour and becomes leftmost
+                    # add_half_edge_first(w, v): counter-clockwise of w's
+                    # leftmost half-edge, and the new leftmost
                     f = first[w]
-                    if f is None:
-                        ring_cw[x] = ring_ccw[x] = x
+                    if f < 0:
+                        rnext[t] = rprev[t] = t
                     else:
-                        prv = ring_ccw[f]
-                        ring_ccw[f] = x
-                        ring_ccw[x] = prv
-                        ring_cw[prv] = x
-                        ring_cw[x] = f
-                    first[w] = x
-                    left_ref[v] = right_ref[v] = nodes[w]
+                        prv = rprev[f]
+                        rprev[f] = t
+                        rprev[t] = prv
+                        rnext[prv] = t
+                        rnext[t] = f
+                    first[w] = t
+                    left_ref[v] = right_ref[v] = 2 * ei
                     ind[v] = i
                     stack.append(v)
                     stack.append(w)
                     break
                 if side[ei] == 1:  # clockwise after w's right reference
                     c = right_ref[w]
-                    nxt = ring_cw[c]
-                    ring_cw[c] = x
-                    ring_cw[x] = nxt
-                    ring_ccw[nxt] = x
-                    ring_ccw[x] = c
+                    nxt = rnext[c]
+                    rnext[c] = t
+                    rnext[t] = nxt
+                    rprev[nxt] = t
+                    rprev[t] = c
                 else:  # counter-clockwise before w's left reference
                     c = left_ref[w]
-                    prv = ring_ccw[c]
-                    ring_ccw[c] = x
-                    ring_ccw[x] = prv
-                    ring_cw[prv] = x
-                    ring_cw[x] = c
+                    prv = rprev[c]
+                    rprev[c] = t
+                    rprev[t] = prv
+                    rnext[prv] = t
+                    rnext[t] = c
                     if first[w] == c:
-                        first[w] = x
-                    left_ref[w] = x
-
-    # cw[x] is refilled in ring order from start[x], as callers iterate it
-    rot = _Rotation(order=list(nodes), cw={}, ccw={}, start={})
-    for v, x in enumerate(nodes):
-        f = first[v]
-        rot.ccw[x] = ccw[v]
-        ring_cw = cw[v]
-        if f is None:
-            rot.cw[x] = ring_cw
-            continue
-        rot.start[x] = f
-        rot.cw[x] = mine = {}
-        y = f
-        while True:
-            nxt = mine[y] = ring_cw[y]
-            y = nxt
-            if y == f:
-                break
-    return rot
+                        first[w] = t
+                    left_ref[w] = t
+    return _HalfEdges(label=list(nodes), tail=tail, head=head, rnext=rnext, rprev=rprev,
+                      start=first)
 
 
-def _triangulate(rot: _Rotation) -> None:
+def _triangulate(he: _HalfEdges) -> None:
     """Triangulate a connected rotation system of at least 3 vertices in place.
 
     A port of networkx's ``triangulate_embedding(emb, fully_triangulate=True)``
-    that adds the same edges at the same places in the same order. First
-    a walk around every face, started at each vertex's half-edges in its
-    live clockwise order (so it sees the edges added on the way), links
-    the two neighbours of a vertex met twice on one face, which makes the
-    graph 2-connected. Then each face so found is fanned into triangles,
-    skipping a chord that is already an edge.
+    that adds the same edges at the same places in the same order, each
+    as a new twin pair. First a walk around every face, started at each
+    vertex's half-edges in its live clockwise order (so it sees the edges
+    added on the way), links the two neighbours of a vertex met twice on
+    one face, which makes the graph 2-connected. Then each face so found
+    is fanned into triangles, skipping a chord that is already an edge.
     """
-    cw, ccw, add_chord = rot.cw, rot.ccw, rot.add_chord
-    visited: set[tuple[int, int]] = set()
-    faces: list[tuple[int, int]] = []
-    for v in rot.order:
-        first = w = rot.start[v]
+    tail, head, rnext, rprev, start = he.tail, he.head, he.rnext, he.rprev, he.start
+    n = len(start)
+
+    def chord(a: int, b: int) -> int:
+        """Add the edge across the face corner a, b (b follows a on the
+        face): from tail[a] to head[b], clockwise of a around tail[a] and
+        counter-clockwise of b's twin around head[b], where it also takes
+        over as start if b's twin was (networkx's ``add_half_edge`` with
+        ``ccw=`` and ``cw=`` the corner's middle node). Returns the new
+        half-edge out of tail[a]."""
+        p = len(head)
+        u, w = tail[a], head[b]
+        back = b ^ 1
+        nxt, prv = rnext[a], rprev[back]
+        rnext[a] = rprev[nxt] = p
+        rprev[back] = rnext[prv] = p + 1
+        tail.extend((u, w))
+        head.extend((w, u))
+        rnext.extend((nxt, back))
+        rprev.extend((a, prv))
+        if start[w] == back:
+            start[w] = p + 1
+        return p
+
+    # make_bi_connected: the half-edges a chord adds are on the face being
+    # walked, so they are born visited
+    visited = bytearray(len(head))
+    mark = [-1] * n
+    faces: list[int] = []
+    for v in range(n):
+        first = h = start[v]
         while True:
-            if (v, w) not in visited:
-                visited.add((v, w))
-                faces.append((v, w))
-                seen = {v}
-                v1, v2, v3 = v, w, ccw[w][v]
-                while v2 != v or v3 != w:
-                    if v2 in seen:
-                        add_chord(v1, v3, v2)
-                        visited.add((v2, v3))
-                        visited.add((v3, v1))
-                        v2 = v1
+            if not visited[h]:
+                visited[h] = 1
+                mark[v] = h
+                faces.append(h)
+                a, b = h, rprev[h ^ 1]
+                while b != h:
+                    x = head[a]
+                    if mark[x] == h:
+                        a = chord(a, b)
+                        visited += b"\1\1"
+                        visited[b] = 1
                     else:
-                        seen.add(v2)
-                    v1 = v2
-                    v2, v3 = v3, ccw[v3][v2]
-                    visited.add((v1, v2))
-            w = cw[v][w]
-            if w == first:
+                        mark[x] = h
+                        a = b
+                    b = rprev[a ^ 1]
+                    visited[a] = 1
+            h = rnext[h]
+            if h == first:
                 break
-    for v1, v2 in faces:
-        v3 = ccw[v2][v1]
-        v4 = ccw[v3][v2]
-        while v1 != v4:
-            if v3 in cw[v1]:
-                v1, v2 = v2, v3
+
+    # triangulate_face
+    edges = {u * n + w for u, w in zip(tail, head) if u < w}
+    for a in faces:
+        b = rprev[a ^ 1]
+        c = rprev[b ^ 1]
+        while tail[a] != head[c]:
+            u, w = tail[a], head[b]
+            key = u * n + w if u < w else w * n + u
+            if key in edges:
+                a = b
             else:
-                add_chord(v1, v3, v2)
-                v2 = v3
-            v3 = v4
-            v4 = ccw[v3][v2]
+                edges.add(key)
+                a = chord(a, b)
+            b = c
+            c = rprev[b ^ 1]
 
 
-def _balanced_fundamental_cycle(rot: _Rotation, root: int, weight: dict[int, int]):
-    """Vertices of a fundamental cycle of a triangulation leaving <= 2/3
-    on each side.
+def _balanced_fundamental_cycle(he: _HalfEdges, weight: list[int]):
+    """Labels of a fundamental cycle of a triangulation leaving <= 2/3 of
+    the weight on each side.
 
-    The BFS tree grows from ``root`` (each vertex's neighbours in
-    ascending order), and the non-tree edges are tried in ascending
-    (lower end, higher end) order; the result omits ``root``, and is None
-    if no fundamental cycle balances. Side weights come from dual-tree
-    subtree sums: the duals of the non-tree edges form a spanning tree of
-    the dual, so each cycle's enclosed faces are exactly one dual subtree
-    and the scan costs O(cycle length) per candidate.
+    ``weight[i]`` is node i's. Labels must ascend with node index (the
+    band's are the virtual root -1, then ``heavy`` ascending), so index
+    order is label order. The BFS tree grows from node 0 (each node's
+    neighbours in ascending order), and the non-tree edges are tried in
+    ascending (lower end, higher end) order; the result omits node 0,
+    and is None if no fundamental cycle balances.
+
+    Side weights come from the tree's contour, the walk around the BFS
+    tree that passes each half-edge once: it goes along a tree half-edge
+    and on around its head, but only steps past a non-tree one and goes
+    on around its tail. The walk crosses each non-tree edge twice and no
+    tree edge, so it is an Euler tour of the dual spanning tree, and
+    between the two crossings of a non-tree edge it visits exactly the
+    corners on one side of that edge's cycle. Each node puts its weight
+    on one of its corners (a node off a cycle has all of them on one
+    side), so one prefix sum along the walk weighs each side, and the
+    scan costs O(cycle length) per candidate.
     """
-    cw, ccw = rot.cw, rot.ccw
-    total = sum(weight.values())
+    n = len(weight)
+    total = sum(weight)
+    head = np.array(he.head)
+    twin = np.arange(len(head)) ^ 1
+    tail = head[twin]
 
-    # BFS tree of the triangulation from the root
-    parent = {root: root}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(cw[x]):
-            if y not in parent:
+    # the half-edges by (tail, head): each node's neighbours in ascending
+    # order, and the non-tree edges in scan order
+    by_ends = np.argsort(tail * n + head)
+    t, w = tail[by_ends], head[by_ends]
+    row_at = np.searchsorted(t, np.arange(n + 1)).tolist()
+    nbr = w.tolist()
+
+    # BFS tree of the triangulation from node 0
+    parent = [-1] * n
+    parent[0] = 0
+    queue = [0]
+    for x in queue:
+        for y in nbr[row_at[x]:row_at[x + 1]]:
+            if parent[y] < 0:
                 parent[y] = x
                 queue.append(y)
+    par = np.array(parent)
+    tree = (par[tail] == head) | (par[head] == tail)
+    nontree = by_ends[(t < w) & ~tree[by_ends]].tolist()
 
-    # faces; face id per half-edge (u, v), kept as face_of[u][v]
-    face_of: dict[int, dict[int, int]] = {u: {} for u in cw}
-    nfaces = 0
-    for u, ring in cw.items():
-        mine = face_of[u]
-        for v in ring:
-            if v not in mine:
-                a, b = u, v
-                while b not in face_of[a]:
-                    face_of[a][b] = nfaces
-                    a, b = b, ccw[b][a]
-                nfaces += 1
+    # the contour: the step at half-edge h visits the corner clockwise
+    # after h around its tail, or after its twin around its head if h is
+    # a tree half-edge; at[h] is that step's place in the walk
+    rnext = np.array(he.rnext)
+    step = np.where(tree, rnext[twin], rnext).tolist()
+    at = [0] * len(step)
+    h = 0
+    for i in range(len(step)):
+        at[h] = i
+        h = step[h]
+    # each node's weight sits on the corner clockwise after its start
+    # (int64 sums are exact: a graph's total weight is below 2**63)
+    start = np.array(he.start)
+    load = [at[h] for h in (start ^ tree[start]).tolist()]
+    spot = np.zeros(len(step) + 1, dtype=np.int64)
+    spot[np.array(load) + 1] = weight
+    before = np.cumsum(spot)  # weight placed before each step
 
-    # dual spanning tree: one dual edge per non-tree primal edge
-    nontree = sorted(
-        (u, v) for u, ring in cw.items() for v in ring
-        if u < v and parent[u] != v and parent[v] != u
-    )
-    dual_adj: list[list[int]] = [[] for _ in range(nfaces)]
-    for u, v in nontree:
-        f1, f2 = face_of[u][v], face_of[v][u]
-        dual_adj[f1].append(f2)
-        dual_adj[f2].append(f1)
-
-    # each vertex contributes its weight to one incident face; which one
-    # does not matter, as a vertex off a cycle has all its faces on one side
-    load_face = {x: face_of[x][rot.start[x]] for x in cw}
-    subtree = [0] * nfaces
-    for x, f in load_face.items():
-        subtree[f] += weight[x]
-
-    # Euler intervals and subtree sums of the dual tree
-    tin = [-1] * nfaces
-    tout = [-1] * nfaces
-    dual_parent = [-1] * nfaces
-    timer = 0
-    stack = [(0, False)]
-    dual_parent[0] = 0
-    while stack:
-        f, done = stack.pop()
-        if done:
-            tout[f] = timer
-            if dual_parent[f] != f:
-                subtree[dual_parent[f]] += subtree[f]
-            continue
-        tin[f] = timer
-        timer += 1
-        stack.append((f, True))
-        for g in dual_adj[f]:
-            if dual_parent[g] == -1:
-                dual_parent[g] = f
-                stack.append((g, False))
-
-    for u, v in nontree:
-        f1, f2 = face_of[u][v], face_of[v][u]
-        # the dual subtree below edge uv is one side of its cycle; both
-        # sides are checked alike, so the dual tree's root face is immaterial
-        child = f1 if dual_parent[f2] != f1 else f2
-        lo, hi = tin[child], tout[child]
-        cycle = _tree_path(parent, u, v)
+    for h in nontree:
+        lo, hi = sorted((at[h], at[h ^ 1]))
+        cycle = _tree_path(parent, he.tail[h], he.head[h])
         cycle_w = 0
-        inside = subtree[child]
+        inside = int(before[hi] - before[lo])
         for x in cycle:
             cycle_w += weight[x]
-            if lo <= tin[load_face[x]] < hi:
+            if lo <= load[x] < hi:
                 inside -= weight[x]
         outside = total - inside - cycle_w
         # 2/3, not beta: the cycle lemma only promises a cycle leaving at
         # most 2/3 of the band on each side. For a smaller beta the
         # caller's greedy pass closes the gap.
         if 3 * inside <= 2 * total and 3 * outside <= 2 * total:
-            out = set(cycle)
-            out.discard(root)
-            return out
+            label = he.label
+            return {label[x] for x in cycle if x}
     return None
 
 
-def _tree_path(parent: dict, u, v):
+def _tree_path(parent, u, v):
     """Vertices on the tree path from u to v (inclusive); parent[root] == root."""
     seen = set()
     x = u
