@@ -8,7 +8,11 @@ alternates from one (workload, seed) to the next, so that a slow spell
 of the host falls on both. For each checkout it writes
 ``BENCH_<short rev>.json`` into ``--out``: the last stdout line of every
 run, the per-workload medians and quartiles of the end-to-end metrics,
-and the host and library versions. Example, a parent and a change::
+and the host and library versions. Given exactly two checkouts, a
+parent and then a change, it also prints to stderr, for each workload and
+end-to-end metric, in how many (workload, seed) pairs the change was
+better (by the metric's direction in BENCHMARK.json) and the median ratio
+of the change's value to the parent's. Example::
 
     python3 scripts/bench_record.py ../parent . --workload forest-1m:1-10 \\
         --workload core-2k:2-5 --workload many-small:1-4 --out .
@@ -91,6 +95,46 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def compare(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """Per workload and metric: pairs won by ``change`` and the median ratio.
+
+    Runs at ``--trace 0`` are paired by (workload, seed). ``better`` maps
+    each metric to "lower" or "higher"; a tie is not a win. Pairs whose
+    parent value is 0 give no ratio.
+    """
+    base = {(r["workload"], r["seed"]): r["result"]["metrics"]
+            for r in parent if r["trace"] == 0}
+    seen: dict[str, dict[str, list[tuple[float, float]]]] = {}
+    for run in change:
+        key = (run["workload"], run["seed"])
+        if run["trace"] != 0 or key not in base:
+            continue
+        for name, m in run["result"]["metrics"].items():
+            if name in better and name in base[key]:
+                pair = (base[key][name]["value"], m["value"])
+                seen.setdefault(run["workload"], {}).setdefault(name, []).append(pair)
+    out: dict[str, dict] = {}
+    for workload, metrics in seen.items():
+        for name, pairs in metrics.items():
+            lower = better[name] == "lower"
+            wins = sum((b < a) if lower else (b > a) for a, b in pairs)
+            ratios = [b / a for a, b in pairs if a != 0]
+            out.setdefault(workload, {})[name] = {
+                "wins": wins, "pairs": len(pairs),
+                "median_ratio": statistics.median(ratios) if ratios else None}
+    return out
+
+
+def format_comparison(table: dict) -> list[str]:
+    lines = []
+    for workload, metrics in table.items():
+        for name, c in metrics.items():
+            ratio = "n/a" if c["median_ratio"] is None else f"{c['median_ratio']:.3f}"
+            lines.append(f"{workload} {name}: change better in {c['wins']} of {c['pairs']} "
+                         f"pairs, median ratio change/parent {ratio}")
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs="+", type=Path)
@@ -119,6 +163,13 @@ def main() -> int:
         path = args.out / f"BENCH_{rev}.json"
         path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {path}", file=sys.stderr)
+    if len(checkouts) == 2:
+        spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json")
+                          .read_text(encoding="utf-8"))
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        table = compare(runs[checkouts[0]], runs[checkouts[1]], better)
+        for line in format_comparison(table):
+            print(line, file=sys.stderr)
     return 0
 
 

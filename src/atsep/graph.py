@@ -228,31 +228,37 @@ def _raise_first_bad_edge(n: int, edges) -> None:
         seen.add(key)
 
 
-# frontiers below this size step through plain Python; larger ones vectorize
-_VEC_MIN_FRONTIER = 128
+# frontiers below this size step through plain Python; larger ones run as
+# array passes. On the thin layers of a subdivided grid the whole walk is
+# fastest with any threshold from 16 to 48 (README.md has the sweep); the
+# fronts of a cycle or a path stay below it
+_VEC_MIN_FRONTIER = 32
 
 
 def _frontier_neighbors(indptr, indices, frontier):
     """All neighbors of the frontier (with repetition), plus per-vertex counts."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    ends = np.cumsum(counts)
-    # the k-th entry overall lies at starts[i] + k - (ends[i] - counts[i])
-    at = np.repeat(starts - ends + counts, counts)
+    ends = indptr[1:][frontier]
+    counts = ends - indptr[frontier]
+    # the k-th entry overall lies at ends[i] - cum[i] + k, where cum[i] is
+    # the running count through vertex i
+    ends -= np.cumsum(counts)
+    at = np.repeat(ends, counts)
     at += np.arange(len(at), dtype=np.int64)
     return indices[at], counts
 
 
 def _unique(a: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D integer array.
+    """Sorted distinct values of a 1-D integer array, which it sorts in place.
 
-    Plain np.unique imports numpy.ma on its first call (40-130 ms), which
-    a process that separates one small graph would pay in full.
+    Every caller passes a fresh array, so no copy is made. Plain np.unique
+    imports numpy.ma on its first call (40-130 ms), which a process that
+    separates one small graph would pay in full.
     """
-    a = np.sort(a)
-    keep = np.ones(a.size, dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[np.flatnonzero(keep)]  # faster than indexing by the mask itself
+    a.sort()
+    first = np.empty(a.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[np.flatnonzero(first)]  # faster than indexing by the mask itself
 
 
 def _bfs_layers(G: Graph, root: int, parent: np.ndarray):

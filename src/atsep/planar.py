@@ -735,9 +735,40 @@ def _planarity_kernel(G: Graph) -> dict[int, set[int]]:
     edge, so by Kuratowski neither step changes planarity. Where the
     joining edge is already there, the parallel copy is dropped, which
     cannot change it either. A tree or a cycle leaves nothing.
+
+    Every maximal chain of degree-2 vertices goes first, in one array
+    pass: a half-edge into a degree-2 vertex points at the half-edge that
+    leaves it by its other edge, and squaring the pointers takes each
+    half-edge out of a vertex of another degree to its chain's far end.
+    A chain that ends where it starts is dropped, and parallel chains
+    give one edge, as suppressing them one by one would. Only what is
+    left goes through the loop, so pendant trees and the cascades that
+    dropped copies set off are handled there.
     """
-    row_at, nbr = memoryview(G.indptr), memoryview(G.indices)
-    nbrs = {v: set(nbr[row_at[v]:row_at[v + 1]]) for v in range(G.n)}
+    indptr, indices = G.indptr, G.indices
+    degree = np.diff(indptr)
+    tail = np.repeat(np.arange(G.n, dtype=np.int64), degree)
+    ptr = np.arange(len(indices), dtype=np.int64)
+    into = np.flatnonzero(degree[indices] == 2)
+    row = indptr[indices[into]]
+    ptr[into] = row + (indices[row] == tail[into])  # the row's other entry
+    out = np.flatnonzero(degree[tail] != 2)
+    far = ptr[out]
+    # chains of degree-2 vertices alone (cycles) have no way out and are
+    # never reached, so this ends after log2 of the longest chain rounds
+    while (degree[indices[far]] == 2).any():
+        ptr = ptr[ptr]
+        far = ptr[out]
+    near, reach = tail[out], indices[far]
+    edge = np.flatnonzero(near != reach)  # loops go
+    near, reach = near[edge], reach[edge]
+    # ``near`` ascends, so each kept vertex's ends are one run; the sets
+    # merge parallel chains
+    kept = np.flatnonzero(degree != 2)
+    cut = np.searchsorted(near, kept).tolist()
+    cut.append(len(near))
+    ends = reach.tolist()
+    nbrs = {v: set(ends[cut[i]:cut[i + 1]]) for i, v in enumerate(kept.tolist())}
     stack = [v for v, a in nbrs.items() if len(a) <= 2]
     while stack:
         v = stack.pop()

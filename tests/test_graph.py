@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from atsep.errors import BadVertexId, DuplicateEdge, Overflow, SelfLoop
-from atsep.gen import GenSpec, generate
+from atsep.gen import GenSpec, generate, grid_graph
 from atsep.graph import (
     MAX_TOTAL_WEIGHT,
     build_graph,
@@ -18,7 +18,8 @@ from atsep.graph import (
     is_connected,
     verify_separator,
 )
-from atsep.pipeline import separate
+from atsep.pipeline import compute_spanning_tree, separate
+from atsep.planar import bfs_levels
 import atsep.graph
 
 from build_graph_reference import reference_build_graph
@@ -255,6 +256,74 @@ class TestConnectedComponents:
         assert is_connected(path(4))
         assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
         assert is_connected(build_graph(0, []))
+
+
+def subdivided_grid(rng, a, b, longest, hang):
+    """An a x b grid whose edges are chains of 1..longest new vertices, with
+    ``hang`` pendant trees on random chain vertices and shuffled IDs: a deep
+    BFS of thin layers, like the benchmark's grid core."""
+    n, edges, inner = a * b, [], []
+    for u, v in grid_graph(a, b).edges():
+        chain = list(range(n, n + rng.randint(1, longest)))
+        n += len(chain)
+        inner += chain
+        edges += zip([u, *chain], [*chain, v])
+    for _ in range(hang):
+        tree = [rng.choice(inner)]
+        for _ in range(rng.randint(1, 6)):
+            edges.append((rng.choice(tree), n))
+            tree.append(n)
+            n += 1
+    label = list(range(n))
+    rng.shuffle(label)
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def _bfs_form_cases():
+    """(id, graph, root) triples: deep thin layers, tiny fronts, wide ones."""
+    rng = random.Random(18)
+    for i in range(3):
+        G = subdivided_grid(rng, rng.randint(6, 14), rng.randint(6, 14), 60, 200)
+        yield f"subdivided-grid-{i}", G, rng.randrange(G.n)
+    yield "cycle", cycle(3001), 1500
+    n = 4000
+    chords = [(0, n // 3), (n // 4, n // 2), (n // 2 + 7, n - 1)]
+    yield "path-with-chords", build_graph(n, [(i, i + 1) for i in range(n - 1)] + chords), 0
+    for seed in range(4):
+        for r in (-1, 16):
+            G = generate(GenSpec(n=rng.randint(500, 6000), r=r, seed=seed))
+            yield f"gen-r{r}-{seed}", G, rng.randrange(G.n)
+
+
+_BFS_FORM_CASES = list(_bfs_form_cases())
+
+
+class TestBfsForms:
+    """The scalar and the array step of ``_bfs_layers`` walk the same tree."""
+
+    @pytest.mark.parametrize("G,root", [c[1:] for c in _BFS_FORM_CASES],
+                             ids=[c[0] for c in _BFS_FORM_CASES])
+    def test_parents_and_layers_agree(self, monkeypatch, G, root):
+        seen = []
+        # every step an array pass, the measured crossover, every step scalar
+        for threshold in (1, atsep.graph._VEC_MIN_FRONTIER, G.n + 1):
+            monkeypatch.setattr(atsep.graph, "_VEC_MIN_FRONTIER", threshold)
+            parent = compute_spanning_tree(G, root).parent.tolist()
+            seen.append((parent, bfs_levels(G, root)))
+        assert seen[0] == seen[1] == seen[2]
+        parent, (level, levels, _) = seen[0]
+        assert parent[root] == root
+        for v in range(G.n):
+            ups = [u for u in row(G, v) if level[u] == level[v] - 1]
+            assert parent[v] == (min(ups) if ups else v)
+        assert all(layer == sorted(layer) for layer in levels)
+
+    def test_subdivided_grid_has_thin_layers(self):
+        G = subdivided_grid(random.Random(1), 10, 10, 60, 200)
+        _, levels, _ = bfs_levels(G, 0)
+        thin = [len(layer) for layer in levels if len(layer) < 128]
+        assert len(levels) > 100
+        assert max(thin) >= atsep.graph._VEC_MIN_FRONTIER
 
 
 class TestVerifySeparator:

@@ -141,17 +141,18 @@ class TestSpanningTree:
             n = rng.randint(4, 2500)
             G = generate(GenSpec(n=n, r=rng.randint(1, min(40, 2 * n - 7)), seed=i))
             check_bfs_tree(G, compute_spanning_tree(G, root=rng.randrange(n)))
-        # double stars with chords: from any root some layer holds well over
-        # a hundred vertices, so the vectorised level step runs
+        # double stars with chords: from any root some layer holds at least
+        # twice the frontier size from which the array step runs
+        wide = atsep.graph._VEC_MIN_FRONTIER
         for _ in range(3):
-            n = rng.randint(300, 600)
+            n = rng.randint(5 * wide, 10 * wide)
             edges = {(rng.randrange(min(v, 2)), v) for v in range(1, n)}
             while len(edges) < n + 20:
                 u, v = sorted(rng.sample(range(2, n), 2))
                 edges.add((u, v))
             G = build_graph(n, sorted(edges))
             dist = check_bfs_tree(G, compute_spanning_tree(G, root=rng.randrange(n)))
-            assert max(Counter(dist).values()) >= 128
+            assert max(Counter(dist).values()) >= 2 * wide
 
     def test_edge_count_and_reachability(self):
         rng = random.Random(11)

@@ -63,12 +63,18 @@ class TestBfsLevels:
         assert sum(level_weights) == 17
 
 
-# graphs with BFS layers of 128 vertices or more, which the walk steps as arrays
+def _wide(k: int) -> int:
+    """k times the frontier size from which the walk steps as arrays."""
+    return k * atsep.graph._VEC_MIN_FRONTIER
+
+
+# graphs with BFS layers that the walk steps as arrays
 _WIDE = [
     pytest.param(lambda: generate(GenSpec(n=20000, r=40, seed=2, weight_mode=("uniform", 0, 9))),
                  id="generated"),
-    pytest.param(lambda: grid_graph(150, 160), id="grid"),
-    pytest.param(lambda: build_graph(600, [(0, v) for v in range(1, 600)], range(600)),
+    pytest.param(lambda: grid_graph(_wide(1) + 22, _wide(1) + 32), id="grid"),
+    pytest.param(lambda: build_graph(_wide(5), [(0, v) for v in range(1, _wide(5))],
+                                     range(_wide(5))),
                  id="star"),
 ]
 
@@ -83,7 +89,7 @@ class TestBfsLevelsOnWideLayers:
             level, levels, level_weights = bfs_levels(G, root)
             dist = nx.single_source_shortest_path_length(H, root)
             assert level == [dist[v] for v in range(G.n)]
-            assert max(map(len, levels)) >= 128
+            assert max(map(len, levels)) >= _wide(1)
             want = [[] for _ in range(max(dist.values()) + 1)]
             for v in range(G.n):
                 want[dist[v]].append(v)
