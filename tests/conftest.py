@@ -1,5 +1,7 @@
 """Shared builders for small fixture graphs."""
 
+import networkx as nx
+
 from atsep.graph import Graph, build_graph
 
 
@@ -53,6 +55,39 @@ def subdivided(edges, length, rng, hang=0):
             tree.append(n)
             n += 1
     return build_graph(n, out)
+
+
+def chained(edges, rng, shortest, longest, hang=0):
+    """Each edge a chain of ``shortest``..``longest`` new vertices, plus
+    ``hang`` pendant trees of up to four vertices on random vertices, with
+    shuffled IDs."""
+    edges = list(edges)
+    n = max(max(e) for e in edges) + 1
+    out = []
+    for u, v in edges:
+        chain = list(range(n, n + rng.randint(shortest, longest)))
+        n += len(chain)
+        out += zip([u, *chain], [*chain, v])
+    for _ in range(hang):
+        tree = [rng.randrange(n)]
+        for _ in range(rng.randint(1, 4)):
+            out.append((rng.choice(tree), n))
+            tree.append(n)
+            n += 1
+    label = list(range(n))
+    rng.shuffle(label)
+    return build_graph(n, [(label[u], label[v]) for u, v in out])
+
+
+def stacked_triangulation(n, rng):
+    """nx.Graph of a random stacked triangulation on n >= 3 nodes."""
+    G = nx.Graph([(0, 1), (1, 2), (0, 2)])
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        G.add_edges_from([(v, a), (v, b), (v, c)])
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return G
 
 
 def path_lists(paths) -> list[list[int]]:

@@ -23,7 +23,7 @@ from atsep.planar import bfs_levels
 import atsep.graph
 
 from build_graph_reference import reference_build_graph
-from conftest import cycle, path, row, star
+from conftest import chained, cycle, path, row, star
 
 
 class TestBuildGraph:
@@ -258,32 +258,13 @@ class TestConnectedComponents:
         assert is_connected(build_graph(0, []))
 
 
-def subdivided_grid(rng, a, b, longest, hang):
-    """An a x b grid whose edges are chains of 1..longest new vertices, with
-    ``hang`` pendant trees on random chain vertices and shuffled IDs: a deep
-    BFS of thin layers, like the benchmark's grid core."""
-    n, edges, inner = a * b, [], []
-    for u, v in grid_graph(a, b).edges():
-        chain = list(range(n, n + rng.randint(1, longest)))
-        n += len(chain)
-        inner += chain
-        edges += zip([u, *chain], [*chain, v])
-    for _ in range(hang):
-        tree = [rng.choice(inner)]
-        for _ in range(rng.randint(1, 6)):
-            edges.append((rng.choice(tree), n))
-            tree.append(n)
-            n += 1
-    label = list(range(n))
-    rng.shuffle(label)
-    return build_graph(n, [(label[u], label[v]) for u, v in edges])
-
-
 def _bfs_form_cases():
     """(id, graph, root) triples: deep thin layers, tiny fronts, wide ones."""
     rng = random.Random(18)
     for i in range(3):
-        G = subdivided_grid(rng, rng.randint(6, 14), rng.randint(6, 14), 60, 200)
+        # a grid of chains with pendant trees: a deep BFS of thin layers,
+        # like the benchmark's subdivided grid core
+        G = chained(grid_graph(rng.randint(6, 14), rng.randint(6, 14)).edges(), rng, 1, 60, 200)
         yield f"subdivided-grid-{i}", G, rng.randrange(G.n)
     yield "cycle", cycle(3001), 1500
     n = 4000
@@ -318,12 +299,14 @@ class TestBfsForms:
             assert parent[v] == (min(ups) if ups else v)
         assert all(layer == sorted(layer) for layer in levels)
 
-    def test_subdivided_grid_has_thin_layers(self):
-        G = subdivided_grid(random.Random(1), 10, 10, 60, 200)
-        _, levels, _ = bfs_levels(G, 0)
-        thin = [len(layer) for layer in levels if len(layer) < 128]
-        assert len(levels) > 100
-        assert max(thin) >= atsep.graph._VEC_MIN_FRONTIER
+    def test_grids_mix_both_steps(self):
+        # the grids are deep, and at the default threshold their walk takes
+        # both steps, so its run above is not a copy of either other run
+        for name, G, root in _BFS_FORM_CASES:
+            if name.startswith("subdivided-grid"):
+                sizes = [len(layer) for layer in bfs_levels(G, root)[1]]
+                assert len(sizes) > 100
+                assert min(sizes) < atsep.graph._VEC_MIN_FRONTIER <= max(sizes)
 
 
 class TestVerifySeparator:

@@ -32,7 +32,7 @@ from atsep.pipeline import (
 )
 from atsep.planar import _planarity_kernel, lt_separator
 
-from conftest import cycle, path, star, subdivided
+from conftest import chained, cycle, path, stacked_triangulation, star, subdivided
 from kernel_reference import reference_kernel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
@@ -62,37 +62,6 @@ def check(G):
     return kernel
 
 
-def chained(edges, rng, longest, hang=0):
-    """Each edge a chain of 0..longest new vertices, plus ``hang`` pendant
-    trees on random vertices, with shuffled IDs."""
-    n = max(max(e) for e in edges) + 1
-    out = []
-    for u, v in edges:
-        chain = list(range(n, n + rng.randint(0, longest)))
-        n += len(chain)
-        out += zip([u, *chain], [*chain, v])
-    for _ in range(hang):
-        tree = [rng.randrange(n)]
-        for _ in range(rng.randint(1, 4)):
-            out.append((rng.choice(tree), n))
-            tree.append(n)
-            n += 1
-    label = list(range(n))
-    rng.shuffle(label)
-    return build_graph(n, [(label[u], label[v]) for u, v in out])
-
-
-def stacked_edges(n, rng):
-    """Edges of a random stacked triangulation on n >= 3 vertices."""
-    edges = [(0, 1), (1, 2), (0, 2)]
-    faces = [(0, 1, 2)]
-    for v in range(3, n):
-        a, b, c = faces.pop(rng.randrange(len(faces)))
-        edges += [(v, a), (v, b), (v, c)]
-        faces += [(a, b, v), (b, c, v), (a, c, v)]
-    return edges
-
-
 def test_pool_compressed_graphs():
     tested = 0
     for j in range(gen.POOL):
@@ -109,10 +78,10 @@ def test_core_shaped_compressed_graphs(core):
     # benchmark's 2 * 10^5-vertex inputs
     rng = random.Random(2)
     if core == "stacked":
-        edges = stacked_edges(1000, rng)
+        edges = stacked_triangulation(1000, rng).edges()
     else:
-        edges = list(grid_graph(45, 45).edges())
-    G = chained(edges, rng, 5, hang=300)
+        edges = grid_graph(45, 45).edges()
+    G = chained(edges, rng, 0, 5, hang=300)
     assert G.n > 8000
     kernel = check(G)
     assert 0 < len(kernel) < G.n / 4
@@ -125,7 +94,8 @@ def test_random_planar_graphs():
         G = generate(GenSpec(n=rng.randint(20, 3000), r=rng.randint(0, 60), seed=seed))
         check(G)
         check(compressed_graph(G))
-        check(chained(stacked_edges(rng.randint(3, 80), rng), rng, 3, hang=rng.randint(0, 20)))
+        H = stacked_triangulation(rng.randint(3, 80), rng)
+        check(chained(H.edges(), rng, 0, 3, hang=rng.randint(0, 20)))
 
 
 class TestKernelShapes:
@@ -147,7 +117,7 @@ class TestKernelShapes:
                 edges += zip([0, *chain], [*chain, 1])
             G = build_graph(n, edges)
             assert check(G) == {}
-            G = chained([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)], rng, 6)
+            G = chained([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)], rng, 0, 6)
             assert check(G) == {}
 
     def test_pendant_trees_on_chains(self):

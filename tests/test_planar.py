@@ -40,7 +40,7 @@ from band_cycle_reference import (
     reference_band_graph,
     reference_band_triangulation,
 )
-from conftest import complete, cycle, path, row, star, subdivided
+from conftest import complete, cycle, path, row, stacked_triangulation, star, subdivided
 
 
 class TestBfsLevels:
@@ -552,17 +552,6 @@ class TestBandCyclePort:
         level, _, _ = bfs_levels(G, 0)
         assert _band_rotation(G, [1], level, 0) is None
         assert check_band_port(G, [1], level, 0) is None
-
-
-def stacked_triangulation(n, rng):
-    """nx.Graph of a random stacked triangulation on n >= 3 nodes."""
-    G = nx.Graph([(0, 1), (1, 2), (0, 2)])
-    faces = [(0, 1, 2)]
-    for v in range(3, n):
-        a, b, c = faces.pop(rng.randrange(len(faces)))
-        G.add_edges_from([(v, a), (v, b), (v, c)])
-        faces += [(a, b, v), (b, c, v), (a, c, v)]
-    return G
 
 
 def shuffled(G, rng):
