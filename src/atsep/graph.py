@@ -282,7 +282,8 @@ def _bfs_layers(G: Graph, root: int, parent: np.ndarray):
     # memoryviews index and slice to Python ints faster than the arrays do
     row_at, nbr = memoryview(indptr), memoryview(indices)
     # scalar steps write their finds to ``parent`` once, at the end: a
-    # numpy write per small layer costs more than the layer on a deep tree
+    # numpy write per small layer costs more than the layer on a deep tree,
+    # and a scatter straight from the lists costs more than making arrays
     kids, ups = [root], [root]
     frontier = [root]
     while len(frontier):
@@ -307,7 +308,8 @@ def _bfs_layers(G: Graph, root: int, parent: np.ndarray):
             np.minimum.at(parent, finds, np.repeat(fr, counts)[found])
             frontier = _unique(finds)
             mark[frontier] = 1
-    parent[kids] = ups
+    parent[np.fromiter(kids, dtype=np.int64, count=len(kids))] = np.fromiter(
+        ups, dtype=np.int64, count=len(ups))
     reached = np.count_nonzero(mark)
     if reached != n:
         raise Disconnected(f"only {reached} of {n} vertices reachable from {root}")

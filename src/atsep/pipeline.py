@@ -63,11 +63,15 @@ def extra_edges(G: Graph, T: SpanningTree) -> EdgeSet:
     their degree in T have non-tree edges, so only their rows are read.
     """
     parent = np.asarray(T.parent, dtype=np.int64)
-    # parent[root] == root counts the root as its own child, standing in
-    # for the parent edge it lacks
-    tree_degree = np.bincount(parent, minlength=G.n) + 1
-    tree_degree[T.root] -= 2
-    ends = np.flatnonzero(np.diff(G.indptr) > tree_degree)
+    # a vertex's row ends past its start plus its tree degree, built in
+    # place; parent[root] == root counts the root as its own child,
+    # standing in for the parent edge it lacks
+    tree_end = np.bincount(parent, minlength=G.n)
+    tree_end += 1
+    tree_end[T.root] -= 2
+    tree_end += G.indptr[:-1]
+    ends = np.flatnonzero(G.indptr[1:] > tree_end)
+    del tree_end
     nbrs, counts = _frontier_neighbors(G.indptr, G.indices, ends)
     src = np.repeat(ends, counts)
     keep = np.flatnonzero((src < nbrs) & (parent[src] != nbrs) & (parent[nbrs] != src))
@@ -79,20 +83,26 @@ class SteinerSubtree:
     """Minimal subtree of the spanning tree containing all terminals.
 
     ``member`` marks the subtree's vertices, ``top`` is its vertex nearest
-    the root, ``degrees`` holds each member's degree inside the subtree
-    (0 outside it) and ``parent`` is the spanning tree's parent array.
+    the root, ``forks`` lists in order its vertices of degree three or
+    more, and ``parent`` is the spanning tree's parent array. No degree is
+    kept per vertex: ``degree`` counts one from the members.
     """
 
     member: np.ndarray
     top: int
-    degrees: np.ndarray
+    forks: np.ndarray
     parent: np.ndarray
 
     def vertices(self) -> list[int]:
         return np.flatnonzero(self.member).tolist()
 
     def degree(self, v: int) -> int:
-        return int(self.degrees[v])
+        """v's degree inside the subtree, 0 outside it; one pass over the members."""
+        if not self.member[v]:
+            return 0
+        # the root is its own parent, and top's parent is outside
+        children = np.count_nonzero(self.parent[np.flatnonzero(self.member)] == v)
+        return int(children) - int(self.parent[v] == v) + int(v != self.top)
 
     def edges(self) -> list[tuple[int, int]]:
         """Subtree edges as sorted (u, v) pairs with u < v."""
@@ -102,6 +112,18 @@ class SteinerSubtree:
         lo, hi = np.minimum(child, up), np.maximum(child, up)
         order = np.lexsort((hi, lo))
         return list(zip(lo[order].tolist(), hi[order].tolist()))
+
+
+def _position_map(n: int, verts: np.ndarray) -> np.ndarray:
+    """An n-array giving each of the sorted ``verts`` its position among
+    them, as int32 below 2^31 vertices; other entries are unset.
+
+    Cast gathered positions to int64 before they index a hot gather:
+    numpy gathers through int32 index arrays about 3.5x slower.
+    """
+    pos = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
+    pos[verts] = np.arange(verts.size, dtype=pos.dtype)
+    return pos
 
 
 def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
@@ -117,10 +139,10 @@ def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
     terminal or has two marked children. Pointer jumping over the marked
     vertices gives their depths. Needs only T.root and T.parent.
 
-    Cost, with D the BFS depth of the deepest terminal: a few arrays of
-    length n, O(log D) numpy passes over the marked vertices, and one
-    small gather per level walked (at most 2D), which is what a deep tree
-    with a narrow union (a long cycle or path) pays for.
+    Cost, with D the BFS depth of the deepest terminal: a bool and an
+    int32 array of length n, O(log D) numpy passes over the marked
+    vertices, and one small gather per level walked (at most 2D), which is
+    what a deep tree with a narrow union (a long cycle or path) pays for.
     """
     terms = _unique(np.fromiter(terminals, dtype=np.int64))
     if terms.size == 0:
@@ -139,37 +161,41 @@ def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
         up = parent[frontier]
         frontier = _unique(up[~member[up]])
         batch *= 2
-    verts = np.flatnonzero(member)
-    children = np.bincount(parent[verts], minlength=n)
-    children[root] -= 1  # the root, always marked, is its own parent
+    # x.nonzero()[0] is np.flatnonzero(x) without its ravel, which costs
+    # about a microsecond a call, a share of a small graph's stage
+    verts = member.nonzero()[0]
+    # work on the marked vertices' positions in verts
+    index = _position_map(n, verts)
+    up = index[parent[verts]].astype(np.int64)
+    at_root = int(index[root])  # an int32 scalar would slow every compare below
+    children = np.bincount(up, minlength=verts.size)
+    children[at_root] -= 1  # the root, always marked, is its own parent
     # depth of each marked vertex: after k rounds, up jumps 2^k levels
     # (stopping at the root) and depth holds min(2^k, depth)
-    index = np.empty(n, dtype=np.int64)
-    index[verts] = np.arange(verts.size)
-    up = index[parent[verts]]
-    at_root = index[root]
     depth = (verts != root).astype(np.int64)
     while (up != at_root).any():
         depth += depth[up]
         up = up[up]
-    top_like = children[verts] != 1
-    top_like[index[terms]] = True
-    candidates = np.flatnonzero(top_like)
+    top_like = children != 1
+    top_like[index[terms].astype(np.int64)] = True
+    del index
+    candidates = top_like.nonzero()[0]
     i = candidates[np.argmin(depth[candidates])]
     top = int(verts[i])
-    chain = verts[np.flatnonzero(depth < depth[i])]
-    member[chain] = False
+    member[verts[(depth < depth[i]).nonzero()[0]]] = False
     degrees = children  # marked children; every member but top adds its parent
-    degrees[verts] += 1
-    degrees[chain] = 0
-    degrees[top] -= 1
-    return SteinerSubtree(member=member, top=top, degrees=degrees, parent=parent)
+    degrees += 1
+    degrees[i] -= 1
+    # the dropped chain's vertices have one marked child each, so degree 2
+    forks = verts[(degrees >= 3).nonzero()[0]]
+    return SteinerSubtree(member=member, top=top, forks=forks, parent=parent)
 
 
 def branch_vertices(T1: SteinerSubtree, terminals) -> list[int]:
     """Terminals plus every subtree vertex of degree three or more, sorted."""
-    mask = T1.degrees >= 3
-    mask[np.fromiter(terminals, dtype=np.int64)] = True
+    mask = np.zeros(len(T1.member), dtype=bool)
+    mask[T1.forks] = True
+    mask[list(terminals)] = True
     return np.flatnonzero(mask).tolist()
 
 
@@ -267,13 +293,16 @@ class CollapsedWeights:
     included, that is the root, a subtree vertex or a child of one;
     ``entries`` marks them. ``index`` gives each vertex the position of its
     entry in ``np.flatnonzero(entries)``, as int32 below 2^31 vertices,
-    and ``nearest`` is worked out from it. Arrays are indexed by vertex;
-    ``attach`` lists the nearest subtree vertices as Python ints.
+    and ``nearest`` is worked out from it; ``sums`` holds what the vertices
+    of each entry weigh, in the same order. The other arrays are indexed
+    by vertex, and n-length int64 only for ``wprime``; ``attach`` lists the
+    nearest subtree vertices as Python ints.
     """
 
     wprime: np.ndarray
     index: np.ndarray
     entries: np.ndarray
+    sums: np.ndarray
     T1: SteinerSubtree
     root: int
 
@@ -295,6 +324,11 @@ def _attach(entry: np.ndarray, T1: SteinerSubtree, root: int) -> np.ndarray:
     return attach
 
 
+# pointers jump in place this many at a time, so a jump's temporaries
+# stay this size whatever the number of nodes
+_JUMP_CHUNK = 2**15
+
+
 def _nearest_marked(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
     """Each node's nearest marked node on its root path, itself included.
 
@@ -302,12 +336,23 @@ def _nearest_marked(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
     with no marked node strictly between, such as its parent. Marked
     nodes point at themselves and the others along ``up``; jumping every
     pointer to its target's pointer halves the distance left, so O(log D)
-    numpy passes over all nodes suffice (D the depth of the tree;
-    whole-array gathers beat tracking the nodes still moving).
+    rounds suffice (D the depth of the tree; whole-chunk gathers beat
+    tracking the nodes still moving). A round jumps the pointers in place,
+    a chunk at a time, and ends the walk once every pointer lands on a
+    marked node: a pointer only moves toward its nearest marked node,
+    which points at itself, so reading a pointer that an earlier chunk
+    already moved is as good as reading it unmoved, and faster.
     """
-    ptr = np.where(mark, np.arange(len(up), dtype=np.int64), up)
-    while not mark[ptr].all():
-        ptr = ptr[ptr]
+    ptr = up.copy()
+    marked = mark.nonzero()[0]
+    ptr[marked] = marked
+    moved = True
+    while moved:
+        moved = False
+        for lo in range(0, len(ptr), _JUMP_CHUNK):
+            chunk = ptr[lo:lo + _JUMP_CHUNK]
+            chunk[...] = ptr[chunk]
+            moved = moved or not mark[chunk].all()
     return ptr
 
 
@@ -320,27 +365,29 @@ def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> Collapsed
     pointer jump to each vertex's entry finds it: the entry is that
     vertex, or its child, or the root. The weights are summed once per
     entry and then moved to the entries' subtree vertices, so weight
-    conservation is exact.
+    conservation is exact. Beside the n-length outputs, the call holds
+    one n-length int64 array, the jump's pointers, and chunk-sized
+    temporaries.
     """
     # the children of T1 are marked too, for heavy_vertex_fixup: they hold
     # every piece head of a separator inside T1
     entries = T1.member | T1.member[T1.parent]
     entries[T.root] = True
-    ids = np.flatnonzero(entries)
-    ptr = T1.parent.copy()
-    ptr[ids] = ids
-    while not entries[ptr].all():
-        ptr = ptr[ptr]
-    # each vertex's entry as its position in ids
-    slot = np.empty(G.n, dtype=np.int32 if G.n < 2**31 else np.int64)
-    slot[ids] = np.arange(len(ids))
-    index = slot[ptr]
-    del ptr, slot
+    ptr = _nearest_marked(T1.parent, entries)
+    # each vertex's entry as its position in ids, in place: the entries'
+    # positions stay put (an entry reads itself), and every other vertex
+    # reads its entry's
+    ids = entries.nonzero()[0]
+    index = _position_map(G.n, ids)
+    for lo in range(0, G.n, _JUMP_CHUNK):
+        index[lo:lo + _JUMP_CHUNK] = index[ptr[lo:lo + _JUMP_CHUNK]]
+    del ptr
     sums = np.zeros(len(ids), dtype=np.int64)
     np.add.at(sums, index, G.weight_array)
     wprime = np.zeros(G.n, dtype=np.int64)
     np.add.at(wprime, _attach(ids, T1, T.root), sums)
-    return CollapsedWeights(wprime=wprime, index=index, entries=entries, T1=T1, root=T.root)
+    return CollapsedWeights(wprime=wprime, index=index, entries=entries, sums=sums,
+                            T1=T1, root=T.root)
 
 
 @dataclass
@@ -575,10 +622,8 @@ class _TreePlusExtra:
         if cw is not None:
             index = cw.index
             ids = np.flatnonzero(cw.entries)
-            weights = np.zeros(len(ids), dtype=np.int64)
-            np.add.at(weights, index, G.weight_array)
             # R's ends are terminals, so entries
-            self.entries = _Slots(index[parent[ids]].astype(np.int64), weights,
+            self.entries = _Slots(index[parent[ids]].astype(np.int64), cw.sums,
                                   np.searchsorted(ids, ends), int(index[T.root]), index, ids)
             self.member = cw.T1.member
 

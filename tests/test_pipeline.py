@@ -839,10 +839,13 @@ class TestRoot:
 
 class TestSeparate:
     def test_peak_memory_per_vertex(self):
-        # the repair searches the entries of collapse_weights and
-        # decompose_paths works on T1's members, so at 2 * 10^5 vertices
-        # the call allocates at most about 34 bytes per vertex above what
-        # was live (69 while both walked every vertex)
+        # the repair searches the entries of collapse_weights, decompose_paths
+        # works on T1's members and only the spanning tree's parent array
+        # outlives its stage as n int64s, so at 2 * 10^5 vertices the call
+        # allocates at most about 24 bytes per vertex above what was live
+        # (34 while T1 kept a degree per vertex and the weight collapse
+        # jumped through a fresh pointer array each round, 69 while the
+        # repair and the paths walked every vertex)
         G = generate(GenSpec(n=200_000, r=16, seed=1))
         separate(G)
         gc.collect()
@@ -852,7 +855,33 @@ class TestSeparate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 44 * G.n
+        assert peak <= 28 * G.n
+
+    def test_stage_memory_per_vertex(self):
+        # on the graph above: T1 leaves its member mask live, a byte a
+        # vertex, and its forks (9 bytes a vertex while it kept a degree
+        # per vertex); collapse_weights holds its pointers, the entries'
+        # int32 positions and the entry mask, 13 bytes a vertex, and
+        # chunk-sized temporaries (about 17 while each jump round made a
+        # new pointer array)
+        G = generate(GenSpec(n=200_000, r=16, seed=1))
+        T = compute_spanning_tree(G)
+        terminals = extra_edges(G, T).endpoints()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            T1 = steiner_subtree(T, terminals)
+            live = tracemalloc.get_traced_memory()[0] - before
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            collapse_weights(G, T, T1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert live <= G.n + 16 * np.count_nonzero(T1.member) + 4096
+        assert peak <= 14 * G.n
 
     def test_stage_ns_of_a_tree(self):
         sep = separate(path(9))
