@@ -8,24 +8,24 @@ GenSpec; the per-stage streams are: 0 = tree shape, 1 = extra edges,
 Extra edges are placed by rejection sampling: candidates are drawn (a
 mixture of uniform pairs and short random-walk pairs) and accepted one
 at a time iff the graph stays simple and planar. The planarity test runs
-on a compressed core (the union of tree paths spanned by the chord
-endpoints, with degree-2 interiors suppressed), which is planar exactly
-when the full graph is: hanging trees and path subdivisions never affect
-planarity. The check itself is further limited to the biconnected block
-receiving the new chord, which is also exact.
+on the core (the union of the tree paths from the root to the chord
+endpoints) plus the chords, which is planar exactly when the full graph
+is, because hanging trees never affect planarity. The left-right test
+(``planar._lr_test``) runs on that graph's planarity kernel
+(``planar._planarity_kernel``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
 import numpy as np
 
 from .errors import Infeasible
-from .graph import Graph, _bfs_layers, build_graph, graph_from_edges
-from .planar import _lr_test
+from .graph import Graph, _bfs_layers, _unique, build_graph, graph_from_edges
+from .planar import _lr_test, _planarity_kernel
 
 _STAGE_TREE = 0
 _STAGE_EDGES = 1
@@ -34,6 +34,10 @@ _STAGE_WEIGHTS = 2
 
 def _rng(seed: int, stage: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stage,)))
+
+
+# each weight mode's tuple length, its name included
+_WEIGHT_MODE_SIZES = {"unit": 1, "uniform": 3, "single_heavy": 2}
 
 
 @dataclass
@@ -50,22 +54,31 @@ class GenSpec:
             raise Infeasible(f"n must be >= 1, got {self.n}")
         if self.r < -1:
             raise Infeasible(f"r must be >= -1, got {self.r}")
-        kind = self.weight_mode[0]
-        if kind not in ("unit", "uniform", "single_heavy"):
+        mode = self.weight_mode
+        kind = mode[0] if mode else None
+        if kind not in _WEIGHT_MODE_SIZES:
             raise Infeasible(f"unknown weight mode {kind!r}")
-        if kind == "uniform":
-            lo, hi = int(self.weight_mode[1]), int(self.weight_mode[2])
-            # weights are non-negative and not all zero
-            if not (0 <= lo <= hi and hi >= 1):
-                raise Infeasible(f"uniform weights need 0 <= LO <= HI and HI >= 1, got {lo}:{hi}")
-        if kind == "single_heavy":
-            f = Fraction(self.weight_mode[1]).limit_denominator(10**6)
-            if not Fraction(1, 2) < f < 1:
-                raise Infeasible("single_heavy fraction must be in (1/2, 1)")
+        if len(mode) != _WEIGHT_MODE_SIZES[kind]:
+            raise Infeasible(f"weight mode {kind!r} takes {_WEIGHT_MODE_SIZES[kind] - 1} "
+                             f"parameter(s), got {len(mode) - 1}")
+        try:
+            if kind == "uniform":
+                lo, hi = int(mode[1]), int(mode[2])
+                # weights are non-negative and not all zero
+                if not (0 <= lo <= hi and hi >= 1):
+                    raise Infeasible(f"uniform weights need 0 <= LO <= HI and HI >= 1, got {lo}:{hi}")
+            if kind == "single_heavy":
+                f = Fraction(mode[1]).limit_denominator(10**6)
+                if not Fraction(1, 2) < f < 1:
+                    raise Infeasible("single_heavy fraction must be in (1/2, 1)")
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise Infeasible(f"bad {kind} weight parameters {mode[1:]!r}: {exc}") from exc
 
 
 def random_tree(n: int, seed: int) -> Graph:
     """Random-attachment labeled tree with randomly permuted vertex IDs."""
+    if n < 1:
+        raise Infeasible(f"a tree needs n >= 1, got {n}")
     if n == 1:
         return build_graph(1, [])
     return graph_from_edges(n, *_tree_edges(n, seed), [1] * n)
@@ -94,164 +107,26 @@ def grid_graph(a: int, b: int) -> Graph:
     return build_graph(a * b, edges)
 
 
-class _CompressedCore:
-    """Compressed union of tree paths touched by accepted chords.
+def _chords_planar(parent: np.ndarray, members: list[int], ends: list[int]) -> bool:
+    """Whether a tree plus chords is planar, decided on a subtree.
 
-    Nodes are chord endpoints and branch points; each compressed edge
-    stands for a tree path with its interior vertices suppressed. The
-    underlying simple graph (core edges + chords) is planar iff the full
-    tree-plus-chords graph is.
+    ``parent`` is the tree's parent array, with the root its own parent.
+    ``members`` lists the vertices of a subtree that holds the root and
+    every chord end; ``ends`` lists the chords' ends in pairs. The rest of
+    the tree hangs off the subtree, and a hanging tree never changes
+    planarity, so the left-right test runs on the kernel of the subtree's
+    edges plus the chords.
     """
-
-    def __init__(self, parent: list[int], root: int):
-        self.parent = parent
-        self.in_core = bytearray(len(parent))
-        self.in_core[root] = 1
-        self.nodes = {root}
-        self.owner: dict[int, int] = {}          # interior vertex -> edge id
-        self.edge_ends: dict[int, tuple[int, int]] = {}
-        self.edge_interior: dict[int, list[int]] = {}
-        self.chords: list[tuple[int, int]] = []
-        self.next_eid = 0
-
-    def snapshot(self):
-        return (
-            bytes(self.in_core),
-            set(self.nodes),
-            dict(self.owner),
-            dict(self.edge_ends),
-            dict(self.edge_interior),
-            list(self.chords),
-            self.next_eid,
-        )
-
-    def restore(self, snap):
-        in_core, nodes, owner, ends, interior, chords, eid = snap
-        self.in_core = bytearray(in_core)
-        self.nodes = set(nodes)
-        self.owner = dict(owner)
-        self.edge_ends = dict(ends)
-        self.edge_interior = dict(interior)
-        self.chords = list(chords)
-        self.next_eid = eid
-
-    def _new_edge(self, a: int, b: int, interior: list[int]) -> None:
-        eid = self.next_eid
-        self.next_eid += 1
-        self.edge_ends[eid] = (a, b)
-        self.edge_interior[eid] = interior
-        for x in interior:
-            self.owner[x] = eid
-
-    def _split_at(self, x: int) -> None:
-        eid = self.owner.pop(x)
-        a, b = self.edge_ends.pop(eid)
-        interior = self.edge_interior.pop(eid)
-        i = interior.index(x)
-        self._new_edge(a, x, interior[:i])
-        self._new_edge(x, b, interior[i + 1:])
-        self.nodes.add(x)
-
-    def attach(self, x: int) -> None:
-        """Make x a core node, extending the core along tree ancestors."""
-        if x in self.nodes:
-            return
-        if self.in_core[x]:
-            self._split_at(x)
-            return
-        walk = [x]
-        y = self.parent[x]
-        while not self.in_core[y]:
-            walk.append(y)
-            y = self.parent[y]
-        if y not in self.nodes:
-            self._split_at(y)
-        for v in walk:
-            self.in_core[v] = 1
-        self.nodes.add(x)
-        self._new_edge(x, y, walk[1:])
-
-    def add_chord(self, u: int, v: int) -> None:
-        self.attach(u)
-        self.attach(v)
-        self.chords.append((u, v))
-
-    def adjacency_with(self) -> dict[int, list[int]]:
-        """Simple-graph adjacency of core edges plus chords."""
-        adj: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for a, b in self.edge_ends.values():
-            adj[a].add(b)
-            adj[b].add(a)
-        for a, b in self.chords:
-            adj[a].add(b)
-            adj[b].add(a)
-        return {v: list(s) for v, s in adj.items()}
-
-    def chord_block_planar(self, s: int, t: int) -> bool:
-        """Planarity check limited to the biconnected block holding (s, t).
-
-        Adding an edge can only break planarity inside the block that
-        contains it; the other blocks were planar before and are
-        untouched, so checking the one block is exact.
-        """
-        block = _edge_block(self.adjacency_with(), s, t)
-        if len(block) <= 2:
-            return True
-        nodes, ends = np.unique(block, return_inverse=True)
-        adj: list[list[int]] = [[] for _ in nodes]
-        for a, b in ends.reshape(-1, 2).tolist():
-            adj[a].append(b)
-            adj[b].append(a)
-        return _lr_test(adj) is not None
-
-
-def _edge_block(adj: dict[int, list[int]], s: int, t: int) -> list[tuple[int, int]]:
-    """Edges of the biconnected component containing edge (s, t).
-
-    Iterative Hopcroft-Tarjan over a connected adjacency dict.
-    """
-    target = (s, t) if s < t else (t, s)
-    disc: dict[int, int] = {s: 0}
-    low: dict[int, int] = {s: 0}
-    counter = 1
-    edge_stack: list[tuple[int, int]] = []
-    frames: list[tuple[int, int | None, object]] = [(s, None, iter(adj[s]))]
-    while frames:
-        v, parent_v, it = frames[-1]
-        advanced = False
-        for w in it:
-            if w == parent_v:
-                continue
-            if w not in disc:
-                edge_stack.append((v, w))
-                disc[w] = low[w] = counter
-                counter += 1
-                frames.append((w, v, iter(adj[w])))
-                advanced = True
-                break
-            if disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        if advanced:
-            continue
-        frames.pop()
-        if not frames:
-            break
-        u = frames[-1][0]
-        if low[v] < low[u]:
-            low[u] = low[v]
-        if low[v] >= disc[u]:
-            comp = []
-            while edge_stack:
-                e = edge_stack.pop()
-                comp.append(e)
-                if e == (u, v):
-                    break
-            for a, b in comp:
-                if ((a, b) if a < b else (b, a)) == target:
-                    return comp
-    return []
+    nodes = _unique(np.array(members, dtype=np.int64))
+    child = nodes[parent[nodes] != nodes]
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    # a vertex's node is its position in ``nodes``
+    a = np.searchsorted(nodes, np.concatenate((child, pairs[:, 0])))
+    b = np.searchsorted(nodes, np.concatenate((parent[child], pairs[:, 1])))
+    G = graph_from_edges(len(nodes), a, b, [1] * len(nodes))
+    kernel = _planarity_kernel(G)
+    index = {x: i for i, x in enumerate(kernel)}
+    return _lr_test([[index[y] for y in nbrs] for nbrs in kernel.values()]) is not None
 
 
 def near_tree_planar(spec: GenSpec) -> Graph:
@@ -266,13 +141,18 @@ def near_tree_planar(spec: GenSpec) -> Graph:
     row_at, nbr = memoryview(tree.indptr), memoryview(tree.indices)
 
     # parent pointers and depths from vertex 0; a tree has only one of each
-    parent = np.empty(n, dtype=np.int64)
+    parent_array = np.empty(n, dtype=np.int64)
     depth = np.empty(n, dtype=np.int64)
-    for d, layer in enumerate(_bfs_layers(tree, 0, parent)):
+    for d, layer in enumerate(_bfs_layers(tree, 0, parent_array)):
         depth[layer] = d
-    parent, depth = parent.tolist(), depth.tolist()
+    parent, depth = parent_array.tolist(), depth.tolist()
 
-    core = _CompressedCore(parent, 0)
+    # the core: the union of the tree paths from the root to the accepted
+    # chords' ends, as a mask and as a list
+    core = bytearray(n)
+    core[0] = 1
+    members = [0]
+    ends: list[int] = []  # accepted chords' ends, in pairs
     rng = _rng(spec.seed, _STAGE_EDGES)
     target = r + 1
     max_attempts = 200 * target
@@ -316,11 +196,19 @@ def near_tree_planar(spec: GenSpec) -> Graph:
         while a != b:
             if depth[a] < depth[b]:
                 a, b = b, a
-            hits += core.in_core[a]
+            hits += core[a]
             a = parent[a]
-        return hits + core.in_core[a]
+        return hits + core[a]
 
-    while len(core.chords) < target:
+    def walk(x: int) -> list[int]:
+        """x and its ancestors outside the core, bottom-up."""
+        out = []
+        while not core[x]:
+            out.append(x)
+            x = parent[x]
+        return out
+
+    while len(used) < target:
         cand = draw()
         if cand is None:
             raise Infeasible(
@@ -331,21 +219,22 @@ def near_tree_planar(spec: GenSpec) -> Graph:
         # A chord whose tree path meets the core in at most one vertex
         # forms its own biconnected block, so planarity is automatic and
         # the full test can be skipped.
-        if path_core_hits(u, v) <= 1:
-            core.add_chord(u, v)
-            used.add(cand)
-            continue
-        snap = core.snapshot()
-        core.add_chord(u, v)
-        if core.chord_block_planar(u, v):
-            used.add(cand)
-        else:
-            core.restore(snap)
+        if path_core_hits(u, v) > 1 and not _chords_planar(
+            parent_array, members + walk(u) + walk(v), ends + [u, v]
+        ):
             dead.add(cand)
+            continue
+        for x in (u, v):
+            new = walk(x)
+            members += new
+            for y in new:
+                core[y] = 1
+        ends += cand
+        used.add(cand)
 
     # tree edges first, then the chords: each vertex keeps its tree
     # neighbours ahead of its chord neighbours
-    chords = np.array(core.chords, dtype=np.int64).reshape(-1, 2)
+    chords = np.array(ends, dtype=np.int64).reshape(-1, 2)
     G = graph_from_edges(
         n,
         np.concatenate((child, chords[:, 0])),

@@ -630,9 +630,7 @@ class _TreePlusExtra:
     def heaviest(self, removed: np.ndarray) -> _Heaviest:
         """The heaviest component of G - S, S given as a mask over the vertices."""
         slots, removed_s = self.vertices, removed
-        if self.entries is not None and (
-            np.count_nonzero(removed & self.member) == np.count_nonzero(removed)
-        ):
+        if self.entries is not None and self.member[removed.nonzero()[0]].all():
             # S lies in T1, whose children are entries: so are all heads,
             # and an entry's parent is in S when its entry is
             slots = self.entries

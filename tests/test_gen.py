@@ -1,15 +1,18 @@
 """Seeded generators: determinism, structure, planarity."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from atsep.errors import Infeasible
 from atsep.fileformat import format_graph
 from atsep.gen import (
     GenSpec,
+    _chords_planar,
     assign_weights,
     generate,
     grid_graph,
@@ -43,6 +46,10 @@ class TestRandomTree:
 
     def test_seeds_differ(self):
         assert format_graph(random_tree(40, 1)) != format_graph(random_tree(40, 2))
+
+    def test_empty_rejected(self):
+        with pytest.raises(Infeasible):
+            random_tree(0, 1)
 
 
 class TestGridGraph:
@@ -96,6 +103,44 @@ class TestNearTreePlanar:
         assert format_graph(a) == format_graph(b)
 
 
+def _root_path(parent: list[int], x: int) -> set[int]:
+    path = {x}
+    while parent[x] != x:
+        x = parent[x]
+        path.add(x)
+    return path
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_chord_check_matches_networkx(seed):
+    # near_tree_planar's check runs on the root paths of the chords' ends;
+    # its verdict must be networkx's on the whole tree plus the chords,
+    # for the chords it would accept and for those it would reject
+    rng = random.Random(seed)
+    n = rng.randrange(6, 40)
+    parent = [0] + [rng.randrange(x) for x in range(1, n)]
+    parent_array = np.array(parent, dtype=np.int64)
+    H = nx.Graph((x, parent[x]) for x in range(1, n))
+    core, ends = {0}, []
+    accepted = rejected = 0
+    for _ in range(4 * n):
+        u, v = rng.sample(range(n), 2)
+        if H.has_edge(u, v):
+            continue
+        members = core | _root_path(parent, u) | _root_path(parent, v)
+        H.add_edge(u, v)
+        planar = nx.check_planarity(H)[0]
+        assert _chords_planar(parent_array, sorted(members), ends + [u, v]) == planar
+        assert _chords_planar(parent_array, list(range(n)), ends + [u, v]) == planar
+        if planar:
+            core, ends = members, ends + [u, v]
+            accepted += 1
+        else:
+            H.remove_edge(u, v)
+            rejected += 1
+    assert accepted and rejected
+
+
 class TestAssignWeights:
     def test_unit(self):
         G = assign_weights(star(6), ("unit",), 0)
@@ -135,6 +180,11 @@ class TestGenSpec:
             {"n": 5, "r": 0, "seed": 0, "weight_mode": ("uniform", -3, 2)},
             {"n": 5, "r": 0, "seed": 0, "weight_mode": ("uniform", 0, 0)},
             {"n": 5, "r": 0, "seed": 0, "weight_mode": ("uniform", 5, 2)},
+            {"n": 5, "r": 0, "seed": 0, "weight_mode": ()},
+            {"n": 5, "r": 0, "seed": 0, "weight_mode": ("uniform", 1)},
+            {"n": 5, "r": 0, "seed": 0, "weight_mode": ("single_heavy",)},
+            {"n": 5, "r": 0, "seed": 0, "weight_mode": ("single_heavy", "x")},
+            {"n": 5, "r": 0, "seed": 0, "weight_mode": ("uniform", "a", "b")},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -160,6 +210,9 @@ _PINNED_TEXTS = [
      "68f28a0a9843a2d02661bfff516c21a1479b4864e37d6346680827c398b8b62a"),
     ((10**5, 900, 13, ("unit",)),
      "80ab624a12fe713b8fd1564caa4247888479f07b199734492c38c38a3a4b6284"),
+    # high excess: 127 full chord checks, 29 of them rejections
+    ((200, 120, 1, ("unit",)),
+     "67880b3c70eab7aee8dadaf7b96ae0fdf7bd88ef4e4e8959678c509d9bb02e5c"),
 ]
 
 

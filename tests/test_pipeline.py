@@ -842,8 +842,9 @@ class TestSeparate:
         # the repair searches the entries of collapse_weights, decompose_paths
         # works on T1's members and only the spanning tree's parent array
         # outlives its stage as n int64s, so at 2 * 10^5 vertices the call
-        # allocates at most about 24 bytes per vertex above what was live
-        # (34 while T1 kept a degree per vertex and the weight collapse
+        # allocates at most about 23.5 bytes per vertex above what was live
+        # (24.4 while the repair built an n-length mask to test S inside T1,
+        # 34 while T1 kept a degree per vertex and the weight collapse
         # jumped through a fresh pointer array each round, 69 while the
         # repair and the paths walked every vertex)
         G = generate(GenSpec(n=200_000, r=16, seed=1))
