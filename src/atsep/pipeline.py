@@ -399,7 +399,7 @@ class CompressedGraph:
     weighing its interior. ``edges`` is an (E, 2) int64 array: for each
     path, (its first end's node, its node) and (its node, its last end's
     node), then R's edges as pairs of branch nodes. ``wprime`` holds the
-    collapsed weight of every original vertex, for lifting and repairs.
+    collapsed weight of every original vertex, for lifting.
     """
 
     node_weights: list[int]
@@ -450,30 +450,43 @@ def _median_cut(vertices: np.ndarray, wprime: np.ndarray) -> int:
     return int(vertices[cost == cost.min()].min())
 
 
-def lift_separator(Sc, C: CompressedGraph):
-    """Map a compressed separator back to original vertex IDs.
+def lift_separator(Sc, C: CompressedGraph, beta=Fraction(2, 3)):
+    """Map a compressed separator back to original vertex IDs, two ways.
 
-    Branch nodes lift to themselves. A selected subdivision node lifts to
-    the weighted-median vertex of its path interior, read off a slice of
-    the flat interiors; interior-free paths lift to an endpoint not
-    already covered. Returns the lifted set plus the selected paths with
-    an interior, in node order, as a ``Paths`` record for the repair loop.
+    Returns ``(lifted, exact)``. Both lift branch nodes to themselves and
+    take the selected paths in node order, reading the set as it stands.
+    ``lifted`` cuts a path's interior at its weighted median and an
+    interior-free path at an endpoint not yet covered. ``exact`` cuts a
+    branch vertex that ends two or more selected paths, the interior ends
+    whose path endpoint is not in the set, the lower endpoint of an
+    interior-free path with neither endpoint in it, and the weighted
+    median of a middle left that weighs more than beta * W.
     """
+    beta = Fraction(beta)
+    W = sum(C.node_weights)
     k = len(C.branch)
     lifted = {C.branch[node] for node in Sc if node < k}
+    chosen = sorted(node - k for node in Sc if node >= k)
     paths, offsets = C.paths, C.paths.offsets
-    cut, pieces = [], []
-    for j in sorted(node - k for node in Sc if node >= k):
+    ends, counts = np.unique(paths.ends[chosen], return_counts=True)
+    exact = lifted | set(ends[counts >= 2].tolist())
+    for j in chosen:
+        a, b = paths.ends[j].tolist()
         interior = paths.interiors[offsets[j]:offsets[j + 1]]
-        if interior.size:
-            lifted.add(_median_cut(interior, C.wprime))
-            cut.append(j)
-            pieces.append(interior)
-        else:
-            a, b = sorted(paths.ends[j].tolist())
+        if interior.size == 0:
+            a, b = min(a, b), max(a, b)
             lifted.add(b if a in lifted else a)
-    flat = np.concatenate([np.empty(0, dtype=np.int64), *pieces])
-    return lifted, Paths(paths.ends[cut], flat, np.cumsum([0, *map(len, pieces)]))
+            if a not in exact and b not in exact:
+                exact.add(a)
+            continue
+        lifted.add(_median_cut(interior, C.wprime))
+        # interior[0] meets a, interior[-1] meets b
+        lo, hi = int(a not in exact), interior.size - (b not in exact)
+        exact.update(interior[:lo].tolist(), interior[max(hi, lo):].tolist())
+        middle = interior[lo:hi]
+        if middle.size and int(C.wprime[middle].sum()) * beta.denominator > W * beta.numerator:
+            exact.add(_median_cut(middle, C.wprime))
+    return lifted, exact
 
 
 def tree_centroid(vertices, adjacency, weights) -> int:
@@ -691,24 +704,21 @@ def heavy_vertex_fixup(
     R: EdgeSet,
     S,
     beta=Fraction(2, 3),
-    interiors: Paths | None = None,
+    exact=None,
     cw: CollapsedWeights | None = None,
 ) -> Separator:
     """Repair loop for the lifted separator; its last check is the verification.
 
     T is a spanning tree of G and R its non-tree edges. Each round finds
     the components of G - S on T plus R and compares the heaviest
-    exactly against beta * W. While it is too heavy: a tree component gets
-    its weighted centroid added; otherwise the component's mask splits
-    the flat interiors of the paths ``lift_separator`` cut (``interiors``)
-    into runs inside the component, and the heaviest run by collapsed
-    weight (ties to the lowest first vertex) is cut at its weighted
-    median, or, if no run exists, the centroid of the component's BFS
-    tree is. The round that passes is the exact verification of the
-    returned separator. The loop is capped at 4 sqrt(r + 1) + 2 repairs, r
-    being G's excess; the cap signals an algorithmic bug, it is never
-    expected to fire. ``cw``, the collapsed weights over T, weighs the
-    runs (so ``interiors`` needs it) and speeds up the search.
+    exactly against beta * W. While it is too heavy, one repair: S
+    becomes ``exact``, the exact lift, the first time the component has
+    a cycle; otherwise the centroid of its BFS tree from its lowest
+    vertex is added. Every component of G - exact is light or is a
+    subtree of T with no edge of R, which one centroid fixes. The loop is
+    capped at 4 sqrt(r + 1) + 2 repairs, r being G's excess; the cap
+    signals an algorithmic bug. ``cw``, the collapsed weights over T,
+    speeds up the search.
     """
     S = set(S)
     for v in S:
@@ -730,15 +740,14 @@ def heavy_vertex_fixup(
             raise RepairCapExceeded(
                 f"still unbalanced after {repairs} repairs (cap {cap})"
             )
-        inside = found.inside()
-        cut = None if found.is_tree or interiors is None else _run_cut(interiors, inside, cw)
-        if cut is None:
-            # a tree, or no cut interior reaches into the component: the
-            # centroid of its BFS tree from the lowest vertex
+        if not found.is_tree and exact is not None:
+            S, exact = set(exact), None
+        else:
+            inside = found.inside()
             members = np.flatnonzero(inside)
-            cut = tree_centroid(members.tolist(), _InducedRows(G, members, inside), G.weights)
-        S.add(cut)
-        removed[cut] = True
+            S.add(tree_centroid(members.tolist(), _InducedRows(G, members, inside), G.weights))
+        removed[:] = False
+        removed[list(S)] = True
         repairs += 1
     return Separator(
         vertices=S,
@@ -747,20 +756,6 @@ def heavy_vertex_fixup(
         total_weight=W,
         repairs=repairs,
     )
-
-
-def _run_cut(paths: Paths, inside: np.ndarray, cw: CollapsedWeights):
-    """The median cut of the heaviest run of consecutive interior vertices in
-    a vertex set, ties to the lowest first vertex; None if the set has none."""
-    flat = paths.interiors
-    held = np.flatnonzero(inside[flat])
-    if held.size == 0:
-        return None
-    # a run starts after a gap or where an interior starts
-    firsts = np.flatnonzero((np.diff(held, prepend=-2) != 1) | np.isin(held, paths.offsets))
-    run_w = np.add.reduceat(cw.wprime[flat[held]], firsts)
-    i = np.lexsort((flat[held[firsts]], -run_w))[0]
-    return _median_cut(flat[held[firsts[i]:np.append(firsts, held.size)[i + 1]]], cw.wprime)
 
 
 class _InducedRows:
@@ -879,8 +874,8 @@ def separate(
             f"graph with {G.n} vertices and {G.n + r} edges is not planar"
         ) from None
     t0 = tick("lt_separator", t0)
-    lifted, interiors = lift_separator(lt.vertices, C)
-    sep = heavy_vertex_fixup(G, T, R, lifted, beta, interiors, cw)
+    lifted, exact = lift_separator(lt.vertices, C, beta)
+    sep = heavy_vertex_fixup(G, T, R, lifted, beta, exact, cw)
     tick("lift_and_repair", t0)
     sep.stage_ns = stage_ns
 

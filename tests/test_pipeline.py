@@ -8,12 +8,14 @@ import tracemalloc
 from collections import Counter, deque
 from itertools import accumulate
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import atsep.graph
 import atsep.pipeline
+from atsep.cli import EXIT_OK, main
 from atsep.errors import (
     AtsepError,
     BadBeta,
@@ -62,6 +64,11 @@ from conftest import (
     subdivided,
     theta,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+
+import gen  # noqa: E402
+from check import check_separator  # noqa: E402
 
 
 def bfs_distances(G, root):
@@ -490,34 +497,65 @@ def hand_built(branch, paths, weights):
 class TestLiftSeparator:
     def test_branch_nodes_lift_verbatim(self):
         C, U, Pi = TestCompressedGraph.stages_for(theta())
-        lifted, cut = lift_separator(set(range(len(C.branch))), C)
+        lifted, exact = lift_separator(set(range(len(C.branch))), C)
         assert lifted == set(U)
-        assert path_lists(cut) == []
+        assert exact == set(U)
 
     def test_empty_lifts_to_empty(self):
         C, _, _ = TestCompressedGraph.stages_for(theta())
-        lifted, cut = lift_separator(set(), C)
-        assert lifted == set() and path_lists(cut) == []
+        lifted, exact = lift_separator(set(), C)
+        assert lifted == set() and exact == set()
 
     def test_weighted_median_cut(self):
         # interior weights (1, 1, 5, 1): cutting the weight-5 vertex leaves
         # sides of weight 2 and 1, better than any other cut
         C = hand_built([5, 6], [[5, 10, 11, 12, 13, 6]], {10: 1, 11: 1, 12: 5, 13: 1})
         assert C.node_weights == [0, 0, 8]
-        lifted, cut = lift_separator({2}, C)
+        lifted, exact = lift_separator({2}, C)
         assert lifted == {12}
-        assert path_lists(cut) == [[5, 10, 11, 12, 13, 6]]
+        # the exact lift cuts both interior ends; the middle (11, 12)
+        # weighs 6 > 2/3 * 8 and is cut at 12
+        assert exact == {10, 12, 13}
 
     def test_interior_free_node_lifts_to_lower_endpoint(self):
         C = hand_built([4, 9], [[9, 4]], {})
-        lifted, cut = lift_separator({2}, C)
+        lifted, exact = lift_separator({2}, C)
         assert lifted == {4}
-        assert path_lists(cut) == []
+        assert exact == {4}
 
     def test_interior_free_node_avoids_covered_endpoint(self):
         C = hand_built([4, 9], [[9, 4]], {})
-        lifted, _ = lift_separator({0, 2}, C)
+        lifted, exact = lift_separator({0, 2}, C)
         assert lifted == {4, 9}
+        # an endpoint in S already separates the path's ends
+        assert exact == {4}
+        assert lift_separator({1, 2}, C)[1] == {9}
+
+    def test_shared_branch_vertex_is_cut(self):
+        # both paths end at 1, so cutting 1 replaces their two interior
+        # ends there; each keeps its end at 1 and loses the other
+        C = hand_built([0, 1, 2], [[0, 10, 11, 1], [1, 12, 13, 2]],
+                       {10: 1, 11: 1, 12: 1, 13: 1})
+        lifted, exact = lift_separator({3, 4}, C)
+        assert lifted == {10, 12}
+        assert exact == {1, 10, 13}
+
+    def test_interior_end_kept_when_its_endpoint_is_in_S(self):
+        C = hand_built([0, 1], [[0, 10, 11, 12, 1]], {10: 1, 11: 1, 12: 1})
+        lifted, exact = lift_separator({0, 2}, C)
+        assert lifted == {0, 11}
+        assert exact == {0, 12}
+
+    def test_light_middle_is_left_whole(self):
+        # the middle (13, 12) weighs 4, exactly 2/3 of W = 6: not more
+        C = hand_built([0, 1], [[0, 10, 13, 12, 11, 1]], {10: 1, 13: 2, 12: 2, 11: 1})
+        assert lift_separator({2}, C, Fraction(2, 3))[1] == {10, 11}
+
+    def test_heavy_middle_is_cut_at_its_median_ties_to_lowest_id(self):
+        # at 3/5 the same middle is heavy; cutting 13 or 12 leaves 2 a
+        # side, and 12, the lower ID, wins though 13 comes first
+        C = hand_built([0, 1], [[0, 10, 13, 12, 11, 1]], {10: 1, 13: 2, 12: 2, 11: 1})
+        assert lift_separator({2}, C, Fraction(3, 5))[1] == {10, 11, 12}
 
     def test_cut_from_prefix_sums_matches_median_cut_with_ties(self):
         # small weights with zeros make runs of equally cheap cuts; the
@@ -542,59 +580,48 @@ class TestLiftSeparator:
             C = hand_built([1000, 1001], [[1000, *interior, 1001]], dict(zip(interior, weights)))
             assert _median_cut(np.array(interior), C.wprime) == interior[i]
             assert C.node_weights[2] == prefix[-1]
-            lifted, cut = lift_separator({2}, C)
+            lifted, exact = lift_separator({2}, C)
             assert lifted == {interior[i]}
-            assert all(type(v) is int for v in lifted)
-            assert path_lists(cut) == [[1000, *interior, 1001]]
+            assert all(type(v) is int for v in lifted | exact)
+            assert {interior[0], interior[-1]} <= exact
         assert tied > 100
 
 
-class TestRepairRuns:
-    """The repair loop's choice among the runs of the cut path interiors."""
+class TestExactSwitch:
+    """The repair loop's one switch to the exact lift."""
 
-    @staticmethod
-    def three_paths():
-        # vertices 0 and 1 joined by three paths; the BFS tree from 0 takes
-        # the short one, (0, 5, 6, 7, 8, 2, 3, 4, 1), whole, and puts one
-        # edge of R on each long one
-        short = [5, 6, 7, 8, 2, 3, 4]
-        edges = []
-        for inner in (short, list(range(9, 18)), list(range(18, 27))):
-            edges += zip([0] + inner, inner + [1])
-        weights = [0, 0] + [1] * 25
-        for v, w in zip(short, [2, 2, 2, 1, 2, 2, 2]):
-            weights[v] = w
-        return build_graph(27, edges, weights)
+    # a 12-cycle with the chord 0-6
+    G = build_graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6)])
 
-    def test_ties_go_to_the_lowest_first_vertex_and_runs_split_again(self, monkeypatch):
-        G = self.three_paths()
-        T = compute_spanning_tree(G)
-        R = extra_edges(G, T)
-        T1 = steiner_subtree(T, R.endpoints())
-        U = branch_vertices(T1, R.endpoints())
-        Pi = decompose_paths(T1, U)
-        cw = collapse_weights(G, T, T1)
-        C = build_compressed_graph(U, Pi, R, cw)
-        j, = [j for j, ends in enumerate(C.paths.ends.tolist()) if ends == [0, 1]]
-        cuts = []
-        real = atsep.pipeline._median_cut
+    def test_cyclic_heavy_component_switches_to_exact(self):
+        sep = fixup(self.G, set(), Fraction(2, 3), {0, 6})
+        assert sep.vertices == {0, 6} and sep.repairs == 1
+        assert sep.max_component_weight == 5
 
-        def recording(vertices, wprime):
-            cuts.append(vertices.tolist())
-            return real(vertices, wprime)
+    def test_switch_happens_once(self):
+        # G - {3} still has a cycle and weighs 11 > 8: the next round adds
+        # the centroid of the component's BFS tree instead
+        sep = fixup(self.G, set(), Fraction(2, 3), {3})
+        assert sep.repairs == 2 and 3 in sep.vertices
+        assert verify_separator(self.G, sep.vertices).passed
 
-        monkeypatch.setattr(atsep.pipeline, "_median_cut", recording)
-        # the lifted median, 8, splits the short path into two runs of
-        # weight 6; the one starting at 2 beats the one starting at 5
-        lifted, interiors = lift_separator({len(C.branch) + j}, C)
-        assert lifted == {8}
-        sep = heavy_vertex_fixup(G, T, R, lifted, Fraction(2, 3), interiors, cw)
-        # cutting 3 leaves [4] hanging off 1 and then cutting 6 leaves [5]
-        # off 0: two runs of weight 2, and 4 beats 5, splitting the first
-        # repair's run again; the component then weighs 20 <= 2/3 * 31
-        assert cuts == [[5, 6, 7, 8, 2, 3, 4], [2, 3, 4], [5, 6, 7], [4]]
-        assert sep.vertices == {8, 3, 6, 4} and sep.repairs == 3
-        assert sep.max_component_weight == 20
+    def test_tree_component_gets_its_centroid(self):
+        sep = fixup(path(9), set(), Fraction(2, 3), {0})
+        assert sep.vertices == {4} and sep.repairs == 1
+
+    def test_pool_member_441_within_its_bound(self, tmp_path, capsys):
+        # the median lift leaves a cyclic component over 2/3 of W, so the
+        # one repair is the switch to the exact lift
+        inst = gen.small_instance(441)
+        assert inst.beta == Fraction(2, 3)
+        sep = separate(build_graph(inst.n, inst.edges.tolist(), inst.weights.tolist()),
+                       beta=inst.beta)
+        assert sep.repairs == 1
+        assert check_separator(inst, sep.vertices) is None
+        f = tmp_path / "g.txt"
+        f.write_text(inst.text(), encoding="utf-8")
+        assert main(["separate", str(f), "--beta", "2/3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == f"size {sep.size}"
 
 
 class TestTreeCentroid:

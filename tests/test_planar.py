@@ -15,7 +15,6 @@ from atsep.errors import (
     BadVertexId,
     Disconnected,
     NotPlanar,
-    RepairCapExceeded,
     ZeroTotalWeight,
 )
 from atsep.gen import GenSpec, generate, grid_graph
@@ -521,10 +520,7 @@ class TestBandCyclePort:
             spec = GenSpec(n=n, r=rng.randint(0, min(64, n)), seed=seed,
                            weight_mode=modes[seed % 3])
             beta = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4))[seed // 3 % 3]
-            try:
-                separate(generate(spec), beta)
-            except RepairCapExceeded:
-                pass  # the known lifting fault strikes after LT
+            separate(generate(spec), beta)
         monkeypatch.undo()
         cycles = [check_band_port(*band) for band in bands]
         assert len(bands) >= 30
