@@ -43,11 +43,11 @@ class Graph:
     an array pass has a fixed cost that small inputs do not repay:
     ``connected_components`` runs scipy from ``_SCIPY_MIN_N`` vertices
     up, and ``_bfs_layers``, the one single-source BFS (behind the
-    spanning tree, LT's levels and the generator's tree walk), vectorises
-    frontiers of ``_VEC_MIN_FRONTIER`` vertices or more. ``weights`` is a
-    list of Python ints; ``weight_array`` and ``total_weight`` are fixed
-    at construction. The constructor does not validate; ``build_graph``
-    does.
+    spanning tree, LT's levels, the generator's tree walk and the tree
+    centroid), vectorises frontiers of ``_VEC_MIN_FRONTIER`` vertices or
+    more. ``weights`` is a list of Python ints; ``weight_array`` and
+    ``total_weight`` are fixed at construction. The constructor does not
+    validate; ``build_graph`` does.
     """
 
     n: int
@@ -258,7 +258,7 @@ def _unique(a: np.ndarray) -> np.ndarray:
     first = np.empty(a.size, dtype=bool)
     first[:1] = True
     np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[np.flatnonzero(first)]  # faster than indexing by the mask itself
+    return a[first.nonzero()[0]]  # faster than indexing by the mask itself
 
 
 def _bfs_layers(G: Graph, root: int, parent: np.ndarray):
@@ -303,7 +303,7 @@ def _bfs_layers(G: Graph, root: int, parent: np.ndarray):
         else:
             fr = np.asarray(frontier, dtype=np.int64)
             nbrs, counts = _frontier_neighbors(indptr, indices, fr)
-            found = np.flatnonzero(mark[nbrs] == 0)  # positions index faster than a mask
+            found = (mark[nbrs] == 0).nonzero()[0]  # positions index faster than a mask
             finds = nbrs[found]
             np.minimum.at(parent, finds, np.repeat(fr, counts)[found])
             frontier = _unique(finds)

@@ -11,7 +11,6 @@ final separator always verifies at the requested balance.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, sqrt
@@ -489,44 +488,29 @@ def lift_separator(Sc, C: CompressedGraph, beta=Fraction(2, 3)):
     return lifted, exact
 
 
-def tree_centroid(vertices, adjacency, weights) -> int:
+def tree_centroid(G: Graph) -> int:
     """Vertex of a weighted tree whose removal leaves parts of weight <= W/2.
 
-    The walk is breadth first from the lowest vertex, each vertex hanging
-    off the first neighbour that reaches it. On a connected graph with
-    cycles, the result is the centroid of that BFS tree.
+    The walk is ``graph._bfs_layers`` from vertex 0, each vertex hanging
+    off its lowest-ID neighbour one layer up, as in
+    ``compute_spanning_tree``: on a connected graph with cycles, the
+    result is the centroid of that BFS tree. Ties go to the lowest ID.
     """
-    verts = sorted(vertices)
-    if not verts:
+    if G.n == 0:
         raise EmptyTree("centroid of an empty tree")
-    root = verts[0]
-    parent = {root: root}
-    order = []
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in adjacency[u]:
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    subtree = {v: weights[v] for v in order}
-    heaviest_child = dict.fromkeys(order, 0)
-    for u in reversed(order):
-        if u != root:
-            p = parent[u]
-            subtree[p] += subtree[u]
-            if subtree[u] > heaviest_child[p]:
-                heaviest_child[p] = subtree[u]
-    total = subtree[root]
-    best_v, best_cost = None, None
-    for v in verts:
-        heaviest = max(total - subtree[v], heaviest_child[v])
-        if best_cost is None or heaviest < best_cost or (
-            heaviest == best_cost and v < best_v
-        ):
-            best_v, best_cost = v, heaviest
-    return best_v
+    parent = np.empty(G.n, dtype=np.int64)
+    order: list[int] = []
+    for layer in _bfs_layers(G, 0, parent):
+        order += layer if isinstance(layer, list) else layer.tolist()
+    # subtree weights, children before parents; plain lists beat a
+    # numpy scatter per layer on a deep tree
+    up, subtree = parent.tolist(), G.weight_array.tolist()
+    for v in order[:0:-1]:
+        subtree[up[v]] += subtree[v]
+    subtree = np.array(subtree, dtype=np.int64)
+    heaviest_child = np.zeros(G.n, dtype=np.int64)
+    np.maximum.at(heaviest_child, parent[1:], subtree[1:])  # vertex 0 is the root
+    return int(np.argmin(np.maximum(G.total_weight - subtree, heaviest_child)))
 
 
 @dataclass
@@ -654,7 +638,7 @@ class _TreePlusExtra:
         ptr = _nearest_marked(slots.up, head)
         piece_w = np.zeros(n, dtype=np.int64)
         np.add.at(piece_w, ptr, slots.weights)  # a slot of S keeps its own weight
-        heads = np.flatnonzero(head ^ removed_s)  # the slots of S are heads too
+        heads = (head ^ removed_s).nonzero()[0]  # the slots of S are heads too
         head_w = piece_w[heads]
         del piece_w
 
@@ -713,18 +697,20 @@ def heavy_vertex_fixup(
     the components of G - S on T plus R and compares the heaviest
     exactly against beta * W. While it is too heavy, one repair: S
     becomes ``exact``, the exact lift, the first time the component has
-    a cycle; otherwise the centroid of its BFS tree from its lowest
-    vertex is added. Every component of G - exact is light or is a
-    subtree of T with no edge of R, which one centroid fixes. The loop is
-    capped at 4 sqrt(r + 1) + 2 repairs, r being G's excess; the cap
-    signals an algorithmic bug. ``cw``, the collapsed weights over T,
-    speeds up the search.
+    a cycle; otherwise ``tree_centroid`` of the component, built as a
+    graph of its own on its sorted vertices, is added: the centroid of
+    its BFS tree from its lowest vertex. Every component of G - exact is
+    light or is a subtree of T with no edge of R, which one centroid
+    fixes. The loop is capped at 4 sqrt(r + 1) + 2 repairs, r being G's
+    excess; the cap signals an algorithmic bug. ``cw``, the collapsed
+    weights over T, speeds up the search. Raises BadBeta unless
+    1/2 < beta < 1.
     """
+    beta = check_beta(beta)
     S = set(S)
     for v in S:
         if not (0 <= v < G.n):
             raise BadVertexId(f"separator vertex {v} out of range")
-    beta = Fraction(beta)
     W = G.total_weight
     cap = 2 + ceil(4 * sqrt(max(G.excess, 0) + 1))
     graph = _TreePlusExtra(G, T, R, cw)
@@ -743,9 +729,16 @@ def heavy_vertex_fixup(
         if not found.is_tree and exact is not None:
             S, exact = set(exact), None
         else:
+            # the component as a graph of its own, vertex i being members[i]
             inside = found.inside()
-            members = np.flatnonzero(inside)
-            S.add(tree_centroid(members.tolist(), _InducedRows(G, members, inside), G.weights))
+            members = inside.nonzero()[0]
+            nbrs, counts = _frontier_neighbors(G.indptr, G.indices, members)
+            ends = np.repeat(members, counts)
+            once = inside[nbrs] & (ends < nbrs)
+            H = graph_from_edges(members.size, np.searchsorted(members, ends[once]),
+                                 np.searchsorted(members, nbrs[once]),
+                                 G.weight_array[members].tolist())
+            S.add(int(members[tree_centroid(H)]))
         removed[:] = False
         removed[list(S)] = True
         repairs += 1
@@ -756,29 +749,6 @@ def heavy_vertex_fixup(
         total_weight=W,
         repairs=repairs,
     )
-
-
-class _InducedRows:
-    """Neighbour lists of G inside a vertex set, read off one flat array.
-
-    ``rows[u]`` gives the neighbours of member u that are members, in G's
-    order. Slices of memoryviews keep no list per vertex alive: on a
-    component of 10^6 vertices, a list each cost more in garbage
-    collector passes than the repair itself.
-    """
-
-    def __init__(self, G: Graph, members: np.ndarray, inside: np.ndarray):
-        nbrs, counts = _frontier_neighbors(G.indptr, G.indices, members)
-        keep = inside[nbrs]
-        ends = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], np.cumsum(counts)))]
-        lo = np.zeros(G.n, dtype=np.int64)
-        hi = np.zeros(G.n, dtype=np.int64)
-        lo[members], hi[members] = ends[:-1], ends[1:]
-        self._lo, self._hi = memoryview(lo), memoryview(hi)
-        self._flat = memoryview(nbrs[keep])
-
-    def __getitem__(self, u: int):
-        return self._flat[self._lo[u]:self._hi[u]]
 
 
 @dataclass
@@ -843,9 +813,7 @@ def separate(
     r = G.excess
     if r < 0:
         # a tree: its weighted centroid leaves parts of weight <= W/2
-        rows = _InducedRows(G, np.arange(G.n), np.ones(G.n, dtype=bool))
-        c = tree_centroid(range(G.n), rows, G.weights)
-        sep = heavy_vertex_fixup(G, T, EdgeSet(edges=[]), {c}, beta)
+        sep = heavy_vertex_fixup(G, T, EdgeSet(edges=[]), {tree_centroid(G)}, beta)
         tick("lift_and_repair", t0)
         sep.stage_ns = stage_ns
         if trace:

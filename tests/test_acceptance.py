@@ -32,7 +32,7 @@ from atsep.pipeline import (
 )
 from atsep.planar import lt_separator
 
-from conftest import path_lists, random_parent_tree, row
+from conftest import path_lists, random_parent_tree
 
 
 def report(capsys, name, ok, detail):
@@ -201,9 +201,8 @@ def test_06_structural_invariants(capsys):
         weights = [rng.randint(0, 20) for _ in range(n)]
         if sum(weights) == 0:
             weights[rng.randrange(n)] = 1
-        adj = {v: row(G, v) for v in range(n)}
-        c = tree_centroid(range(n), adj, weights)
         H = build_graph(n, G.edges(), weights)
+        c = tree_centroid(H)
         if 2 * verify_separator(H, {c}).max_component_weight > H.total_weight:
             failures.append(("centroid", case))
 

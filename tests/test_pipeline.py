@@ -26,7 +26,7 @@ from atsep.errors import (
     NotPlanar,
     ZeroTotalWeight,
 )
-from atsep.gen import GenSpec, assign_weights, generate
+from atsep.gen import GenSpec, assign_weights, generate, random_tree
 from atsep.graph import Graph, SpanningTree, build_graph, verify_separator
 from atsep.oracle import (
     min_balanced_separator,
@@ -53,6 +53,7 @@ from atsep.pipeline import (
 )
 from atsep.planar import bfs_levels, lt_separator
 
+from centroid_reference import reference_tree_centroid
 from conftest import (
     complete,
     cycle,
@@ -624,36 +625,31 @@ class TestExactSwitch:
         assert capsys.readouterr().out.splitlines()[1] == f"size {sep.size}"
 
 
-class TestTreeCentroid:
-    @staticmethod
-    def adjacency_of(G):
-        return {v: row(G, v) for v in range(G.n)}
+def weighted(G, weights):
+    """G with other vertex weights."""
+    return Graph(n=G.n, indptr=G.indptr, indices=G.indices, weights=list(weights))
 
+
+class TestTreeCentroid:
     def test_path_of_five(self):
-        G = path(5)
-        assert tree_centroid(range(5), self.adjacency_of(G), G.weights) == 2
+        assert tree_centroid(path(5)) == 2
 
     def test_star_center(self):
-        G = star(7)
-        assert tree_centroid(range(7), self.adjacency_of(G), G.weights) == 0
+        assert tree_centroid(star(7)) == 0
 
     def test_heavy_end_of_path(self):
-        G = path(3, [5, 1, 1])
-        assert tree_centroid(range(3), self.adjacency_of(G), G.weights) == 0
+        assert tree_centroid(path(3, [5, 1, 1])) == 0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyTree):
-            tree_centroid([], {}, [])
+            tree_centroid(build_graph(0, []))
 
     def test_halving_property(self):
         rng = random.Random(51)
         for _ in range(50):
             n = rng.randint(1, 20)
-            G = random_parent_tree(rng, n)
-            weights = [rng.randint(1, 9) for _ in range(n)]
-            c = tree_centroid(range(n), self.adjacency_of(G), weights)
-            G = build_graph(n, G.edges(), weights)
-            report = verify_separator(G, {c}, Fraction(1, 2))
+            G = weighted(random_parent_tree(rng, n), [rng.randint(1, 9) for _ in range(n)])
+            report = verify_separator(G, {tree_centroid(G)}, Fraction(1, 2))
             assert report.max_component_weight * 2 <= G.total_weight
 
     def test_matches_brute_force(self):
@@ -663,31 +659,33 @@ class TestTreeCentroid:
         for _ in range(300):
             n = rng.randint(1, 25)
             G = random_parent_tree(rng, n)
-            G = build_graph(n, G.edges(), [rng.choice((0, 1, 1, 2, 5)) for _ in range(n)])
+            G = weighted(G, [rng.choice((0, 1, 1, 2, 5)) for _ in range(n)])
             want = min(range(n), key=lambda v: (verify_separator(G, {v}).max_component_weight, v))
-            assert tree_centroid(range(n), self.adjacency_of(G), G.weights) == want
+            assert tree_centroid(G) == want
+
+    @pytest.mark.parametrize("n", [1000, 3000, 5000])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_reference_on_wide_trees(self, n, seed):
+        # most of these trees' vertices lie in BFS layers of 32 or more,
+        # which _bfs_layers steps as arrays
+        rng = np.random.default_rng(seed)
+        G = weighted(random_tree(n, seed), rng.integers(0, 10, n).tolist())
+        adjacency = {v: row(G, v) for v in range(n)}
+        assert tree_centroid(G) == reference_tree_centroid(range(n), adjacency, G.weights)
 
     @staticmethod
-    def bfs_tree(G):
-        """BFS tree of G from vertex 0, each vertex hung off its first finder."""
-        adj = {v: [] for v in range(G.n)}
-        seen, queue = {0}, deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in row(G, u):
-                if v not in seen:
-                    seen.add(v)
-                    adj[u].append(v)
-                    adj[v].append(u)
-                    queue.append(v)
-        return adj
+    def spanning_tree_of(G):
+        """The tree of compute_spanning_tree(G), with G's weights."""
+        return build_graph(G.n, compute_spanning_tree(G).tree_edges(), G.weights)
 
     @pytest.mark.parametrize("G", [cycle(6), theta(), cycle(9, [1, 3, 1, 2, 5, 1, 1, 4, 2])])
     def test_graph_with_cycles_gives_its_bfs_tree_centroid(self, G):
-        # a depth-first walk of C6 drops the edge 1-2 and picks 4; the BFS
-        # tree drops 3-4 and gives 0
-        got = tree_centroid(range(G.n), self.adjacency_of(G), G.weights)
-        assert got == tree_centroid(range(G.n), self.bfs_tree(G), G.weights)
+        # the BFS tree of C6 hangs 3 under 2, the lower of its two
+        # neighbours one layer up, and gives 0
+        H = self.spanning_tree_of(G)
+        got = tree_centroid(G)
+        assert got == reference_tree_centroid(range(H.n), {v: row(H, v) for v in range(H.n)},
+                                              H.weights)
         if G.n == 6:
             assert got == 0
 
@@ -700,9 +698,9 @@ class TestTreeCentroid:
         rng = random.Random(7)
         for _ in range(20):
             G = build_graph(11, edges, [rng.randint(0, 6) for _ in range(11)])
-            assert tree_centroid(range(11), self.adjacency_of(G), G.weights) == tree_centroid(
-                range(11), self.bfs_tree(G), G.weights
-            )
+            H = self.spanning_tree_of(G)
+            assert tree_centroid(G) == reference_tree_centroid(
+                range(11), {v: row(H, v) for v in range(11)}, H.weights)
 
 
 def fixup(G, S, *args, **kwargs):
@@ -838,6 +836,14 @@ class TestTreePlusExtraCheck:
                     entry_searches += ups[-1] is fast.entries.up
         assert entry_searches >= 120
 
+    @pytest.mark.parametrize("beta", [0, Fraction(1, 2), 1])
+    def test_bad_beta_raises(self, beta):
+        # beta = 0 used to run the loop into its cap, a sign of a bug, and
+        # beta = 1/2 passed though separate rejects it
+        G = generate(GenSpec(n=300, r=4, seed=1))
+        with pytest.raises(BadBeta):
+            fixup(G, set(), beta)
+
     def test_edge_count_is_checked(self):
         G = theta()
         T = compute_spanning_tree(G)
@@ -936,7 +942,7 @@ class TestSeparate:
         sep = separate(G)
         assert sep.size == 1 and sep.repairs == 0
         c, = sep.vertices
-        assert c == tree_centroid(range(G.n), TestTreeCentroid.adjacency_of(G), G.weights)
+        assert c == tree_centroid(G)
         assert sep.max_component_weight == verify_separator(G, sep.vertices).max_component_weight
 
     def test_c6(self):
