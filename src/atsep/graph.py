@@ -258,7 +258,7 @@ def _unique(a: np.ndarray) -> np.ndarray:
     first = np.empty(a.size, dtype=bool)
     first[:1] = True
     np.not_equal(a[1:], a[:-1], out=first[1:])
-    return a[first.nonzero()[0]]  # faster than indexing by the mask itself
+    return a[np.flatnonzero(first)]  # faster than indexing by the mask itself
 
 
 def _bfs_layers(G: Graph, root: int, parent: np.ndarray):
@@ -303,7 +303,7 @@ def _bfs_layers(G: Graph, root: int, parent: np.ndarray):
         else:
             fr = np.asarray(frontier, dtype=np.int64)
             nbrs, counts = _frontier_neighbors(indptr, indices, fr)
-            found = (mark[nbrs] == 0).nonzero()[0]  # positions index faster than a mask
+            found = np.flatnonzero(mark[nbrs] == 0)  # positions index faster than a mask
             finds = nbrs[found]
             np.minimum.at(parent, finds, np.repeat(fr, counts)[found])
             frontier = _unique(finds)

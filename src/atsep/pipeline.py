@@ -638,7 +638,7 @@ class _TreePlusExtra:
         ptr = _nearest_marked(slots.up, head)
         piece_w = np.zeros(n, dtype=np.int64)
         np.add.at(piece_w, ptr, slots.weights)  # a slot of S keeps its own weight
-        heads = (head ^ removed_s).nonzero()[0]  # the slots of S are heads too
+        heads = np.flatnonzero(head ^ removed_s)  # the slots of S are heads too
         head_w = piece_w[heads]
         del piece_w
 
@@ -731,7 +731,7 @@ def heavy_vertex_fixup(
         else:
             # the component as a graph of its own, vertex i being members[i]
             inside = found.inside()
-            members = inside.nonzero()[0]
+            members = np.flatnonzero(inside)
             nbrs, counts = _frontier_neighbors(G.indptr, G.indices, members)
             ends = np.repeat(members, counts)
             once = inside[nbrs] & (ends < nbrs)

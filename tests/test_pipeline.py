@@ -754,6 +754,14 @@ class TestHeavyVertexFixup:
         with pytest.raises(BadVertexId):
             fixup(G, {n // 2, v})
 
+    @pytest.mark.parametrize("beta", [0, Fraction(1, 2), 1])
+    def test_bad_beta_raises(self, beta):
+        # beta = 0 used to run the loop into its cap, a sign of a bug, and
+        # beta = 1/2 passed though separate rejects it
+        G = generate(GenSpec(n=300, r=4, seed=1))
+        with pytest.raises(BadBeta):
+            fixup(G, set(), beta)
+
 
 class TestTreePlusExtraCheck:
     """The search of G - S on T plus R against heaviest_component on G."""
@@ -835,14 +843,6 @@ class TestTreePlusExtraCheck:
                     assert (got.inside() == want.inside()).all()
                     entry_searches += ups[-1] is fast.entries.up
         assert entry_searches >= 120
-
-    @pytest.mark.parametrize("beta", [0, Fraction(1, 2), 1])
-    def test_bad_beta_raises(self, beta):
-        # beta = 0 used to run the loop into its cap, a sign of a bug, and
-        # beta = 1/2 passed though separate rejects it
-        G = generate(GenSpec(n=300, r=4, seed=1))
-        with pytest.raises(BadBeta):
-            fixup(G, set(), beta)
 
     def test_edge_count_is_checked(self):
         G = theta()
