@@ -69,11 +69,11 @@ def extra_edges(G: Graph, T: SpanningTree) -> EdgeSet:
     tree_end += 1
     tree_end[T.root] -= 2
     tree_end += G.indptr[:-1]
-    ends = np.flatnonzero(G.indptr[1:] > tree_end)
+    ends = (G.indptr[1:] > tree_end).nonzero()[0]
     del tree_end
     nbrs, counts = _frontier_neighbors(G.indptr, G.indices, ends)
     src = np.repeat(ends, counts)
-    keep = np.flatnonzero((src < nbrs) & (parent[src] != nbrs) & (parent[nbrs] != src))
+    keep = ((src < nbrs) & (parent[src] != nbrs) & (parent[nbrs] != src)).nonzero()[0]
     return EdgeSet(edges=list(zip(src[keep].tolist(), nbrs[keep].tolist())))
 
 
@@ -93,19 +93,19 @@ class SteinerSubtree:
     parent: np.ndarray
 
     def vertices(self) -> list[int]:
-        return np.flatnonzero(self.member).tolist()
+        return self.member.nonzero()[0].tolist()
 
     def degree(self, v: int) -> int:
         """v's degree inside the subtree, 0 outside it; one pass over the members."""
         if not self.member[v]:
             return 0
         # the root is its own parent, and top's parent is outside
-        children = np.count_nonzero(self.parent[np.flatnonzero(self.member)] == v)
+        children = np.count_nonzero(self.parent[self.member.nonzero()[0]] == v)
         return int(children) - int(self.parent[v] == v) + int(v != self.top)
 
     def edges(self) -> list[tuple[int, int]]:
         """Subtree edges as sorted (u, v) pairs with u < v."""
-        child = np.flatnonzero(self.member)
+        child = self.member.nonzero()[0]
         child = child[child != self.top]
         up = self.parent[child]
         lo, hi = np.minimum(child, up), np.maximum(child, up)
@@ -160,8 +160,6 @@ def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
         up = parent[frontier]
         frontier = _unique(up[~member[up]])
         batch *= 2
-    # x.nonzero()[0] is np.flatnonzero(x) without its ravel, which costs
-    # about a microsecond a call, a share of a small graph's stage
     verts = member.nonzero()[0]
     # work on the marked vertices' positions in verts
     index = _position_map(n, verts)
@@ -195,7 +193,7 @@ def branch_vertices(T1: SteinerSubtree, terminals) -> list[int]:
     mask = np.zeros(len(T1.member), dtype=bool)
     mask[T1.forks] = True
     mask[list(terminals)] = True
-    return np.flatnonzero(mask).tolist()
+    return mask.nonzero()[0].tolist()
 
 
 @dataclass
@@ -225,32 +223,31 @@ def decompose_paths(T1: SteinerSubtree, U: list[int]) -> Paths:
     path runs up from b, and n - d if it runs down to b.
     """
     parent, top = T1.parent, T1.top
-    verts = np.flatnonzero(T1.member)
+    verts = T1.member.nonzero()[0]
     k = verts.size
     # work on the members' positions in verts
-    pos = np.empty(len(parent), dtype=np.int64)
-    pos[verts] = np.arange(k)
+    pos = _position_map(len(parent), verts)
     inner = np.ones(k, dtype=bool)
     inner[pos[np.array(U, dtype=np.int64)]] = False
-    t = pos[top]
+    t = int(pos[top])
     joined = inner[t]
     inner[t] = False
-    child = np.flatnonzero(np.arange(k) != t)
-    up = pos[parent[verts[child]]]
+    child = (np.arange(k) != t).nonzero()[0]
+    up = pos[parent[verts[child]]].astype(np.int64)
     del pos
     ptr = np.arange(k)  # non-interior members point at themselves
-    below = np.flatnonzero(inner[up])
+    below = inner[up].nonzero()[0]
     ptr[up[below]] = child[below]
     del child, up, below
     dist = inner.astype(np.int64)
-    interior = np.flatnonzero(inner)
+    interior = inner.nonzero()[0]
     active = interior
     while active.size:
         nxt = ptr[active]
         dist[active] += dist[nxt]
         ptr[active] = ptr[nxt]
-        active = active[np.flatnonzero(inner[ptr[active]])]
-    starts = np.flatnonzero(~inner)
+        active = active[inner[ptr[active]].nonzero()[0]]
+    starts = (~inner).nonzero()[0]
     starts = starts[starts != t]
     ptr[starts] = np.arange(starts.size)  # the bottoms' chains
     chain = ptr[ptr[interior]]
@@ -259,12 +256,12 @@ def decompose_paths(T1: SteinerSubtree, U: list[int]) -> Paths:
     sizes = np.bincount(chain, minlength=starts.size)
     # a chain ends at the parent of its highest vertex
     last = verts[starts]
-    high = np.flatnonzero(dist == sizes[chain])
+    high = (dist == sizes[chain]).nonzero()[0]
     last[chain[high]] = interior[high]
     ends = np.column_stack((verts[starts], parent[last]))
     if joined:
         # chain b, read down, continues chain a through top
-        a, b = np.flatnonzero(ends[:, 1] == top)
+        a, b = (ends[:, 1] == top).nonzero()[0]
         on_b = chain == b
         dist[on_b] = sizes[a] + sizes[b] + 2 - dist[on_b]
         chain = np.append(np.where(on_b, a, chain), a)
@@ -275,7 +272,7 @@ def decompose_paths(T1: SteinerSubtree, U: list[int]) -> Paths:
     at = np.where((ends[:, 0] > ends[:, 1])[chain], sizes[chain] - dist, dist - 1)
     ends = np.column_stack((ends.min(axis=1), ends.max(axis=1)))
     second = ends[:, 1].copy()
-    first = np.flatnonzero(at == 0)
+    first = (at == 0).nonzero()[0]
     second[chain[first]] = interior[first]
     order = np.lexsort((second, ends[:, 0]))
     offsets = np.concatenate(([0], np.cumsum(sizes[order])))
@@ -291,7 +288,7 @@ class CollapsedWeights:
     A vertex's entry is the nearest vertex on its root path, itself
     included, that is the root, a subtree vertex or a child of one;
     ``entries`` marks them. ``index`` gives each vertex the position of its
-    entry in ``np.flatnonzero(entries)``, as int32 below 2^31 vertices,
+    entry in ``entries.nonzero()[0]``, as int32 below 2^31 vertices,
     and ``nearest`` is worked out from it; ``sums`` holds what the vertices
     of each entry weigh, in the same order. The other arrays are indexed
     by vertex, and n-length int64 only for ``wprime``; ``attach`` lists the
@@ -307,7 +304,7 @@ class CollapsedWeights:
 
     @property
     def nearest(self) -> np.ndarray:
-        return _attach(np.flatnonzero(self.entries), self.T1, self.root)[self.index]
+        return _attach(self.entries.nonzero()[0], self.T1, self.root)[self.index]
 
     @property
     def attach(self) -> list[int]:
@@ -355,36 +352,45 @@ def _nearest_marked(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
     return ptr
 
 
+def _entries(parent: np.ndarray, root: int, marked: np.ndarray, weights: np.ndarray):
+    """``(entries, index, sums)`` of a marked vertex set: the mask of its
+    entries (the marked vertices, their children and the root), each
+    vertex's entry as its position among them (int32 below 2^31
+    vertices) and what the vertices of each entry weigh. A vertex's entry
+    is the nearest entry on its root path, itself included, and one
+    pointer jump finds it; beside the outputs the call holds the jump's
+    n int64 pointers and chunk-sized temporaries.
+    """
+    entries = marked | marked[parent]
+    entries[root] = True
+    ptr = _nearest_marked(parent, entries)
+    # in place: the entries' positions stay put (an entry reads itself),
+    # and every other vertex reads its entry's
+    ids = entries.nonzero()[0]
+    index = _position_map(len(parent), ids)
+    for lo in range(0, len(parent), _JUMP_CHUNK):
+        index[lo:lo + _JUMP_CHUNK] = index[ptr[lo:lo + _JUMP_CHUNK]]
+    del ptr
+    sums = np.zeros(len(ids), dtype=np.int64)
+    np.add.at(sums, index, weights)
+    return entries, index, sums
+
+
 def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> CollapsedWeights:
     """Each vertex donates its weight to its nearest subtree vertex in T.
 
     T1 is connected, so that vertex is unique: the first T1 vertex on the
     vertex's root path, or T1's top vertex if the path misses T1 (every
-    path from the vertex into T1 then enters through the top). One
-    pointer jump to each vertex's entry finds it: the entry is that
-    vertex, or its child, or the root. The weights are summed once per
-    entry and then moved to the entries' subtree vertices, so weight
-    conservation is exact. Beside the n-length outputs, the call holds
-    one n-length int64 array, the jump's pointers, and chunk-sized
-    temporaries.
+    path from the vertex into T1 then enters through the top). The
+    vertex's entry for T1's members, from ``_entries``, is that vertex,
+    or its child, or the root. The weights are summed once per entry and
+    then moved to the entries' subtree vertices, so weight conservation
+    is exact. The entries are kept for ``heavy_vertex_fixup``: with T1
+    marked, they hold every piece head of a separator inside T1.
     """
-    # the children of T1 are marked too, for heavy_vertex_fixup: they hold
-    # every piece head of a separator inside T1
-    entries = T1.member | T1.member[T1.parent]
-    entries[T.root] = True
-    ptr = _nearest_marked(T1.parent, entries)
-    # each vertex's entry as its position in ids, in place: the entries'
-    # positions stay put (an entry reads itself), and every other vertex
-    # reads its entry's
-    ids = entries.nonzero()[0]
-    index = _position_map(G.n, ids)
-    for lo in range(0, G.n, _JUMP_CHUNK):
-        index[lo:lo + _JUMP_CHUNK] = index[ptr[lo:lo + _JUMP_CHUNK]]
-    del ptr
-    sums = np.zeros(len(ids), dtype=np.int64)
-    np.add.at(sums, index, G.weight_array)
+    entries, index, sums = _entries(T1.parent, T.root, T1.member, G.weight_array)
     wprime = np.zeros(G.n, dtype=np.int64)
-    np.add.at(wprime, _attach(ids, T1, T.root), sums)
+    np.add.at(wprime, _attach(entries.nonzero()[0], T1, T.root), sums)
     return CollapsedWeights(wprime=wprime, index=index, entries=entries, sums=sums,
                             T1=T1, root=T.root)
 
@@ -533,35 +539,11 @@ class Separator:
 
 
 @dataclass
-class _Slots:
-    """What a search of G - S runs over: G's vertices, or the entries of
-    ``collapse_weights``, in vertex order either way.
-
-    ``up`` takes each slot to the next slot above it (the root's to
-    itself), ``weights`` holds what each slot weighs and ``ends`` holds
-    R's edges as pairs of slots. For the entries, ``index`` takes each
-    vertex to its slot and ``ids`` each slot to its vertex.
-    """
-
-    up: np.ndarray
-    weights: np.ndarray
-    ends: np.ndarray
-    root: int
-    index: np.ndarray | None = None
-    ids: np.ndarray | None = None
-
-    def per_vertex(self, a: np.ndarray) -> np.ndarray:
-        """A per-slot array read at each vertex's slot."""
-        return a if self.index is None else a[self.index]
-
-    def vertex(self, slot):
-        return slot if self.ids is None else self.ids[slot]
-
-
-@dataclass
 class _Heaviest:
     """Heaviest component of G - S: its weight, label and whether it is a tree.
 
+    The search ran over the entries of a marked set: ``index`` takes each
+    vertex to its entry's slot and ``ids`` each slot to its vertex.
     ``head`` takes each slot to its piece's head slot, ``labels`` each
     head slot to its component's, and ``slot`` names this component.
     """
@@ -572,20 +554,21 @@ class _Heaviest:
     head: np.ndarray
     labels: np.ndarray
     removed: np.ndarray
-    slots: _Slots
+    index: np.ndarray
+    ids: np.ndarray
 
     @property
     def label(self) -> int:
         """The vertex that names it, or -1 when G - S is empty."""
-        return -1 if self.slot < 0 else int(self.slots.vertex(self.slot))
+        return -1 if self.slot < 0 else int(self.ids[self.slot])
 
     def head_of(self) -> np.ndarray:
         """Each vertex's piece head."""
-        return self.slots.per_vertex(self.slots.vertex(self.head))
+        return self.ids[self.head][self.index]
 
     def inside(self) -> np.ndarray:
         """Mask of its vertices."""
-        return self.slots.per_vertex(self.labels[self.head] == self.slot) & ~self.removed
+        return (self.labels[self.head] == self.slot)[self.index] & ~self.removed
 
 
 class _TreePlusExtra:
@@ -593,15 +576,18 @@ class _TreePlusExtra:
 
     G - S is the pieces of T - S joined by the edges of R outside S. A
     piece is named by its head: the root, or a vertex whose parent is in
-    S. ``_nearest_marked`` takes every vertex to its head, and a
-    union-find over the at most r + 1 edges of R joins the pieces. A
-    tree comes with an empty R.
+    S. ``_nearest_marked`` takes every slot to its head, and a union-find
+    over the at most r + 1 edges of R joins the pieces. A tree comes with
+    an empty R.
 
-    With ``cw``, while every head is an entry (S inside T1), the search
-    runs over the entries alone: each entry steps to the entry of its
-    parent, and weighs what the vertices whose entry it is weigh.
-    Vertices come back only through ``inside``, when a repair needs
-    them, and to break a tie between heaviest components.
+    The slots are the entries of a marked set that holds S (``_entries``):
+    each steps to the entry of its parent and weighs what the vertices
+    whose entry it is weigh, and S's heads (S, its children and the root)
+    are among them. With ``cw`` the set starts as T1, whose entries cw
+    holds; without, as R's ends, which must be entries, collapsed by the
+    first search. An S with a vertex outside the set joins it and the
+    entries are collapsed again, so the set only grows. Vertices come back
+    only through ``inside``, when a repair needs them, and to break a tie.
     """
 
     def __init__(self, G: Graph, T: SpanningTree, R: EdgeSet,
@@ -612,38 +598,45 @@ class _TreePlusExtra:
             raise ValueError(
                 f"R has {len(R)} edges but G needs m - n + 1 = {G.m - G.n + 1}"
             )
-        parent = np.asarray(T.parent, dtype=np.int64)
-        ends = np.array(R.edges, dtype=np.int64).reshape(-1, 2)
-        self.vertices = _Slots(parent, G.weight_array, ends, T.root)
-        self.entries = None
-        if cw is not None:
-            index = cw.index
-            ids = np.flatnonzero(cw.entries)
-            # R's ends are terminals, so entries
-            self.entries = _Slots(index[parent[ids]].astype(np.int64), cw.sums,
-                                  np.searchsorted(ids, ends), int(index[T.root]), index, ids)
-            self.member = cw.T1.member
+        self.parent = np.asarray(T.parent, dtype=np.int64)
+        self.root, self.weights = T.root, G.weight_array
+        self.edges = np.array(R.edges, dtype=np.int64).reshape(-1, 2)
+        if cw is None:
+            self.marked = np.zeros(G.n, dtype=bool)
+            self.marked[self.edges] = True
+            self.stale = True
+        else:
+            self.marked = cw.T1.member  # R's ends are terminals, so members
+            self._use(cw.entries, cw.index, cw.sums)
+
+    def _use(self, entries: np.ndarray, index: np.ndarray, sums: np.ndarray):
+        """Search over these entries of the marked set from now on."""
+        self.index, self.sums = index, sums
+        self.ids = entries.nonzero()[0]
+        self.up = index[self.parent[self.ids]].astype(np.int64)
+        self.top = int(index[self.root])
+        self.ends = np.searchsorted(self.ids, self.edges)
+        self.stale = False
 
     def heaviest(self, removed: np.ndarray) -> _Heaviest:
         """The heaviest component of G - S, S given as a mask over the vertices."""
-        slots, removed_s = self.vertices, removed
-        if self.entries is not None and self.member[removed.nonzero()[0]].all():
-            # S lies in T1, whose children are entries: so are all heads,
-            # and an entry's parent is in S when its entry is
-            slots = self.entries
-            removed_s = removed[slots.ids]
-        head = removed_s | removed_s[slots.up]
-        head[slots.root] = True
+        if self.stale or not self.marked[removed.nonzero()[0]].all():
+            self.marked = self.marked | removed
+            self._use(*_entries(self.parent, self.root, self.marked, self.weights))
+        # S is marked, so an entry's parent is in S when its entry is
+        removed_s = removed[self.ids]
+        head = removed_s | removed_s[self.up]
+        head[self.top] = True
         n = len(head)
-        ptr = _nearest_marked(slots.up, head)
+        ptr = _nearest_marked(self.up, head)
         piece_w = np.zeros(n, dtype=np.int64)
-        np.add.at(piece_w, ptr, slots.weights)  # a slot of S keeps its own weight
-        heads = np.flatnonzero(head ^ removed_s)  # the slots of S are heads too
+        np.add.at(piece_w, ptr, self.sums)  # an entry of S weighs only itself
+        heads = (head ^ removed_s).nonzero()[0]  # the entries of S are heads too
         head_w = piece_w[heads]
         del piece_w
 
         # union-find over the pieces that edges of R outside S join
-        outside = ~removed_s[slots.ends].any(axis=1)
+        outside = ~removed_s[self.ends].any(axis=1)
         link: dict[int, int] = {}
         cyclic: list[int] = []
 
@@ -653,7 +646,7 @@ class _TreePlusExtra:
             return x
 
         # slots follow vertex order, so the lower slot is the lower vertex
-        for a, b in ptr[slots.ends[outside]].tolist():
+        for a, b in ptr[self.ends[outside]].tolist():
             a, b = find(a), find(b)
             if a == b:
                 cyclic.append(a)
@@ -664,7 +657,7 @@ class _TreePlusExtra:
         if link:
             label[list(link)] = [find(x) for x in link]
         if heads.size == 0:
-            return _Heaviest(0, -1, False, ptr, label, removed, slots)
+            return _Heaviest(0, -1, False, ptr, label, removed, self.index, self.ids)
         # a component's label is one of its heads: weigh them in heads' order
         comp_w = np.zeros(heads.size, dtype=np.int64)
         np.add.at(comp_w, np.searchsorted(heads, label[heads]), head_w)
@@ -674,12 +667,13 @@ class _TreePlusExtra:
             # ties go to the component holding the lowest vertex
             tied = np.zeros(n, dtype=bool)
             tied[best] = True
-            first = int(np.argmax(slots.per_vertex(tied[label[ptr]]) & ~removed))
-            best = label[ptr[first if slots.index is None else slots.index[first]]]
+            first = int(np.argmax(tied[label[ptr]][self.index] & ~removed))
+            best = label[ptr[self.index[first]]]
         else:
             best = best[0]
         acyclic = all(find(x) != best for x in cyclic)
-        return _Heaviest(int(weight), int(best), acyclic, ptr, label, removed, slots)
+        return _Heaviest(int(weight), int(best), acyclic, ptr, label, removed,
+                         self.index, self.ids)
 
 
 def heavy_vertex_fixup(
@@ -702,9 +696,9 @@ def heavy_vertex_fixup(
     its BFS tree from its lowest vertex. Every component of G - exact is
     light or is a subtree of T with no edge of R, which one centroid
     fixes. The loop is capped at 4 sqrt(r + 1) + 2 repairs, r being G's
-    excess; the cap signals an algorithmic bug. ``cw``, the collapsed
-    weights over T, speeds up the search. Raises BadBeta unless
-    1/2 < beta < 1.
+    excess; the cap signals an algorithmic bug. With ``cw``, the collapsed
+    weights over T, a separator inside T1 is searched on cw's entries with
+    no new pointer jump. Raises BadBeta unless 1/2 < beta < 1.
     """
     beta = check_beta(beta)
     S = set(S)
@@ -731,7 +725,7 @@ def heavy_vertex_fixup(
         else:
             # the component as a graph of its own, vertex i being members[i]
             inside = found.inside()
-            members = np.flatnonzero(inside)
+            members = inside.nonzero()[0]
             nbrs, counts = _frontier_neighbors(G.indptr, G.indices, members)
             ends = np.repeat(members, counts)
             once = inside[nbrs] & (ends < nbrs)

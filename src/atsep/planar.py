@@ -152,10 +152,10 @@ def _band_rotation(G: Graph, heavy: list[int], level, l0: int) -> _HalfEdges | N
     nb, counts = _frontier_neighbors(G.indptr, G.indices, ids)
     owner = np.repeat(np.arange(1, k + 1), counts)
     j = at[nb]
-    up = np.flatnonzero(j > owner)
+    up = (j > owner).nonzero()[0]
     higher = j[up].tolist()
     cut = np.searchsorted(owner[up], np.arange(1, k + 2)).tolist()
-    adj = [_unique(owner[np.flatnonzero(j == 0)]).tolist()]
+    adj = [_unique(owner[(j == 0).nonzero()[0]]).tolist()]
     adj += [higher[lo:hi] for lo, hi in zip(cut, cut[1:])]
     return _lr_rotation([-1, *heavy], adj)
 
@@ -749,10 +749,10 @@ def _planarity_kernel(G: Graph) -> dict[int, set[int]]:
     degree = np.diff(indptr)
     tail = np.repeat(np.arange(G.n, dtype=np.int64), degree)
     ptr = np.arange(len(indices), dtype=np.int64)
-    into = np.flatnonzero(degree[indices] == 2)
+    into = (degree[indices] == 2).nonzero()[0]
     row = indptr[indices[into]]
     ptr[into] = row + (indices[row] == tail[into])  # the row's other entry
-    out = np.flatnonzero(degree[tail] != 2)
+    out = (degree[tail] != 2).nonzero()[0]
     far = ptr[out]
     # chains of degree-2 vertices alone (cycles) have no way out and are
     # never reached, so this ends after log2 of the longest chain rounds
@@ -760,11 +760,11 @@ def _planarity_kernel(G: Graph) -> dict[int, set[int]]:
         ptr = ptr[ptr]
         far = ptr[out]
     near, reach = tail[out], indices[far]
-    edge = np.flatnonzero(near != reach)  # loops go
+    edge = (near != reach).nonzero()[0]  # loops go
     near, reach = near[edge], reach[edge]
     # ``near`` ascends, so each kept vertex's ends are one run; the sets
     # merge parallel chains
-    kept = np.flatnonzero(degree != 2)
+    kept = (degree != 2).nonzero()[0]
     cut = np.searchsorted(near, kept).tolist()
     cut.append(len(near))
     ends = reach.tolist()

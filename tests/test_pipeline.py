@@ -27,7 +27,7 @@ from atsep.errors import (
     ZeroTotalWeight,
 )
 from atsep.gen import GenSpec, assign_weights, generate, random_tree
-from atsep.graph import Graph, SpanningTree, build_graph, verify_separator
+from atsep.graph import EdgeSet, Graph, SpanningTree, build_graph, verify_separator
 from atsep.oracle import (
     min_balanced_separator,
     nearest_in_set_oracle,
@@ -810,18 +810,19 @@ class TestTreePlusExtraCheck:
         assert checked == 1200
 
     def test_entry_shortcut_matches_the_parent_jump(self, monkeypatch):
-        # with S inside T1 every head is an entry of collapse_weights, and
-        # the search runs over the entries; other sets take the parent steps
+        # with cw the search runs over its entries and collapses nothing
+        # while S lies inside T1; a set that leaves the marked set collapses
+        # once, onto T1 plus every vertex marked so far
         rng = random.Random(11)
-        ups = []
-        real = atsep.pipeline._nearest_marked
+        calls = []
+        real = atsep.pipeline._entries
 
-        def recording(up, mark):
-            ups.append(up)
-            return real(up, mark)
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(atsep.pipeline, "_nearest_marked", recording)
-        entry_searches = 0
+        monkeypatch.setattr(atsep.pipeline, "_entries", recording)
+        collapses = inside_searches = 0
         for i in range(40):
             n = rng.randint(30, 3000)
             G = generate(GenSpec(n=n, r=rng.randint(1, 40), seed=i))
@@ -831,18 +832,73 @@ class TestTreePlusExtraCheck:
             cw = collapse_weights(G, T, T1)
             plain = atsep.pipeline._TreePlusExtra(G, T, R)
             fast = atsep.pipeline._TreePlusExtra(G, T, R, cw)
+            marked = T1.member.copy()
             inside = T1.vertices()
             for S in (rng.sample(inside, min(len(inside), k)) for k in (1, 3, 8)):
                 for extra in ([], [rng.randrange(n)]):
                     removed = np.zeros(n, dtype=bool)
                     removed[S + extra] = True
-                    want, got = plain.heaviest(removed), fast.heaviest(removed)
+                    want = plain.heaviest(removed)
+                    before = len(calls)
+                    got = fast.heaviest(removed)
+                    leaves = not marked[S + extra].all()
+                    marked[S + extra] = True
+                    assert len(calls) - before == leaves
+                    if leaves:
+                        assert (calls[-1][2] == marked).all()
+                    collapses += leaves
+                    inside_searches += not extra
                     assert (got.weight, got.label, got.is_tree) == (
                         want.weight, want.label, want.is_tree)
                     assert (got.head_of() == want.head_of()).all()
                     assert (got.inside() == want.inside()).all()
-                    entry_searches += ups[-1] is fast.entries.up
-        assert entry_searches >= 120
+        assert inside_searches == 120 and collapses >= 20
+
+    @staticmethod
+    def assert_heaviest(G, found, S):
+        members, weight = atsep.graph.heaviest_component(G, S)
+        assert (found.weight, found.inside().nonzero()[0].tolist()) == (weight, members)
+
+    def test_one_search_across_sets(self, monkeypatch):
+        # inside T1, then out of it (a collapse), then a smaller set inside
+        # T1 and the empty set, which the grown marked set still holds
+        calls = []
+        real = atsep.pipeline._entries
+        monkeypatch.setattr(atsep.pipeline, "_entries",
+                            lambda *args: calls.append(args) or real(*args))
+        G = generate(GenSpec(n=2000, r=12, seed=3, weight_mode=("uniform", 1, 4)))
+        T = compute_spanning_tree(G)
+        R = extra_edges(G, T)
+        T1 = steiner_subtree(T, R.endpoints())
+        cw = collapse_weights(G, T, T1)
+        calls.clear()
+        check = atsep.pipeline._TreePlusExtra(G, T, R, cw)
+        inside = T1.vertices()
+        outside = int((~T1.member).nonzero()[0][0])
+        sets = [set(inside[::3]), set(inside[::3]) | {outside}, set(inside[::7]), set()]
+        for S, collapsed in zip(sets, [0, 1, 1, 1]):
+            removed = np.zeros(G.n, dtype=bool)
+            removed[list(S)] = True
+            self.assert_heaviest(G, check.heaviest(removed), S)
+            assert len(calls) == collapsed
+        assert check.marked.sum() == len(inside) + 1
+
+    def test_tree_collapses_on_its_first_search(self, monkeypatch):
+        calls = []
+        real = atsep.pipeline._entries
+        monkeypatch.setattr(atsep.pipeline, "_entries",
+                            lambda *args: calls.append(args[2].copy()) or real(*args))
+        G = generate(GenSpec(n=500, r=-1, seed=2, weight_mode=("uniform", 1, 5)))
+        T = compute_spanning_tree(G)
+        check = atsep.pipeline._TreePlusExtra(G, T, EdgeSet(edges=[]))
+        assert not check.marked.any() and calls == []
+        for S in ({tree_centroid(G)}, set(), {0, 7, 99}):
+            removed = np.zeros(G.n, dtype=bool)
+            removed[list(S)] = True
+            self.assert_heaviest(G, check.heaviest(removed), S)
+        # the first search marks the centroid alone, and {0, 7, 99} leaves it
+        assert [m.nonzero()[0].tolist() for m in calls] == [[tree_centroid(G)],
+                                                           sorted({tree_centroid(G), 0, 7, 99})]
 
     def test_edge_count_is_checked(self):
         G = theta()
@@ -873,8 +929,9 @@ class TestRoot:
 class TestSeparate:
     def test_peak_memory_per_vertex(self):
         # the repair searches the entries of collapse_weights, decompose_paths
-        # works on T1's members and only the spanning tree's parent array
-        # outlives its stage as n int64s, so at 2 * 10^5 vertices the call
+        # works on T1's members and two arrays of n int64s outlive their
+        # stages, the spanning tree's parent array and the collapsed
+        # weights' wprime, so at 2 * 10^5 vertices the call
         # allocates at most about 23.5 bytes per vertex above what was live
         # (24.4 while the repair built an n-length mask to test S inside T1,
         # 34 while T1 kept a degree per vertex and the weight collapse
