@@ -809,19 +809,25 @@ class TestTreePlusExtraCheck:
                 checked += 1
         assert checked == 1200
 
+    @staticmethod
+    def record_collapses(monkeypatch):
+        """The marked set of every ``_entries`` call from now on."""
+        marks = []
+        real = atsep.pipeline._entries
+
+        def recording(parent, root, marked, weights):
+            marks.append(marked.copy())
+            return real(parent, root, marked, weights)
+
+        monkeypatch.setattr(atsep.pipeline, "_entries", recording)
+        return marks
+
     def test_entry_shortcut_matches_the_parent_jump(self, monkeypatch):
         # with cw the search runs over its entries and collapses nothing
         # while S lies inside T1; a set that leaves the marked set collapses
         # once, onto T1 plus every vertex marked so far
         rng = random.Random(11)
-        calls = []
-        real = atsep.pipeline._entries
-
-        def recording(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(atsep.pipeline, "_entries", recording)
+        calls = self.record_collapses(monkeypatch)
         collapses = inside_searches = 0
         for i in range(40):
             n = rng.randint(30, 3000)
@@ -845,7 +851,7 @@ class TestTreePlusExtraCheck:
                     marked[S + extra] = True
                     assert len(calls) - before == leaves
                     if leaves:
-                        assert (calls[-1][2] == marked).all()
+                        assert (calls[-1] == marked).all()
                     collapses += leaves
                     inside_searches += not extra
                     assert (got.weight, got.label, got.is_tree) == (
@@ -862,10 +868,7 @@ class TestTreePlusExtraCheck:
     def test_one_search_across_sets(self, monkeypatch):
         # inside T1, then out of it (a collapse), then a smaller set inside
         # T1 and the empty set, which the grown marked set still holds
-        calls = []
-        real = atsep.pipeline._entries
-        monkeypatch.setattr(atsep.pipeline, "_entries",
-                            lambda *args: calls.append(args) or real(*args))
+        calls = self.record_collapses(monkeypatch)
         G = generate(GenSpec(n=2000, r=12, seed=3, weight_mode=("uniform", 1, 4)))
         T = compute_spanning_tree(G)
         R = extra_edges(G, T)
@@ -884,10 +887,7 @@ class TestTreePlusExtraCheck:
         assert check.marked.sum() == len(inside) + 1
 
     def test_tree_collapses_on_its_first_search(self, monkeypatch):
-        calls = []
-        real = atsep.pipeline._entries
-        monkeypatch.setattr(atsep.pipeline, "_entries",
-                            lambda *args: calls.append(args[2].copy()) or real(*args))
+        calls = self.record_collapses(monkeypatch)
         G = generate(GenSpec(n=500, r=-1, seed=2, weight_mode=("uniform", 1, 5)))
         T = compute_spanning_tree(G)
         check = atsep.pipeline._TreePlusExtra(G, T, EdgeSet(edges=[]))
@@ -897,8 +897,8 @@ class TestTreePlusExtraCheck:
             removed[list(S)] = True
             self.assert_heaviest(G, check.heaviest(removed), S)
         # the first search marks the centroid alone, and {0, 7, 99} leaves it
-        assert [m.nonzero()[0].tolist() for m in calls] == [[tree_centroid(G)],
-                                                           sorted({tree_centroid(G), 0, 7, 99})]
+        c = tree_centroid(G)
+        assert [m.nonzero()[0].tolist() for m in calls] == [[c], sorted({c, 0, 7, 99})]
 
     def test_edge_count_is_checked(self):
         G = theta()
