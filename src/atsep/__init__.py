@@ -6,7 +6,6 @@ compressing the graph to size O(r) and separating the compressed graph.
 """
 
 from .graph import (
-    EdgeSet,
     Graph,
     SpanningTree,
     VerifyReport,
@@ -20,7 +19,6 @@ from .pipeline import Separator, StageTrace, dump_stages, separate
 from .planar import LTSeparator, lt_separator
 
 __all__ = [
-    "EdgeSet",
     "GenSpec",
     "Graph",
     "LTSeparator",

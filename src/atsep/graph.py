@@ -111,43 +111,28 @@ def graph_from_edges(n: int, u, v, weights) -> Graph:
 
 
 @dataclass
-class EdgeSet:
-    """A set of undirected edges, stored as (u, v) pairs with u < v."""
-
-    edges: list[tuple[int, int]]
-
-    def endpoints(self) -> list[int]:
-        """Sorted list of distinct endpoint vertex IDs."""
-        seen = set()
-        for u, v in self.edges:
-            seen.add(u)
-            seen.add(v)
-        return sorted(seen)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass
 class SpanningTree:
     """Rooted spanning tree in parent-pointer form; parent[root] == root.
 
-    ``compute_spanning_tree`` gives ``parent`` as an int64 array; any
-    sequence of vertex IDs works. The pipeline reads nothing else: depths
-    and nearest ancestors come from pointer jumps over ``parent``.
+    ``parent`` may be given as any sequence of vertex IDs; it is stored
+    as an int64 array, so no stage converts it again. The pipeline reads
+    nothing else: depths and nearest ancestors come from pointer jumps
+    over ``parent``.
     """
 
     root: int
     parent: np.ndarray
+
+    def __post_init__(self):
+        self.parent = np.asarray(self.parent, dtype=np.int64)
 
     @property
     def n(self) -> int:
         return len(self.parent)
 
     def tree_edges(self) -> list[tuple[int, int]]:
-        parent = np.asarray(self.parent, dtype=np.int64)
-        child = (parent != np.arange(len(parent))).nonzero()[0]
-        up = parent[child]
+        child = (self.parent != np.arange(self.n)).nonzero()[0]
+        up = self.parent[child]
         return list(zip(np.minimum(child, up).tolist(), np.maximum(child, up).tolist()))
 
 
@@ -389,20 +374,6 @@ def component_weights(G: Graph, comp: list[int]) -> list[int]:
     return sums[1:].tolist()
 
 
-def heaviest_component(G: Graph, S) -> tuple[list[int], int]:
-    """(vertices, weight) of the heaviest component of G - S; ([], 0) if none.
-
-    Ties go to the lowest component ID, i.e. to the component holding the
-    lowest vertex.
-    """
-    comp = connected_components(G, removed=S)
-    comp_w = component_weights(G, comp)
-    if not comp_w:
-        return [], 0
-    best = comp_w.index(max(comp_w))
-    return [v for v, c in enumerate(comp) if c == best], comp_w[best]
-
-
 def is_connected(G: Graph) -> bool:
     if G.n == 0:
         return True
@@ -443,6 +414,15 @@ class VerifyReport:
         if self.total_weight == 0:
             return 0.0
         return self.max_component_weight / self.total_weight
+
+    def heaviest(self) -> list[int]:
+        """The vertices of the heaviest component of G - S, ascending; [] if
+        G - S is empty. Ties go to the lowest component ID, i.e. to the
+        component holding the lowest vertex."""
+        if not self.component_weights:
+            return []
+        best = self.component_weights.index(self.max_component_weight)
+        return [v for v, c in enumerate(self.components) if c == best]
 
 
 def verify_separator(G: Graph, S, beta=Fraction(2, 3)) -> VerifyReport:

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .fileformat import format_graph
 from .graph import (
-    EdgeSet,
     Graph,
     SpanningTree,
     _bfs_layers,
@@ -54,14 +53,14 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
     return SpanningTree(root=root, parent=parent)
 
 
-def extra_edges(G: Graph, T: SpanningTree) -> EdgeSet:
-    """Non-tree edges R = E(G) \\ E(T); |R| = m - n + 1.
+def extra_edges(G: Graph, T: SpanningTree) -> np.ndarray:
+    """Non-tree edges R = E(G) \\ E(T) as an (m - n + 1, 2) int64 array.
 
-    Edges come as (u, v) with u < v, ordered by u and then by v's place
-    in u's neighbour list. Only the vertices whose degree in G exceeds
-    their degree in T have non-tree edges, so only their rows are read.
+    Rows (u, v) have u < v and come by u, then by v's place in u's
+    neighbour list. Only the vertices whose degree in G exceeds their
+    degree in T have non-tree edges, so only their rows are read.
     """
-    parent = np.asarray(T.parent, dtype=np.int64)
+    parent = T.parent
     # a vertex's row ends past its start plus its tree degree, built in
     # place; parent[root] == root counts the root as its own child,
     # standing in for the parent edge it lacks
@@ -74,7 +73,7 @@ def extra_edges(G: Graph, T: SpanningTree) -> EdgeSet:
     nbrs, counts = _frontier_neighbors(G.indptr, G.indices, ends)
     src = np.repeat(ends, counts)
     keep = ((src < nbrs) & (parent[src] != nbrs) & (parent[nbrs] != src)).nonzero()[0]
-    return EdgeSet(edges=list(zip(src[keep].tolist(), nbrs[keep].tolist())))
+    return np.column_stack((src[keep], nbrs[keep]))
 
 
 @dataclass
@@ -146,7 +145,7 @@ def steiner_subtree(T: SpanningTree, terminals) -> SteinerSubtree:
     terms = _unique(np.fromiter(terminals, dtype=np.int64))
     if terms.size == 0:
         raise EmptyTerminals("steiner subtree needs at least one terminal")
-    parent = np.asarray(T.parent, dtype=np.int64)
+    parent = T.parent
     n, root = len(parent), T.root
     member = np.zeros(n, dtype=bool)
     frontier = terms
@@ -432,7 +431,7 @@ class CompressedGraph:
         return graph_from_edges(n, lo, hi, list(self.node_weights))
 
 
-def build_compressed_graph(U: list[int], Pi: Paths, R: EdgeSet,
+def build_compressed_graph(U: list[int], Pi: Paths, R: np.ndarray,
                            cw: CollapsedWeights) -> CompressedGraph:
     branch = np.array(U, dtype=np.int64)
     # running sums over all interiors; a path weighs the rise across its own
@@ -441,8 +440,8 @@ def build_compressed_graph(U: list[int], Pi: Paths, R: EdgeSet,
     sub = np.arange(len(U), len(U) + len(Pi))
     ends = np.searchsorted(branch, Pi.ends)
     edges = np.column_stack((ends[:, 0], sub, sub, ends[:, 1])).reshape(-1, 2)
-    R_nodes = np.searchsorted(branch, np.array(R.edges, dtype=np.int64).reshape(-1, 2))
-    return CompressedGraph(node_weights=node_weights, edges=np.concatenate((edges, R_nodes)),
+    return CompressedGraph(node_weights=node_weights,
+                           edges=np.concatenate((edges, np.searchsorted(branch, R))),
                            branch=U, paths=Pi, wprime=cw.wprime)
 
 
@@ -590,7 +589,7 @@ class _TreePlusExtra:
     only through ``inside``, when a repair needs them, and to break a tie.
     """
 
-    def __init__(self, G: Graph, T: SpanningTree, R: EdgeSet,
+    def __init__(self, G: Graph, T: SpanningTree, R: np.ndarray,
                  cw: CollapsedWeights | None = None):
         if len(R) != G.m - G.n + 1:
             # R holds only non-tree edges, so with T's n - 1 edges it is
@@ -598,9 +597,8 @@ class _TreePlusExtra:
             raise ValueError(
                 f"R has {len(R)} edges but G needs m - n + 1 = {G.m - G.n + 1}"
             )
-        self.parent = np.asarray(T.parent, dtype=np.int64)
-        self.root, self.weights = T.root, G.weight_array
-        self.edges = np.array(R.edges, dtype=np.int64).reshape(-1, 2)
+        self.parent, self.root, self.weights = T.parent, T.root, G.weight_array
+        self.edges = R
         if cw is None:
             self.marked = np.zeros(G.n, dtype=bool)
             self.marked[self.edges] = True
@@ -679,7 +677,7 @@ class _TreePlusExtra:
 def heavy_vertex_fixup(
     G: Graph,
     T: SpanningTree,
-    R: EdgeSet,
+    R: np.ndarray,
     S,
     beta=Fraction(2, 3),
     exact=None,
@@ -771,7 +769,7 @@ def format_trace(trace: StageTrace) -> str:
 
 
 def _subgraph_same_vertices(G: Graph, edges) -> Graph:
-    ends = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
     return graph_from_edges(G.n, ends[:, 0], ends[:, 1], list(G.weights))
 
 
@@ -807,7 +805,7 @@ def separate(
     r = G.excess
     if r < 0:
         # a tree: its weighted centroid leaves parts of weight <= W/2
-        sep = heavy_vertex_fixup(G, T, EdgeSet(edges=[]), {tree_centroid(G)}, beta)
+        sep = heavy_vertex_fixup(G, T, np.empty((0, 2), np.int64), {tree_centroid(G)}, beta)
         tick("lift_and_repair", t0)
         sep.stage_ns = stage_ns
         if trace:
@@ -817,7 +815,7 @@ def separate(
 
     R = extra_edges(G, T)
     t0 = tick("extra_edges", t0)
-    terminals = R.endpoints()
+    terminals = _unique(R.flatten())  # a copy: _unique sorts in place
     T1 = steiner_subtree(T, terminals)
     t0 = tick("steiner_subtree", t0)
     U = branch_vertices(T1, terminals)
@@ -843,7 +841,7 @@ def separate(
 
     if trace:
         stages.append(TraceStage("spanning_tree", _subgraph_same_vertices(G, T.tree_edges())))
-        stages.append(TraceStage("extra_edges", _subgraph_same_vertices(G, R.edges)))
+        stages.append(TraceStage("extra_edges", _subgraph_same_vertices(G, R)))
         stages.append(
             TraceStage("steiner_subtree", _subgraph_same_vertices(G, T1.edges()), T1.vertices())
         )

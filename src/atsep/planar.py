@@ -11,11 +11,11 @@ only the gate's planarity test. The band is embedded by this module's
 port of the left-right planarity test, which gives the same rotation
 system as networkx's as one record of flat half-edge lists
 (``_HalfEdges``); that record is triangulated in place and scanned
-here. A greedy fallback, whose every step checks the
-heaviest component of G - S exactly against beta * W, keeps the
-balance contract unconditional even for degenerate weight profiles
-(e.g. one vertex holding most of the weight); a final pruning pass
-drops separator vertices that balance does not need.
+here. Each separator formed is verified once, exactly against beta * W,
+and the report handed on: a greedy fallback keeps the balance contract
+unconditional even for degenerate weight profiles (e.g. one vertex
+holding most of the weight), and a final pruning pass reads the last
+report to drop separator vertices that balance does not need.
 """
 
 from __future__ import annotations
@@ -31,11 +31,11 @@ import numpy as np
 from .errors import NotPlanar, ZeroTotalWeight
 from .graph import (
     Graph,
+    VerifyReport,
     _bfs_layers,
     _frontier_neighbors,
     _unique,
     check_beta,
-    heaviest_component,
     verify_separator,
 )
 
@@ -66,23 +66,23 @@ class LTSeparator:
     fallback_steps: int = 0
 
 
-def _greedy_balance(G: Graph, S: set[int], beta: Fraction, heaviest) -> int:
+def _greedy_balance(G: Graph, S: set[int], beta: Fraction,
+                    report: VerifyReport) -> tuple[int, VerifyReport]:
     """Add heaviest vertices of offending components until balanced.
 
-    ``heaviest`` is ``heaviest_component(G, S)`` as the caller found it;
-    each step searches G - S again.
+    ``report`` is ``verify_separator(G, S, beta)`` as the caller found it;
+    each step verifies the grown S once. Returns the number of steps and
+    the report on the final S.
     """
-    W = G.total_weight
     steps = 0
-    verts, heavy_w = heaviest
-    while heavy_w * beta.denominator > W * beta.numerator:
-        pick = max(verts, key=lambda v: (G.weights[v], -v))
+    while not report.passed:
+        pick = max(report.heaviest(), key=lambda v: (G.weights[v], -v))
         S.add(pick)
         steps += 1
         if steps > G.n:
             raise AssertionError("greedy balance failed to terminate")
-        verts, heavy_w = heaviest_component(G, S)
-    return steps
+        report = verify_separator(G, S, beta)
+    return steps, report
 
 
 def _band_cycle_shrink(G: Graph, heavy: list[int], level, l0: int):
@@ -815,7 +815,7 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
 
     if G.n <= 4:
         S: set[int] = set()
-        steps = _greedy_balance(G, S, beta, heaviest_component(G, S))
+        steps, _ = _greedy_balance(G, S, beta, verify_separator(G, S, beta))
         return LTSeparator(vertices=S, level_info={}, fallback_steps=steps)
 
     cum = 0
@@ -844,33 +844,33 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
     info = {"l0": l0, "l1": l1, "l2": l2, "num_levels": len(levels)}
 
     cycle = None
-    heavy, heavy_w = heaviest_component(G, S)
-    if heavy_w * beta.denominator > W * beta.numerator:
-        cycle = _band_cycle_shrink(G, heavy, level, l0)
+    report = verify_separator(G, S, beta)
+    if not report.passed:
+        cycle = _band_cycle_shrink(G, report.heaviest(), level, l0)
         if cycle is not None:
             S |= cycle
-            heavy, heavy_w = heaviest_component(G, S)
+            report = verify_separator(G, S, beta)
 
-    steps = _greedy_balance(G, S, beta, (heavy, heavy_w))
-    _prune_redundant(G, S, beta)
+    steps, report = _greedy_balance(G, S, beta, report)
+    _prune_redundant(G, S, report)
     return LTSeparator(vertices=S, level_info=info, cycle_info=cycle, fallback_steps=steps)
 
 
-def _prune_redundant(G: Graph, S: set[int], beta: Fraction) -> None:
+def _prune_redundant(G: Graph, S: set[int], report: VerifyReport) -> None:
     """Drop separator vertices whose removal keeps the balance verified.
 
     Level-based separators carry whole BFS levels even when a few cut
     vertices suffice; this pass trims them. Ascending-ID scan keeps the
     result deterministic. Dropping v from a balanced S changes only the
-    component v joins, so one verification of S on entry, whose
-    component pass the scan reuses, plus a union-find over the components
-    decides every vertex: v goes iff v merged with its neighbours'
-    components outside S still weighs at most beta * W.
+    component v joins, so the component pass of ``report``, the caller's
+    ``verify_separator(G, S, beta)``, plus a union-find over the
+    components decides every vertex with no search of its own: v goes
+    iff v merged with its neighbours' components outside S still weighs
+    at most beta * W.
     """
-    report = verify_separator(G, S, beta)
     if not report.passed:
         raise AssertionError("pruning needs a balanced separator")
-    W = report.total_weight
+    W, beta = report.total_weight, report.beta
     order = sorted(S)
     comp = report.components
     # union-find nodes: the components of G - S, then each vertex of S

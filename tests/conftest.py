@@ -95,3 +95,8 @@ def path_lists(paths) -> list[list[int]]:
     flat, offsets = paths.interiors.tolist(), paths.offsets.tolist()
     return [[a, *flat[lo:hi], b]
             for (a, b), lo, hi in zip(paths.ends.tolist(), offsets, offsets[1:])]
+
+
+def edge_ends(R) -> list[int]:
+    """The distinct ends of the rows of R, ascending: the terminals."""
+    return sorted(set(R.ravel().tolist()))

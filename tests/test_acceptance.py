@@ -32,7 +32,7 @@ from atsep.pipeline import (
 )
 from atsep.planar import lt_separator
 
-from conftest import path_lists, random_parent_tree
+from conftest import edge_ends, path_lists, random_parent_tree
 
 
 def report(capsys, name, ok, detail):
@@ -181,8 +181,8 @@ def test_06_structural_invariants(capsys):
         R = extra_edges(G, T)
         if len(R) != G.m - G.n + 1:
             failures.append(("edge-count", case))
-        T1 = steiner_subtree(T, R.endpoints())
-        U = branch_vertices(T1, R.endpoints())
+        T1 = steiner_subtree(T, edge_ends(R))
+        U = branch_vertices(T1, edge_ends(R))
         if len(U) > 4 * (r + 1):
             failures.append(("branch-bound", case))
         cw = collapse_weights(G, T, T1)

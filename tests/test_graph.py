@@ -351,3 +351,18 @@ class TestVerifySeparator:
         report = verify_separator(star(7), {0})
         assert report.passed
         assert report.component_weights == [1] * 6
+
+    def test_heaviest_tie_goes_to_lowest_vertex(self):
+        # [DERIVED] C6 - {0, 3} leaves {1, 2} and {4, 5}, both of weight 2
+        report = verify_separator(cycle(6), {0, 3})
+        assert report.heaviest() == [1, 2]
+        # a tie on a path, then a heavier component past the lowest vertex
+        G = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [3, 1, 9, 2, 2])
+        assert verify_separator(G, {2}).heaviest() == [0, 1]
+        assert verify_separator(G, {1}).heaviest() == [2, 3, 4]
+
+    def test_heaviest_of_empty_remainder(self):
+        report = verify_separator(path(3), {0, 1, 2})
+        assert report.component_weights == []
+        assert report.heaviest() == []
+        assert report.passed

@@ -32,7 +32,7 @@ from atsep.pipeline import (
 )
 from atsep.planar import _planarity_kernel, lt_separator
 
-from conftest import chained, cycle, path, stacked_triangulation, star, subdivided
+from conftest import chained, cycle, edge_ends, path, stacked_triangulation, star, subdivided
 from kernel_reference import reference_kernel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
@@ -48,7 +48,7 @@ def compressed_graph(G):
     """The simple compressed graph that ``separate`` hands to LT."""
     T = compute_spanning_tree(G)
     R = extra_edges(G, T)
-    terminals = R.endpoints()
+    terminals = edge_ends(R)
     T1 = steiner_subtree(T, terminals)
     U = branch_vertices(T1, terminals)
     C = build_compressed_graph(U, decompose_paths(T1, U), R, collapse_weights(G, T, T1))

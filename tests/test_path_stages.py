@@ -27,7 +27,7 @@ from atsep.pipeline import (
     steiner_subtree,
 )
 
-from conftest import path_lists, subdivided
+from conftest import edge_ends, path_lists, subdivided
 from path_stages_reference import (
     reference_branch_vertices,
     reference_decompose_paths,
@@ -90,7 +90,7 @@ def test_random_relabelled_trees():
 def test_generated_near_trees(n, r, seed):
     G = generate(GenSpec(n=n, r=r, seed=seed))
     T = compute_spanning_tree(G)
-    terminals = extra_edges(G, T).endpoints()
+    terminals = edge_ends(extra_edges(G, T))
     _, U, Pi = check_against_reference(T, terminals)
     assert len(Pi) == len(U) - 1
 
@@ -141,7 +141,7 @@ def test_paths_hold_eight_bytes_per_interior_vertex():
     grid += [(45 * i + j, 45 * i + j + 45) for i in range(44) for j in range(45)]
     G = subdivided(grid, 50, random.Random(1))
     T = compute_spanning_tree(G)
-    terminals = extra_edges(G, T).endpoints()
+    terminals = edge_ends(extra_edges(G, T))
     T1 = steiner_subtree(T, terminals)
     U = branch_vertices(T1, terminals)
     interior = np.count_nonzero(T1.member) - len(U)

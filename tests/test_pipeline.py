@@ -27,7 +27,7 @@ from atsep.errors import (
     ZeroTotalWeight,
 )
 from atsep.gen import GenSpec, assign_weights, generate, random_tree
-from atsep.graph import EdgeSet, Graph, SpanningTree, build_graph, verify_separator
+from atsep.graph import Graph, SpanningTree, build_graph, verify_separator
 from atsep.oracle import (
     min_balanced_separator,
     nearest_in_set_oracle,
@@ -57,6 +57,7 @@ from centroid_reference import reference_tree_centroid
 from conftest import (
     complete,
     cycle,
+    edge_ends,
     path,
     path_lists,
     random_parent_tree,
@@ -175,7 +176,7 @@ class TestExtraEdges:
     def test_triangle(self):
         G = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         T = compute_spanning_tree(G)
-        assert extra_edges(G, T).edges == [(1, 2)]
+        assert extra_edges(G, T).tolist() == [[1, 2]]
 
     def test_theta_has_two_extra_edges(self):
         G = theta()
@@ -199,6 +200,23 @@ class TestExtraEdges:
             G = build_graph(n, list(G.edges()) + sorted(extra))
             R = extra_edges(G, compute_spanning_tree(G))
             assert len(R) == G.m - G.n + 1
+
+    @pytest.mark.parametrize("n,r,seed", [(50, 0, 1), (400, 9, 2), (3000, 64, 3), (5000, 700, 4)])
+    def test_rows_format_and_order(self, n, r, seed):
+        G = generate(GenSpec(n=n, r=r, seed=seed))
+        T = compute_spanning_tree(G, root=seed)
+        R = extra_edges(G, T)
+        assert R.dtype == np.int64 and R.shape == (G.m - G.n + 1, 2)
+        tree = set(T.tree_edges())
+        keys = []
+        for u, v in R.tolist():
+            assert u < v and (u, v) not in tree
+            keys.append((u, row(G, u).index(v)))
+        assert keys == sorted(keys)
+        assert set(map(tuple, R.tolist())) | tree == set(G.edges())
+
+    def test_parent_stored_as_int64(self):
+        assert SpanningTree(root=0, parent=[0, 0, 1]).parent.dtype == np.int64
 
 
 class TestSteinerSubtree:
@@ -396,7 +414,7 @@ class TestCollapseWeights:
         for root in (0, n // 2):
             T = compute_spanning_tree(G, root=root)
             R = extra_edges(G, T)
-            for terms in (R.endpoints(), {n // 3, n // 3 + 700}, {n - 1}):
+            for terms in (edge_ends(R), {n // 3, n // 3 + 700}, {n - 1}):
                 T1 = steiner_subtree(T, terms)
                 cw = collapse_weights(G, T, T1)
                 near = self.nearest_by_walking_up(T, T1)
@@ -422,8 +440,8 @@ class TestCompressedGraph:
     def stages_for(G):
         T = compute_spanning_tree(G)
         R = extra_edges(G, T)
-        T1 = steiner_subtree(T, R.endpoints())
-        U = branch_vertices(T1, R.endpoints())
+        T1 = steiner_subtree(T, edge_ends(R))
+        U = branch_vertices(T1, edge_ends(R))
         Pi = decompose_paths(T1, U)
         cw = collapse_weights(G, T, T1)
         return build_compressed_graph(U, Pi, R, cw), U, Pi
@@ -469,7 +487,7 @@ class TestCompressedGraph:
         for sub, p in enumerate(path_lists(Pi), start=len(U)):
             edges += [[U.index(p[0]), sub], [sub, U.index(p[-1])]]
         R = extra_edges(G, compute_spanning_tree(G))
-        edges += [[U.index(u), U.index(v)] for u, v in R.edges]
+        edges += [[U.index(u), U.index(v)] for u, v in R.tolist()]
         assert C.edges.tolist() == edges
 
 
@@ -764,7 +782,7 @@ class TestHeavyVertexFixup:
 
 
 class TestTreePlusExtraCheck:
-    """The search of G - S on T plus R against heaviest_component on G."""
+    """The search of G - S on T plus R against verify_separator on G."""
 
     @staticmethod
     def separator_sets(G, T, rng):
@@ -799,7 +817,8 @@ class TestTreePlusExtraCheck:
                 removed = np.zeros(n, dtype=bool)
                 removed[list(S)] = True
                 found = check.heaviest(removed)
-                members, weight = atsep.graph.heaviest_component(G, S)
+                report = verify_separator(G, S)
+                members, weight = report.heaviest(), report.max_component_weight
                 found_members = np.flatnonzero(found.inside()).tolist()
                 assert (found.weight, found_members) == (weight, members), (i, sorted(S))
                 if members:
@@ -834,7 +853,7 @@ class TestTreePlusExtraCheck:
             G = generate(GenSpec(n=n, r=rng.randint(1, 40), seed=i))
             T = compute_spanning_tree(G, root=rng.randrange(n))
             R = extra_edges(G, T)
-            T1 = steiner_subtree(T, R.endpoints())
+            T1 = steiner_subtree(T, edge_ends(R))
             cw = collapse_weights(G, T, T1)
             plain = atsep.pipeline._TreePlusExtra(G, T, R)
             fast = atsep.pipeline._TreePlusExtra(G, T, R, cw)
@@ -862,7 +881,8 @@ class TestTreePlusExtraCheck:
 
     @staticmethod
     def assert_heaviest(G, found, S):
-        members, weight = atsep.graph.heaviest_component(G, S)
+        report = verify_separator(G, S)
+        members, weight = report.heaviest(), report.max_component_weight
         assert (found.weight, found.inside().nonzero()[0].tolist()) == (weight, members)
 
     def test_one_search_across_sets(self, monkeypatch):
@@ -872,7 +892,7 @@ class TestTreePlusExtraCheck:
         G = generate(GenSpec(n=2000, r=12, seed=3, weight_mode=("uniform", 1, 4)))
         T = compute_spanning_tree(G)
         R = extra_edges(G, T)
-        T1 = steiner_subtree(T, R.endpoints())
+        T1 = steiner_subtree(T, edge_ends(R))
         cw = collapse_weights(G, T, T1)
         calls.clear()
         check = atsep.pipeline._TreePlusExtra(G, T, R, cw)
@@ -890,7 +910,7 @@ class TestTreePlusExtraCheck:
         calls = self.record_collapses(monkeypatch)
         G = generate(GenSpec(n=500, r=-1, seed=2, weight_mode=("uniform", 1, 5)))
         T = compute_spanning_tree(G)
-        check = atsep.pipeline._TreePlusExtra(G, T, EdgeSet(edges=[]))
+        check = atsep.pipeline._TreePlusExtra(G, T, np.empty((0, 2), dtype=np.int64))
         assert not check.marked.any() and calls == []
         for S in ({tree_centroid(G)}, set(), {0, 7, 99}):
             removed = np.zeros(G.n, dtype=bool)
@@ -903,8 +923,7 @@ class TestTreePlusExtraCheck:
     def test_edge_count_is_checked(self):
         G = theta()
         T = compute_spanning_tree(G)
-        R = extra_edges(G, T)
-        R.edges.pop()
+        R = extra_edges(G, T)[:-1]
         with pytest.raises(ValueError, match="m - n \\+ 1"):
             heavy_vertex_fixup(G, T, R, set())
 
@@ -957,7 +976,7 @@ class TestSeparate:
         # new pointer array)
         G = generate(GenSpec(n=200_000, r=16, seed=1))
         T = compute_spanning_tree(G)
-        terminals = extra_edges(G, T).endpoints()
+        terminals = edge_ends(extra_edges(G, T))
         gc.collect()
         tracemalloc.start()
         try:
@@ -1048,7 +1067,7 @@ class TestSeparate:
             checks.append(len(removed) == G.n)
             return real_check(self, removed)
 
-        # heaviest_component and verify_separator both search through this binding
+        # verify_separator searches through this binding
         monkeypatch.setattr(atsep.graph, "connected_components", counting)
         monkeypatch.setattr(atsep.pipeline._TreePlusExtra, "heaviest", counting_check)
         sep = separate(G)

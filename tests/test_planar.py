@@ -18,7 +18,7 @@ from atsep.errors import (
     ZeroTotalWeight,
 )
 from atsep.gen import GenSpec, generate, grid_graph
-from atsep.graph import build_graph, connected_components, heaviest_component, verify_separator
+from atsep.graph import build_graph, connected_components, verify_separator
 from atsep.pipeline import separate
 from atsep.planar import (
     _balanced_fundamental_cycle,
@@ -327,7 +327,7 @@ class TestLtGreedyFallback:
 
 def count_component_passes(monkeypatch, G):
     """Record each connected_components call on G; planar reaches it only
-    through heaviest_component and verify_separator."""
+    through verify_separator."""
     calls = []
     real = atsep.graph.connected_components
 
@@ -348,19 +348,19 @@ def reference_prune(G, S, beta):
 
 
 class TestPruneRedundant:
-    def test_one_component_pass(self, monkeypatch):
+    def test_no_component_pass_of_its_own(self, monkeypatch):
         G = generate(GenSpec(n=400, r=64, seed=2))
         S = set(range(0, G.n, 7))
-        _greedy_balance(G, S, Fraction(2, 3), heaviest_component(G, S))
+        _, report = _greedy_balance(G, S, Fraction(2, 3), verify_separator(G, S, Fraction(2, 3)))
         calls = count_component_passes(monkeypatch, G)
-        _prune_redundant(G, S, Fraction(2, 3))
-        assert calls == [True]
+        _prune_redundant(G, S, report)
+        assert calls == []
         assert verify_separator(G, S).passed
 
     def test_unbalanced_entry_is_internal_fault(self):
-        # the one verification on entry checks what the scan relies on
+        # the caller's report must show the balance the scan relies on
         with pytest.raises(AssertionError, match="balanced"):
-            _prune_redundant(path(9), {0}, Fraction(2, 3))
+            _prune_redundant(path(9), {0}, verify_separator(path(9), {0}, Fraction(2, 3)))
 
     def test_matches_verify_per_vertex_reference(self):
         rng = random.Random(5)
@@ -373,11 +373,11 @@ class TestPruneRedundant:
             G = generate(GenSpec(n=n, r=r, seed=case, weight_mode=modes[case % 3]))
             beta = betas[case // 3 % 3]
             S = set(rng.sample(range(n), rng.randint(0, n // 2)))
-            _greedy_balance(G, S, beta, heaviest_component(G, S))
+            _, report = _greedy_balance(G, S, beta, verify_separator(G, S, beta))
             want = set(S)
             reference_prune(G, want, beta)
             before = len(S)
-            _prune_redundant(G, S, beta)
+            _prune_redundant(G, S, report)
             assert S == want, case
             dropped += before - len(S)
             kept += len(S)
@@ -385,8 +385,8 @@ class TestPruneRedundant:
 
 
 class TestLtComponentPasses:
-    """Band check, greedy steps and one pruning pass; the band check's
-    search stands in for the greedy pass's first one unless a cycle grew S."""
+    """One verification per separator formed: the level pair, S grown by
+    the band cycle, and each greedy step; pruning reads the last report."""
 
     @pytest.mark.parametrize(
         "G,beta,cycle,steps",
@@ -404,7 +404,7 @@ class TestLtComponentPasses:
         calls = count_component_passes(monkeypatch, G)
         lt = lt_separator(G, beta=beta)
         assert (lt.cycle_info is not None, lt.fallback_steps) == (cycle, steps)
-        assert calls.count(True) == lt.fallback_steps + (3 if cycle else 2)
+        assert calls.count(True) == lt.fallback_steps + (2 if cycle else 1)
         assert verify_separator(G, lt.vertices, beta).passed
 
 

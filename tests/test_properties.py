@@ -18,7 +18,7 @@ from atsep.pipeline import (
     tree_centroid,
 )
 
-from conftest import path_lists
+from conftest import edge_ends, path_lists
 
 
 @st.composite
@@ -53,9 +53,9 @@ def test_branch_set_bound(gr):
     G, r = gr
     T = compute_spanning_tree(G)
     R = extra_edges(G, T)
-    T1 = steiner_subtree(T, R.endpoints())
-    U = branch_vertices(T1, R.endpoints())
-    assert len(U) <= 2 * len(R.endpoints()) <= 4 * (r + 1)
+    T1 = steiner_subtree(T, edge_ends(R))
+    U = branch_vertices(T1, edge_ends(R))
+    assert len(U) <= 2 * len(edge_ends(R)) <= 4 * (r + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -64,7 +64,7 @@ def test_collapse_conserves_weight(gr):
     G, _ = gr
     T = compute_spanning_tree(G)
     R = extra_edges(G, T)
-    T1 = steiner_subtree(T, R.endpoints())
+    T1 = steiner_subtree(T, edge_ends(R))
     cw = collapse_weights(G, T, T1)
     assert sum(cw.wprime) == G.total_weight
     outside = [v for v in range(G.n) if not T1.member[v]]
@@ -77,8 +77,8 @@ def test_paths_cover_subtree_edges(gr):
     G, _ = gr
     T = compute_spanning_tree(G)
     R = extra_edges(G, T)
-    T1 = steiner_subtree(T, R.endpoints())
-    U = branch_vertices(T1, R.endpoints())
+    T1 = steiner_subtree(T, edge_ends(R))
+    U = branch_vertices(T1, edge_ends(R))
     Pi = path_lists(decompose_paths(T1, U))
     covered = sorted(
         (min(a, b), max(a, b)) for p in Pi for a, b in zip(p, p[1:])
