@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from time import perf_counter_ns
 
-from .errors import AtsepError, RepairCapExceeded
+from .errors import AtsepError, Disconnected, RepairCapExceeded
 from .fileformat import format_graph, load_graph, parse_vertex_list, save_graph
 from .gen import GenSpec, generate
 from .graph import verify_separator
@@ -189,6 +189,9 @@ def main(argv=None) -> int:
     except RepairCapExceeded as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except Disconnected as exc:
+        print(f"error: {exc.message(exc.root + 1)}", file=sys.stderr)  # the file's IDs
+        return EXIT_INPUT
     except (AtsepError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

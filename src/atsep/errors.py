@@ -26,7 +26,16 @@ class Overflow(AtsepError):
 
 
 class Disconnected(AtsepError):
-    pass
+    """Some vertex is unreachable from the BFS root; ``reached`` counts
+    the vertices that are, the root among them."""
+
+    def __init__(self, reached: int, n: int, root: int):
+        self.reached, self.n, self.root = int(reached), n, root
+        super().__init__(self.message(root))
+
+    def message(self, root_id) -> str:
+        """The error's text with the root called ``root_id``."""
+        return f"only {self.reached} of {self.n} vertices reachable from {root_id}"
 
 
 class EmptyTerminals(AtsepError):

@@ -249,22 +249,57 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[first.nonzero()[0]]
 
 
-def _bfs_layers(G: Graph, root: int, parent: np.ndarray):
+def _hang_leaves(G: Graph, root: int, parent: np.ndarray):
+    """Hang each leaf (degree 1, not the root) off its one neighbour.
+
+    Fills ``parent`` with n and then each leaf's neighbour, which is its
+    lowest-ID neighbour one BFS layer up; no vertex hangs off a leaf, so
+    a walk that never expands the leaves finds every other vertex with
+    the same parent. Returns the walk's ``seen`` bytes with the leaves
+    marked 2, and how many leaves there are. Two adjacent leaves form a
+    component without the root; then nothing is hung, so that the walk
+    counts only what it reaches.
+    """
+    indptr, n = G.indptr, G.n
+    # the degrees, written into the buffer the walk refills
+    np.subtract(indptr[1:], indptr[:-1], out=parent)
+    leaf = parent == 1
+    leaf[root] = False
+    at = leaf.nonzero()[0]
+    up = G.indices[indptr[at]]
+    parent.fill(n)
+    seen = bytearray(n)
+    if leaf[up].any():
+        return seen, 0
+    parent[at] = up
+    np.frombuffer(seen, dtype=np.uint8)[at] = 2
+    return seen, len(at)
+
+
+def _bfs_layers(G: Graph, root: int, parent: np.ndarray, hang_leaves: bool = False):
     """Yield the BFS layers from ``root``, each in ascending vertex-ID order.
 
     Frontiers below ``_VEC_MIN_FRONTIER`` vertices step through Python
     over CSR rows and yield lists of ints; bigger ones run as array passes
     and yield int64 arrays. Once the walk ends, the int64 array ``parent``
     holds each vertex's lowest-ID neighbour one layer up, and the root.
-    Raises BadVertexId for a root outside [0, n), and Disconnected after
-    the last layer if some vertex is unreachable.
+    With ``hang_leaves``, ``_hang_leaves`` writes the leaves' parents
+    first and the layers leave the leaves out. Raises BadVertexId for a
+    root outside [0, n), and Disconnected after the last layer if some
+    vertex is unreachable.
     """
     n = G.n
     if not 0 <= root < n:
         raise BadVertexId(f"root {root} out of range [0, {n})")
     indptr, indices = G.indptr, G.indices
-    parent.fill(n)  # above every ID, for the vector steps' np.minimum.at
-    seen = bytearray(n)  # 1 once found; the scalar steps index it directly
+    # ``parent`` starts above every ID, for the vector steps' np.minimum.at;
+    # ``seen`` is nonzero once found, 2 for a hung leaf, and the scalar
+    # steps index it directly
+    if hang_leaves:
+        seen, hung = _hang_leaves(G, root, parent)
+    else:
+        parent.fill(n)
+        seen, hung = bytearray(n), 0
     seen[root] = 1
     mark = np.frombuffer(seen, dtype=np.uint8)  # the same bytes, for vector steps
     # memoryviews index and slice to Python ints faster than the arrays do
@@ -274,8 +309,10 @@ def _bfs_layers(G: Graph, root: int, parent: np.ndarray):
     # and a scatter straight from the lists costs more than making arrays
     kids, ups = [root], [root]
     frontier = [root]
+    walked = 0
     while len(frontier):
         yield frontier
+        walked += len(frontier)
         if len(frontier) < _VEC_MIN_FRONTIER:
             new = []
             # ascending finders, so each vertex's first finder is its lowest
@@ -298,9 +335,10 @@ def _bfs_layers(G: Graph, root: int, parent: np.ndarray):
             mark[frontier] = 1
     parent[np.fromiter(kids, dtype=np.int64, count=len(kids))] = np.fromiter(
         ups, dtype=np.int64, count=len(ups))
-    reached = np.count_nonzero(mark)
-    if reached != n:
-        raise Disconnected(f"only {reached} of {n} vertices reachable from {root}")
+    if walked + hung != n:
+        # a hung leaf is reached only if the vertex it hangs off was walked
+        leaves = (mark == 2).nonzero()[0]
+        raise Disconnected(walked + np.count_nonzero(mark[parent[leaves]] == 1), n, root)
 
 
 # below this vertex count, a BFS over CSR rows beats scipy's setup cost:

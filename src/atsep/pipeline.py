@@ -44,11 +44,13 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
     """BFS spanning tree; raises Disconnected if some vertex is unreachable.
 
     The tree is the walk of ``graph._bfs_layers``: each vertex's parent is
-    its lowest-ID neighbour one BFS layer up. Raises BadVertexId for a
-    root outside [0, n).
+    its lowest-ID neighbour one BFS layer up. Each leaf (degree 1, not the
+    root) is hung off its one neighbour before the walk, in one array
+    pass, so the walk steps through the other vertices only. Raises
+    BadVertexId for a root outside [0, n).
     """
     parent = np.empty(G.n, dtype=np.int64)
-    for _ in _bfs_layers(G, root, parent):
+    for _ in _bfs_layers(G, root, parent, hang_leaves=True):
         pass
     return SpanningTree(root=root, parent=parent)
 

@@ -60,6 +60,24 @@ def test_separate_disconnected_is_input_error(tmp_path, capsys):
     assert main(["separate", f]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["separate", "lt"])
+@pytest.mark.parametrize("text,reached", [
+    pytest.param("p 5 3\ne 1 2\ne 2 3\ne 4 5\n", "3 of 5", id="path and K2"),
+    pytest.param("p 6 5\ne 1 2\ne 2 3\ne 1 3\ne 4 5\ne 5 6\n", "3 of 6",
+                 id="triangle and path"),
+    pytest.param("p 8 6\ne 1 2\ne 2 3\ne 1 3\ne 4 5\ne 5 6\ne 7 8\n", "3 of 8",
+                 id="triangle, path and K2"),
+])
+def test_disconnected_names_count_and_file_root(tmp_path, capsys, command, text, reached):
+    # the count is exact and the root is the file's vertex 1, not 0
+    f = tmp_path / "apart.txt"
+    f.write_text(text)
+    assert main([command, str(f)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: only {reached} vertices reachable from 1\n"
+
+
 def test_separate_trace(tmp_path):
     f = write(tmp_path, "c6.txt", cycle(6))
     trace = tmp_path / "trace.txt"

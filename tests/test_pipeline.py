@@ -12,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import atsep.graph
 import atsep.pipeline
+import atsep.planar
 from atsep.cli import EXIT_OK, main
 from atsep.errors import (
     AtsepError,
@@ -130,9 +132,100 @@ class TestSpanningTree:
         assert T.parent.tolist() == [0, 0, 1, 2]
 
     def test_disconnected_raises(self):
+        # every vertex but the root is a leaf, and 2-3 is a K2 apart
         G = build_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(Disconnected):
+        with pytest.raises(Disconnected, match="only 2 of 4 vertices reachable from 0"):
             compute_spanning_tree(G)
+        with pytest.raises(Disconnected, match="only 2 of 4 vertices reachable from 2"):
+            compute_spanning_tree(G, root=2)
+        # K2s apart beside leaves the walk does reach
+        G = build_graph(9, [(0, 1), (0, 2), (0, 3), (4, 5), (6, 7), (3, 8)])
+        with pytest.raises(Disconnected, match="only 5 of 9 vertices reachable from 0"):
+            compute_spanning_tree(G)
+
+    # a hung leaf counts as reached only if its one neighbour is
+    @pytest.mark.parametrize("n,edges,root,reached", [
+        pytest.param(5, [(0, 1), (1, 2), (3, 4)], 0, 3, id="path and K2"),
+        pytest.param(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)], 0, 3,
+                     id="triangle and path"),
+        pytest.param(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)], 3, 3,
+                     id="from the path's leaf"),
+        pytest.param(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7)], 0, 3,
+                     id="triangle, path and K2"),
+        pytest.param(8, [(0, 1), (1, 2), (0, 2), (1, 7), (3, 4), (3, 5), (3, 6)], 2, 4,
+                     id="triangle with a leaf and a star"),
+        pytest.param(3, [(1, 2)], 0, 1, id="isolated root"),
+    ])
+    def test_disconnected_count_is_exact(self, n, edges, root, reached):
+        G = build_graph(n, edges)
+        message = f"only {reached} of {n} vertices reachable from {root}"
+        for call in (compute_spanning_tree, bfs_levels, separate):
+            with pytest.raises(Disconnected, match=message) as info:
+                call(G, root=root)
+            assert (info.value.reached, info.value.n, info.value.root) == (reached, n, root)
+
+    @pytest.mark.parametrize("G,root", [
+        pytest.param(path(1), 0, id="n=1"),
+        pytest.param(path(2), 0, id="n=2"),
+        pytest.param(path(2), 1, id="n=2 from 1"),
+        pytest.param(path(6), 0, id="root of degree 1"),
+        pytest.param(path(7), 3, id="path"),
+        pytest.param(star(9), 0, id="star at its centre"),
+        pytest.param(star(9), 5, id="star at a leaf"),
+        pytest.param(build_graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 2)]), 2,
+                     id="leaves next to the root"),
+        pytest.param(build_graph(6, [(5, 4), (4, 3), (3, 5), (3, 1), (1, 2), (4, 0)]), 2,
+                     id="root a leaf, leaf of lowest ID"),
+    ])
+    def test_leaf_cases(self, G, root):
+        check_bfs_tree(G, compute_spanning_tree(G, root=root))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(min_value=4, max_value=60), r=st.integers(min_value=0, max_value=8),
+           leaves=st.integers(min_value=0, max_value=40), data=st.data())
+    def test_near_trees_with_pendant_leaves(self, n, r, leaves, data):
+        # pendant leaves on random vertices, under IDs shuffled so that the
+        # leaves come anywhere in the ID order, from a random root
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        G = generate(GenSpec(n=n, r=min(r, 2 * n - 7), seed=seed))
+        rng = random.Random(seed)
+        edges = list(G.edges()) + [(rng.randrange(v), v) for v in range(n, n + leaves)]
+        ids = list(range(n + leaves))
+        rng.shuffle(ids)
+        H = build_graph(n + leaves, [(ids[u], ids[v]) for u, v in edges])
+        check_bfs_tree(H, compute_spanning_tree(H, root=data.draw(st.sampled_from(ids))))
+
+    def test_walk_skips_the_hung_leaves(self, monkeypatch):
+        # the spanning tree's walk yields every vertex but the leaves, which
+        # it hangs before the walk; LT's levels and the centroid's walk
+        # still yield all n. Vertex 0 is a leaf here, and as the root it
+        # is walked.
+        G = generate(GenSpec(n=200_000, r=16, seed=1))
+        degree = np.diff(G.indptr)
+        assert degree[0] == 1
+        hung = int(np.count_nonzero(degree[1:] == 1))
+        assert hung > 0.45 * G.n
+        walk = atsep.graph._bfs_layers
+        yielded = []
+
+        def counted(*args, **kwargs):
+            yielded.append(0)
+            for layer in walk(*args, **kwargs):
+                yielded[-1] += len(layer)
+                yield layer
+
+        monkeypatch.setattr(atsep.pipeline, "_bfs_layers", counted)
+        monkeypatch.setattr(atsep.planar, "_bfs_layers", counted)
+        T = compute_spanning_tree(G)
+        level = bfs_levels(G, 0)[0]
+        tree_centroid(G)
+        assert yielded == [G.n - hung, G.n, G.n]
+        parent = np.empty(G.n, dtype=np.int64)
+        for _ in walk(G, 0, parent):
+            pass
+        assert np.array_equal(T.parent, parent)
+        level = np.array(level)
+        assert (level[1:] == level[T.parent[1:]] + 1).all()
 
     def test_parents_by_hand(self):
         # 3 is found by 1 and by 2 at once: the lower ID wins
