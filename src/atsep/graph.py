@@ -45,7 +45,8 @@ class Graph:
     up, and ``_bfs_layers``, the one single-source BFS (behind the
     spanning tree, LT's levels, the generator's tree walk and the tree
     centroid), vectorises frontiers of ``_VEC_MIN_FRONTIER`` vertices or
-    more. ``weights`` is a list of Python ints; ``weight_array`` and
+    more. The spanning tree reads each vertex's degree off ``indptr`` to
+    hang the leaves before that walk. ``weights`` is a list of Python ints; ``weight_array`` and
     ``total_weight`` are fixed at construction. The constructor does not
     validate; ``build_graph`` does.
     """
@@ -256,9 +257,9 @@ def _hang_leaves(G: Graph, root: int, parent: np.ndarray):
     lowest-ID neighbour one BFS layer up; no vertex hangs off a leaf, so
     a walk that never expands the leaves finds every other vertex with
     the same parent. Returns the walk's ``seen`` bytes with the leaves
-    marked 2, and how many leaves there are. Two adjacent leaves form a
-    component without the root; then nothing is hung, so that the walk
-    counts only what it reaches.
+    marked 2. Two adjacent leaves form a component without the root;
+    then nothing is hung, since the walk's check that every byte is
+    marked would pass on that component's two leaves.
     """
     indptr, n = G.indptr, G.n
     # the degrees, written into the buffer the walk refills
@@ -269,11 +270,10 @@ def _hang_leaves(G: Graph, root: int, parent: np.ndarray):
     up = G.indices[indptr[at]]
     parent.fill(n)
     seen = bytearray(n)
-    if leaf[up].any():
-        return seen, 0
-    parent[at] = up
-    np.frombuffer(seen, dtype=np.uint8)[at] = 2
-    return seen, len(at)
+    if not leaf[up].any():
+        parent[at] = up
+        np.frombuffer(seen, dtype=np.uint8)[at] = 2
+    return seen
 
 
 def _bfs_layers(G: Graph, root: int, parent: np.ndarray, hang_leaves: bool = False):
@@ -296,10 +296,10 @@ def _bfs_layers(G: Graph, root: int, parent: np.ndarray, hang_leaves: bool = Fal
     # ``seen`` is nonzero once found, 2 for a hung leaf, and the scalar
     # steps index it directly
     if hang_leaves:
-        seen, hung = _hang_leaves(G, root, parent)
+        seen = _hang_leaves(G, root, parent)
     else:
         parent.fill(n)
-        seen, hung = bytearray(n), 0
+        seen = bytearray(n)
     seen[root] = 1
     mark = np.frombuffer(seen, dtype=np.uint8)  # the same bytes, for vector steps
     # memoryviews index and slice to Python ints faster than the arrays do
@@ -309,10 +309,8 @@ def _bfs_layers(G: Graph, root: int, parent: np.ndarray, hang_leaves: bool = Fal
     # and a scatter straight from the lists costs more than making arrays
     kids, ups = [root], [root]
     frontier = [root]
-    walked = 0
     while len(frontier):
         yield frontier
-        walked += len(frontier)
         if len(frontier) < _VEC_MIN_FRONTIER:
             new = []
             # ascending finders, so each vertex's first finder is its lowest
@@ -335,10 +333,11 @@ def _bfs_layers(G: Graph, root: int, parent: np.ndarray, hang_leaves: bool = Fal
             mark[frontier] = 1
     parent[np.fromiter(kids, dtype=np.int64, count=len(kids))] = np.fromiter(
         ups, dtype=np.int64, count=len(ups))
-    if walked + hung != n:
+    if np.count_nonzero(mark) != n:
         # a hung leaf is reached only if the vertex it hangs off was walked
-        leaves = (mark == 2).nonzero()[0]
-        raise Disconnected(walked + np.count_nonzero(mark[parent[leaves]] == 1), n, root)
+        walked = mark == 1
+        raise Disconnected(np.count_nonzero(walked) + np.count_nonzero(walked[parent[mark == 2]]),
+                           n, root)
 
 
 # below this vertex count, a BFS over CSR rows beats scipy's setup cost:

@@ -46,8 +46,10 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
     The tree is the walk of ``graph._bfs_layers``: each vertex's parent is
     its lowest-ID neighbour one BFS layer up. Each leaf (degree 1, not the
     root) is hung off its one neighbour before the walk, in one array
-    pass, so the walk steps through the other vertices only. Raises
-    BadVertexId for a root outside [0, n).
+    pass, so the walk steps through the other vertices only; the parents
+    are those of a full walk, and ``Disconnected.reached`` counts a hung
+    leaf only if its neighbour was reached. Raises BadVertexId for a
+    root outside [0, n).
     """
     parent = np.empty(G.n, dtype=np.int64)
     for _ in _bfs_layers(G, root, parent, hang_leaves=True):
