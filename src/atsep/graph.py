@@ -46,9 +46,10 @@ class Graph:
     spanning tree, LT's levels, the generator's tree walk and the tree
     centroid), vectorises frontiers of ``_VEC_MIN_FRONTIER`` vertices or
     more. The spanning tree reads each vertex's degree off ``indptr`` to
-    hang the leaves before that walk. ``weights`` is a list of Python ints; ``weight_array`` and
-    ``total_weight`` are fixed at construction. The constructor does not
-    validate; ``build_graph`` does.
+    hang the leaves before that walk. ``weights`` is a list of Python
+    ints; ``weight_array`` and ``total_weight`` are fixed at
+    construction. The constructor does not validate; ``build_graph``
+    does.
     """
 
     n: int
