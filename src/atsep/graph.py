@@ -41,12 +41,14 @@ class Graph:
     given, and Python loops read them as memoryview slices, which yield
     ints in that order. Two traversals pick their form by size, because
     an array pass has a fixed cost that small inputs do not repay:
-    ``connected_components`` runs scipy from ``_SCIPY_MIN_N`` vertices
-    up, and ``_bfs_layers``, the one single-source BFS (behind the
-    spanning tree, LT's levels, the generator's tree walk and the tree
-    centroid), vectorises frontiers of ``_VEC_MIN_FRONTIER`` vertices or
-    more. The spanning tree reads each vertex's degree off ``indptr`` to
-    hang the leaves before that walk. ``weights`` is a list of Python
+    ``connected_components`` labels graphs of ``_ARRAY_MIN_N`` vertices
+    or more with numpy hook-and-jump rounds and smaller ones with a BFS
+    over CSR rows, returning an int64 array either way, and
+    ``_bfs_layers``, the one single-source BFS (behind the spanning tree,
+    LT's levels, the generator's tree walk and the tree centroid),
+    vectorises frontiers of ``_VEC_MIN_FRONTIER`` vertices or more. The
+    spanning tree reads each vertex's degree off ``indptr`` to hang the
+    leaves before that walk. ``weights`` is a list of Python
     ints; ``weight_array`` and ``total_weight`` are fixed at
     construction. The constructor does not validate; ``build_graph``
     does.
@@ -268,7 +270,10 @@ def _hang_leaves(G: Graph, root: int, parent: np.ndarray):
     leaf = parent == 1
     leaf[root] = False
     at = leaf.nonzero()[0]
-    up = G.indices[indptr[at]]
+    # at most two leaf-length arrays live: each leaf's row start, gathered
+    # once, becomes its neighbour in place
+    up = indptr[at]
+    np.take(G.indices, up, out=up, mode="clip")
     parent.fill(n)
     seen = bytearray(n)
     if not leaf[up].any():
@@ -341,26 +346,38 @@ def _bfs_layers(G: Graph, root: int, parent: np.ndarray, hang_leaves: bool = Fal
                            n, root)
 
 
-# below this vertex count, a BFS over CSR rows beats scipy's setup cost:
-# scipy at every size made LT on the benchmark's many-small pool 15-30%
-# slower. many-small's compressed graphs (at most 381 nodes) fall below
-# it and core-2k's (about 10^4 nodes) above it.
-_SCIPY_MIN_N = 2048
+# below this vertex count the deque BFS over CSR rows beats the array
+# labeller, whose fixed cost of a dozen array passes a round a small
+# graph's whole search does not repay. Best of 7 calls, BFS against
+# arrays, on grids with their middle row removed: 144 nodes 54 vs 47 us,
+# 256 nodes 99 vs 64 us, 10^4 nodes 4.4 vs 1.4 ms. On the 452 LT
+# component passes of the benchmark's many-small seed 1 (at most 377
+# nodes) the two cross between 96-127 nodes (39 vs 41 us a call) and
+# 128-159 (53 vs 43 us): the BFS throughout takes 20.2 ms, arrays
+# throughout 21.7 ms, split here 16.9 ms. core-2k's three passes on
+# about 10^4 nodes take 14.0 ms as a BFS and 1.5 ms as arrays.
+_ARRAY_MIN_N = 128
 
 
-def connected_components(G: Graph, removed=None) -> list[int]:
-    """Component ID per vertex; removed vertices (if given) get ID -1.
+def connected_components(G: Graph, removed=None) -> np.ndarray:
+    """Component ID per vertex, an int64 array; removed vertices (if
+    given) get ID -1.
 
-    IDs are assigned in order of each component's lowest vertex.
+    IDs are assigned in order of each component's lowest vertex. Raises
+    BadVertexId if a removed vertex lies outside [0, n).
     """
-    if G.n >= _SCIPY_MIN_N:
-        return _connected_components_sparse(G, removed)
-    comp = [-1] * G.n
+    n = G.n
+    if removed and not (0 <= min(removed) and max(removed) < n):
+        bad = next(v for v in removed if not 0 <= v < n)
+        raise BadVertexId(f"removed vertex {bad} out of range [0, {n})")
+    if n >= _ARRAY_MIN_N:
+        return _label_components(G, removed)
+    comp = [-1] * n
     blocked = removed if removed is not None else frozenset()
     row_at, nbr = memoryview(G.indptr), memoryview(G.indices)
     next_id = 0
     queue = deque()
-    for s in range(G.n):
+    for s in range(n):
         if comp[s] != -1 or s in blocked:
             continue
         comp[s] = next_id
@@ -372,50 +389,76 @@ def connected_components(G: Graph, removed=None) -> list[int]:
                     comp[v] = next_id
                     queue.append(v)
         next_id += 1
+    return np.array(comp, dtype=np.int64)
+
+
+def _label_components(G: Graph, removed) -> np.ndarray:
+    """``connected_components`` as array passes: Shiloach and Vishkin's
+    hook and jump over the edges of G - removed.
+
+    ``f`` points each vertex at a lower or equal vertex of its component.
+    Each round drops the edges whose ends already share a label, hooks
+    each root ``hi`` onto the lowest ``lo`` it meets and halves every
+    path with one pointer jump. Only roots hook: a non-root's pointer is
+    the only record of an earlier merge. Once every edge's ends share a
+    label, each component is one tree, and jumps until nothing moves
+    point every vertex at its root. Pointers only go down, so the root is
+    the component's lowest vertex.
+    """
+    n, indptr, indices = G.n, G.indptr, G.indices
+    ids = np.arange(n, dtype=np.int64)
+    src = np.repeat(ids, indptr[1:] - indptr[:-1])
+    keep = src < indices
+    blocked = np.zeros(n, dtype=bool)
+    if removed:
+        blocked[np.fromiter(removed, dtype=np.int64, count=len(removed))] = True
+        keep &= ~blocked[src]
+        keep &= ~blocked[indices]
+    at = keep.nonzero()[0]  # positions gather faster than the mask
+    u, v = src[at], indices[at]
+    del src, keep, at
+    # every vertex starts as a root and every u < v: the first round hooks
+    # each v with no check
+    f = ids.copy()
+    np.minimum.at(f, v, u)
+    f = f[f]
+    while True:
+        fu, fv = f[u], f[v]
+        live = (fu != fv).nonzero()[0]
+        if not live.size:
+            break
+        u, v, fu, fv = u[live], v[live], fu[live], fv[live]
+        hi = np.maximum(fu, fv)
+        lo = np.minimum(fu, fv, out=fu)
+        root = (f[hi] == hi).nonzero()[0]
+        np.minimum.at(f, hi[root], lo[root])
+        f = f[f]
+    # an edge dropped early can leave its ends below a root that hooked later
+    while True:
+        up = f[f]
+        if np.array_equal(up, f):
+            break
+        f = up
+    first = f == ids
+    first[blocked] = False
+    comp = np.cumsum(first, dtype=np.int64)
+    comp -= 1
+    comp = comp[f]
+    comp[blocked] = -1
     return comp
 
 
-def _connected_components_sparse(G: Graph, removed=None) -> list[int]:
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components as _scipy_cc
-
-    n = G.n
-    indptr, indices = G.indptr, G.indices
-    keep = np.ones(n, dtype=bool)
-    if removed:
-        keep[list(removed)] = False
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        mask = keep[src] & keep[indices]
-        src, dst = src[mask], indices[mask]
-        A = csr_array(
-            (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n)
-        )
-    else:
-        A = csr_array(
-            (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n)
-        )
-    _, labels = _scipy_cc(A, directed=False)
-    comp = np.full(n, -1, dtype=np.int64)
-    kept_labels = labels[keep]
-    uniq, first, inv = np.unique(kept_labels, return_index=True, return_inverse=True)
-    # renumber so that IDs follow each component's lowest vertex
-    renum = np.empty(len(uniq), dtype=np.int64)
-    renum[np.argsort(first, kind="stable")] = np.arange(len(uniq))
-    comp[keep] = renum[inv]
-    return comp.tolist()
-
-
-def component_weights(G: Graph, comp: list[int]) -> list[int]:
+def component_weights(G: Graph, comp: np.ndarray) -> list[int]:
     """Total weight per component ID; exact 64-bit integer sums."""
-    sums = np.zeros(max(comp, default=-1) + 2, dtype=np.int64)
-    np.add.at(sums, np.asarray(comp, dtype=np.int64) + 1, G.weight_array)
+    sums = np.zeros(int(comp.max(initial=-1)) + 2, dtype=np.int64)
+    np.add.at(sums, comp + 1, G.weight_array)
     return sums[1:].tolist()
 
 
 def is_connected(G: Graph) -> bool:
     if G.n == 0:
         return True
-    return max(connected_components(G)) == 0
+    return not connected_components(G).any()
 
 
 def check_beta(beta) -> Fraction:
@@ -441,7 +484,7 @@ class VerifyReport:
     beta: Fraction
     passed: bool
     # component ID per vertex of G, -1 on S, as connected_components gives it
-    components: list[int] = field(default_factory=list, repr=False, compare=False)
+    components: np.ndarray = field(repr=False, compare=False)
 
     @property
     def max_component_weight(self) -> int:
@@ -460,19 +503,18 @@ class VerifyReport:
         if not self.component_weights:
             return []
         best = self.component_weights.index(self.max_component_weight)
-        return [v for v, c in enumerate(self.components) if c == best]
+        return (self.components == best).nonzero()[0].tolist()
 
 
 def verify_separator(G: Graph, S, beta=Fraction(2, 3)) -> VerifyReport:
     """Check that every component of G - S weighs at most beta * W.
 
     Separator vertices' weight counts toward W but toward no component.
+    ``connected_components`` raises BadVertexId for a vertex of S
+    outside [0, n).
     """
     beta = Fraction(beta)
     sset = set(S)
-    for v in sset:
-        if not (0 <= v < G.n):
-            raise BadVertexId(f"separator vertex {v} out of range")
     comp = connected_components(G, removed=sset)
     comp_w = component_weights(G, comp)
     W = G.total_weight

@@ -872,7 +872,7 @@ def _prune_redundant(G: Graph, S: set[int], report: VerifyReport) -> None:
         raise AssertionError("pruning needs a balanced separator")
     W, beta = report.total_weight, report.beta
     order = sorted(S)
-    comp = report.components
+    comp = memoryview(report.components)  # indexes to Python ints
     # union-find nodes: the components of G - S, then each vertex of S
     weight = list(report.component_weights)
     node = {v: len(weight) + i for i, v in enumerate(order)}

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atsep.errors import BadVertexId, DuplicateEdge, Overflow, SelfLoop
 from atsep.gen import GenSpec, generate, grid_graph
@@ -232,10 +233,10 @@ class TestFrozenGraph:
 
 class TestConnectedComponents:
     def test_path_is_one_component(self):
-        assert connected_components(path(3)) == [0, 0, 0]
+        assert connected_components(path(3)).tolist() == [0, 0, 0]
 
     def test_edgeless_graph_splits(self):
-        assert connected_components(build_graph(3, [])) == [0, 1, 2]
+        assert connected_components(build_graph(3, [])).tolist() == [0, 1, 2]
 
     def test_c6_minus_two_opposite_vertices(self):
         comp = connected_components(cycle(6), removed={0, 3})
@@ -244,18 +245,139 @@ class TestConnectedComponents:
 
     def test_component_ids_follow_lowest_member(self):
         G = build_graph(5, [(3, 4), (1, 2)])
-        assert connected_components(G) == [0, 1, 1, 2, 2]
+        assert connected_components(G).tolist() == [0, 1, 1, 2, 2]
 
-    def test_sparse_path_matches_sequential(self, monkeypatch):
+    def test_array_form_matches_scalar(self):
         G = cycle(50)
-        want = connected_components(G, removed={0, 10, 30})
-        monkeypatch.setattr(atsep.graph, "_SCIPY_MIN_N", 1)
-        assert connected_components(G, removed={0, 10, 30}) == want
+        assert G.n < atsep.graph._ARRAY_MIN_N
+        scalar, array = both_forms(G, {0, 10, 30})
+        assert array.tolist() == scalar.tolist()
+        assert scalar.tolist() == [-1] + [0] * 9 + [-1] + [1] * 19 + [-1] + [2] * 19
+
+    @pytest.mark.parametrize("n", [50, 3000])
+    @pytest.mark.parametrize("bad", ["minus-one", "n"])
+    def test_out_of_range_removed_vertex(self, n, bad):
+        # below and above the threshold alike: -1 must not wrap to n - 1
+        G = path(n)
+        assert (n >= atsep.graph._ARRAY_MIN_N) == (n == 3000)
+        vertex = -1 if bad == "minus-one" else n
+        with pytest.raises(BadVertexId, match=f"removed vertex {vertex} out of range"):
+            connected_components(G, removed={1, vertex})
 
     def test_is_connected(self):
         assert is_connected(path(4))
         assert not is_connected(build_graph(4, [(0, 1), (2, 3)]))
         assert is_connected(build_graph(0, []))
+
+
+def both_forms(G, removed=None):
+    """connected_components on G, first as the BFS, then as array passes."""
+    out = []
+    for threshold in (G.n + 1, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(atsep.graph, "_ARRAY_MIN_N", threshold)
+            out.append(connected_components(G, removed))
+    return out
+
+
+def assert_forms_agree(G, removed=None) -> list[int]:
+    """Both forms give the same int64 labels, -1 exactly on the removed
+    vertices and IDs in order of each component's lowest vertex."""
+    scalar, array = both_forms(G, removed)
+    assert scalar.dtype == array.dtype == np.int64
+    labels = array.tolist()
+    assert labels == scalar.tolist()
+    assert [v for v, c in enumerate(labels) if c == -1] == sorted(removed or ())
+    firsts = list(dict.fromkeys(c for c in labels if c >= 0))
+    assert firsts == list(range(len(firsts)))
+    return labels
+
+
+@st.composite
+def shuffled_paths_and_cycles(draw):
+    """A path or a cycle of up to 600 vertices in a random ID order, so the
+    array form's pointer trees run deep, a few removed vertices, and the
+    number of pieces left."""
+    n = draw(st.integers(min_value=1, max_value=600))
+    order = list(range(n))
+    draw(st.randoms(use_true_random=False)).shuffle(order)
+    edges = list(zip(order, order[1:]))
+    closed = n >= 3 and draw(st.booleans())
+    if closed:
+        edges.append((order[-1], order[0]))
+    removed = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=4))
+    kept = [v not in removed for v in order]
+    starts = sum(k and not (i and kept[i - 1]) for i, k in enumerate(kept))
+    if closed and kept[0] and kept[-1]:
+        starts = max(starts - 1, 1)  # the run through the closing edge
+    return build_graph(n, edges), removed, starts
+
+
+def shuffled(G, rng):
+    """G with its vertex IDs permuted at random."""
+    label = list(range(G.n))
+    rng.shuffle(label)
+    return build_graph(G.n, [(label[u], label[v]) for u, v in G.edges()])
+
+
+@st.composite
+def near_trees_and_removed_sets(draw):
+    """A generated near-tree under shuffled IDs, so that components merge
+    in no set order, and a random removed set."""
+    n = draw(st.integers(min_value=4, max_value=400))
+    r = draw(st.integers(min_value=0, max_value=min(30, 2 * n - 7)))
+    G = generate(GenSpec(n=n, r=r, seed=draw(st.integers(min_value=0, max_value=2**32 - 1))))
+    G = shuffled(G, draw(st.randoms(use_true_random=False)))
+    removed = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n // 3))
+    return G, removed
+
+
+class TestLabellerForms:
+    """The array form of connected_components against the BFS, label for
+    label, with the threshold forced to either side."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_paths_and_cycles())
+    def test_shuffled_paths_and_cycles(self, case):
+        G, removed, pieces = case
+        assert max(assert_forms_agree(G, removed), default=-1) + 1 == pieces
+
+    @settings(max_examples=100, deadline=None)
+    @given(near_trees_and_removed_sets())
+    def test_near_trees_with_removed_sets(self, case):
+        assert_forms_agree(*case)
+
+    def test_many_small_shuffled_near_trees(self):
+        # an edge whose ends shared a label when it was dropped can end two
+        # pointers below the root once that root hooks on; about one of
+        # these in fifty leaves such a vertex behind
+        rng = random.Random(5)
+        for _ in range(1000):
+            n = rng.randint(4, 60)
+            r = rng.randint(0, min(8, 2 * n - 7))
+            G = shuffled(generate(GenSpec(n=n, r=r, seed=rng.randrange(2**32))), rng)
+            assert_forms_agree(G, set(rng.sample(range(n), rng.randint(0, n // 3))))
+
+    @pytest.mark.parametrize("n", [2, 5, 300, 3000])
+    def test_star_without_its_centre(self, n):
+        assert assert_forms_agree(star(n), {0}) == [-1, *range(n - 1)]
+
+    def test_empty_and_edgeless_graphs(self):
+        assert assert_forms_agree(build_graph(0, [])) == []
+        assert assert_forms_agree(build_graph(0, []), set()) == []
+        assert assert_forms_agree(build_graph(300, [])) == list(range(300))
+        assert assert_forms_agree(path(300), set(range(300))) == [-1] * 300
+        assert assert_forms_agree(path(300), set(range(0, 300, 2))) == [
+            -1 if v % 2 == 0 else v // 2 for v in range(300)]
+
+    def test_long_shuffled_path(self):
+        rng = random.Random(3)
+        order = list(range(100_000))
+        rng.shuffle(order)
+        G = build_graph(len(order), list(zip(order, order[1:])))
+        removed = {order[len(order) // 2]}
+        labels = assert_forms_agree(G, removed)
+        assert max(labels) == 1
 
 
 def _bfs_form_cases():

@@ -1263,3 +1263,20 @@ def test_small_call_leaves_numpy_ma_unimported():
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["False", "False"]
+
+
+def test_large_calls_leave_scipy_unimported():
+    # connected_components labels large graphs in numpy, so neither LT on
+    # a compressed graph above _ARRAY_MIN_N nodes (3,723 here) nor a
+    # verification at input size imports scipy, which took 0.3-0.45 s
+    code = (
+        "import sys\n"
+        "import atsep\n"
+        "from atsep.gen import GenSpec, generate\n"
+        "G = generate(GenSpec(20_000, 600, 1))\n"
+        "sep = atsep.separate(G)\n"
+        "assert atsep.verify_separator(G, sep.vertices).passed\n"
+        "print(G.n, 'scipy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["20000", "False"]
