@@ -12,7 +12,14 @@ and the host and library versions. Given exactly two checkouts, a
 parent and then a change, it also prints to stderr, for each workload and
 end-to-end metric, in how many (workload, seed) pairs the change was
 better (by the metric's direction in BENCHMARK.json) and the median ratio
-of the change's value to the parent's. Example::
+of the change's value to the parent's.
+
+Only files written by one call, as one pair, compare with each other.
+The host drifts between sessions: ``BENCH_516856a.json`` and
+``BENCH_2992aab.json`` hold the same package code, recorded in two
+sessions, and read ``forest-1m`` ``separate_s_p50`` 0.243 and 0.258 s.
+To compare a change with an older file, record both checkouts again
+together. Example::
 
     python3 scripts/bench_record.py ../parent . --workload forest-1m:1-10 \\
         --workload core-2k:2-5 --workload many-small:1-4 --out .
