@@ -11,7 +11,9 @@ final separator always verifies at the requested balance.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from fractions import Fraction
 from math import ceil, sqrt
 from time import perf_counter_ns
@@ -290,37 +292,23 @@ class CollapsedWeights:
 
     A vertex's entry is the nearest vertex on its root path, itself
     included, that is the root, a subtree vertex or a child of one;
-    ``entries`` marks them. ``index`` gives each vertex the position of its
-    entry in ``entries.nonzero()[0]``, as int32 below 2^31 vertices,
-    and ``nearest`` is worked out from it; ``sums`` holds what the vertices
-    of each entry weigh, in the same order. The other arrays are indexed
-    by vertex, and n-length int64 only for ``wprime``; ``attach`` lists the
-    nearest subtree vertices as Python ints.
+    ``entries`` marks them, and an entry's slot is its position in
+    ``entries.nonzero()[0]``. ``sums`` holds what the vertices of each
+    entry weigh, ``up`` each entry's parent's entry slot and ``top`` the
+    root's slot, all by slot, for the repair's search. ``weights`` holds
+    the collapsed weight of each of T1's members, in ascending vertex
+    order, until ``build_compressed_graph`` takes it. Only the entry mask
+    is n-length: no vertex keeps its entry's slot (``_entries`` builds
+    that index on request).
     """
 
-    wprime: np.ndarray
-    index: np.ndarray
     entries: np.ndarray
+    up: np.ndarray
+    top: int
     sums: np.ndarray
+    weights: np.ndarray | None
     T1: SteinerSubtree
     root: int
-
-    @property
-    def nearest(self) -> np.ndarray:
-        return _attach(self.entries.nonzero()[0], self.T1, self.root)[self.index]
-
-    @property
-    def attach(self) -> list[int]:
-        return self.nearest.tolist()
-
-
-def _attach(entry: np.ndarray, T1: SteinerSubtree, root: int) -> np.ndarray:
-    """The nearest subtree vertex of each of the given entries: the entry or
-    its parent, and T1's top for the root when T1 misses it."""
-    attach = np.where(T1.member[entry], entry, T1.parent[entry])
-    if not T1.member[root]:
-        attach[attach == root] = T1.top
-    return attach
 
 
 # pointers jump in place this many at a time, so a jump's temporaries
@@ -328,55 +316,83 @@ def _attach(entry: np.ndarray, T1: SteinerSubtree, root: int) -> np.ndarray:
 _JUMP_CHUNK = 2**15
 
 
-def _nearest_marked(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
-    """Each node's nearest marked node on its root path, itself included.
+def _jump(ptr: np.ndarray, landed: Callable[[np.ndarray], bool]) -> None:
+    """Jumps every pointer to its target's pointer, in place, until
+    ``landed`` holds for every chunk of jumped pointers.
 
-    The root must be marked. ``up`` takes each node to a proper ancestor
-    with no marked node strictly between, such as its parent. Marked
-    nodes point at themselves and the others along ``up``; jumping every
-    pointer to its target's pointer halves the distance left, so O(log D)
-    rounds suffice (D the depth of the tree; whole-chunk gathers beat
-    tracking the nodes still moving). A round jumps the pointers in place,
-    a chunk at a time, and ends the walk once every pointer lands on a
-    marked node: a pointer only moves toward its nearest marked node,
-    which points at itself, so reading a pointer that an earlier chunk
-    already moved is as good as reading it unmoved, and faster.
+    Each pointer must reach, along the pointers, a node that points at
+    itself; a round halves every distance left, so O(log D) rounds
+    suffice (D the longest such distance; whole-chunk gathers beat
+    tracking the pointers still moving). A round jumps a chunk at a time:
+    a pointer only moves toward its fixed point, so reading a pointer
+    that an earlier chunk already moved is as good as reading it unmoved,
+    and faster.
     """
-    ptr = up.copy()
-    marked = mark.nonzero()[0]
-    ptr[marked] = marked
     moved = True
     while moved:
         moved = False
         for lo in range(0, len(ptr), _JUMP_CHUNK):
             chunk = ptr[lo:lo + _JUMP_CHUNK]
             chunk[...] = ptr[chunk]
-            moved = moved or not mark[chunk].all()
+            moved = moved or not landed(chunk)
+
+
+def _nearest_marked(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """Each node's nearest marked node on its root path, itself included.
+
+    The root must be marked. ``up`` takes each node to a proper ancestor
+    with no marked node strictly between, such as its parent. Marked
+    nodes point at themselves and the others along ``up``, and one
+    ``_jump`` ends once every pointer lands on a marked node.
+    """
+    ptr = up.copy()
+    marked = mark.nonzero()[0]
+    ptr[marked] = marked
+    _jump(ptr, lambda chunk: mark[chunk].all())
     return ptr
 
 
-def _entries(parent: np.ndarray, root: int, marked: np.ndarray, weights: np.ndarray):
-    """``(entries, index, sums)`` of a marked vertex set: the mask of its
-    entries (the marked vertices, their children and the root), each
-    vertex's entry as its position among them (int32 below 2^31
-    vertices) and what the vertices of each entry weigh. A vertex's entry
-    is the nearest entry on its root path, itself included, and one
-    pointer jump finds it; beside the outputs the call holds the jump's
-    n int64 pointers and chunk-sized temporaries.
+def _entries(parent: np.ndarray, root: int, marked: np.ndarray, weights: np.ndarray | None,
+             index: bool = False):
+    """``(entries, up, top, sums, index)`` of a marked vertex set.
+
+    ``entries`` masks its entries: the marked vertices, their children and
+    the root. An entry's slot is its position among them; ``up`` gives
+    each entry its parent's entry slot and ``top`` is the root's slot. A
+    vertex's entry is the nearest entry on its root path, itself included.
+    ``sums`` holds what the vertices of each entry weigh (None without
+    ``weights``), and ``index``, each vertex's entry slot as n int64s, is
+    None unless asked for.
+
+    One ``_jump`` over n + k int64 pointers finds every entry, k being the
+    number of entries: a vertex points at its parent, an entry at the
+    slot n + its position, and a slot at itself, so every vertex lands on
+    its entry's slot, and the slots are the landed pointers less n. The
+    pointers are the call's only n-length numeric array; no position map
+    is kept beside them, and the entry mask is made again once they are
+    freed.
     """
+    n = len(parent)
     entries = marked | marked[parent]
     entries[root] = True
-    ptr = _nearest_marked(parent, entries)
-    # in place: the entries' positions stay put (an entry reads itself),
-    # and every other vertex reads its entry's
     ids = entries.nonzero()[0]
-    index = _position_map(len(parent), ids)
-    for lo in range(0, len(parent), _JUMP_CHUNK):
-        index[lo:lo + _JUMP_CHUNK] = index[ptr[lo:lo + _JUMP_CHUNK]]
-    del ptr
-    sums = np.zeros(len(ids), dtype=np.int64)
-    np.add.at(sums, index, weights)
-    return entries, index, sums
+    del entries  # made again once the pointers are gone
+    ptr = np.concatenate((parent, np.arange(n, n + ids.size)))
+    ptr[ids] = ptr[n:]
+    _jump(ptr, lambda chunk: chunk.min() >= n)
+    slot = ptr[:n]
+    slot -= n
+    up = slot[parent[ids]]
+    top = int(slot[root])
+    sums = None
+    if weights is not None:
+        sums = np.zeros(ids.size, dtype=np.int64)
+        np.add.at(sums, slot, weights)
+    index = slot if index else None
+    del ptr, slot
+    entries = np.zeros(n, dtype=bool)
+    entries[ids] = True
+    return entries, up, top, sums, index
 
 
 def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> CollapsedWeights:
@@ -391,11 +407,21 @@ def collapse_weights(G: Graph, T: SpanningTree, T1: SteinerSubtree) -> Collapsed
     is exact. The entries are kept for ``heavy_vertex_fixup``: with T1
     marked, they hold every piece head of a separator inside T1.
     """
-    entries, index, sums = _entries(T1.parent, T.root, T1.member, G.weight_array)
-    wprime = np.zeros(G.n, dtype=np.int64)
-    np.add.at(wprime, _attach(entries.nonzero()[0], T1, T.root), sums)
-    return CollapsedWeights(wprime=wprime, index=index, entries=entries, sums=sums,
-                            T1=T1, root=T.root)
+    entries, up, top, sums, _ = _entries(T1.parent, T.root, T1.member, G.weight_array)
+    ids = entries.nonzero()[0]
+    member = T1.member[ids]
+    # by slot: a member keeps its entry's sum, and any other entry is a
+    # member's child, which gives its sum to its parent's slot, or a root
+    # above T1, which gives it to T1's top
+    weights = np.where(member, sums, 0)
+    given = (~member).nonzero()[0]
+    to = up[given]
+    if not T1.member[T.root]:
+        to[given == top] = np.searchsorted(ids, T1.top)
+    np.add.at(weights, to, sums[given])
+    # the members' slots come in vertex order, as the members do
+    return CollapsedWeights(entries=entries, up=up, top=top, sums=sums,
+                            weights=weights[member], T1=T1, root=T.root)
 
 
 @dataclass
@@ -406,15 +432,16 @@ class CompressedGraph:
     len(branch) + j is the subdivision node of path j of ``paths``,
     weighing its interior. ``edges`` is an (E, 2) int64 array: for each
     path, (its first end's node, its node) and (its node, its last end's
-    node), then R's edges as pairs of branch nodes. ``wprime`` holds the
-    collapsed weight of every original vertex, for lifting.
+    node), then R's edges as pairs of branch nodes. ``interior_weights``
+    holds the collapsed weight of each vertex of ``paths.interiors``, in
+    the same order, for lifting: the one weights array past the build.
     """
 
     node_weights: list[int]
     edges: np.ndarray
     branch: list[int]
     paths: Paths
-    wprime: np.ndarray
+    interior_weights: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -437,24 +464,35 @@ class CompressedGraph:
 
 def build_compressed_graph(U: list[int], Pi: Paths, R: np.ndarray,
                            cw: CollapsedWeights) -> CompressedGraph:
+    """The compressed graph of the branch vertices U and the paths Pi.
+
+    Takes cw's member weights (``cw.weights`` is None afterwards): the
+    branch nodes and the paths' interiors read them through a transient
+    position map, and the paths keep theirs in path order.
+    """
     branch = np.array(U, dtype=np.int64)
+    weights, cw.weights = cw.weights, None
+    pos = _position_map(len(cw.T1.member), cw.T1.member.nonzero()[0])
+    interior_weights = weights[pos[Pi.interiors].astype(np.int64)]
+    branch_weights = weights[pos[branch]]
+    del pos, weights
     # running sums over all interiors; a path weighs the rise across its own
-    prefix = np.concatenate(([0], np.cumsum(cw.wprime[Pi.interiors])))
-    node_weights = cw.wprime[branch].tolist() + np.diff(prefix[Pi.offsets]).tolist()
+    prefix = np.concatenate(([0], np.cumsum(interior_weights)))
+    node_weights = branch_weights.tolist() + np.diff(prefix[Pi.offsets]).tolist()
     sub = np.arange(len(U), len(U) + len(Pi))
     ends = np.searchsorted(branch, Pi.ends)
     edges = np.column_stack((ends[:, 0], sub, sub, ends[:, 1])).reshape(-1, 2)
     return CompressedGraph(node_weights=node_weights,
                            edges=np.concatenate((edges, np.searchsorted(branch, R))),
-                           branch=U, paths=Pi, wprime=cw.wprime)
+                           branch=U, paths=Pi, interior_weights=interior_weights)
 
 
-def _median_cut(vertices: np.ndarray, wprime: np.ndarray) -> int:
+def _median_cut(vertices: np.ndarray, weights: np.ndarray) -> int:
     """The vertex whose cut leaves the lightest heavier side, of the weight
-    before it and the weight after it; ties -> lower ID."""
-    w = wprime[vertices]
-    ends = np.cumsum(w)
-    cost = np.maximum(ends - w, ends[-1] - ends)
+    before it and the weight after it; ties -> lower ID. ``weights`` are
+    the vertices' own, in the same order."""
+    ends = np.cumsum(weights)
+    cost = np.maximum(ends - weights, ends[-1] - ends)
     return int(vertices[cost == cost.min()].min())
 
 
@@ -487,13 +525,14 @@ def lift_separator(Sc, C: CompressedGraph, beta=Fraction(2, 3)):
             if a not in exact and b not in exact:
                 exact.add(a)
             continue
-        lifted.add(_median_cut(interior, C.wprime))
+        weights = C.interior_weights[offsets[j]:offsets[j + 1]]
+        lifted.add(_median_cut(interior, weights))
         # interior[0] meets a, interior[-1] meets b
         lo, hi = int(a not in exact), interior.size - (b not in exact)
         exact.update(interior[:lo].tolist(), interior[max(hi, lo):].tolist())
         middle = interior[lo:hi]
-        if middle.size and int(C.wprime[middle].sum()) * beta.denominator > W * beta.numerator:
-            exact.add(_median_cut(middle, C.wprime))
+        if middle.size and int(weights[lo:hi].sum()) * beta.denominator > W * beta.numerator:
+            exact.add(_median_cut(middle, weights[lo:hi]))
     return lifted, exact
 
 
@@ -545,20 +584,42 @@ class Separator:
 class _Heaviest:
     """Heaviest component of G - S: its weight, label and whether it is a tree.
 
-    The search ran over the entries of a marked set: ``index`` takes each
-    vertex to its entry's slot and ``ids`` each slot to its vertex.
-    ``head`` takes each slot to its piece's head slot, ``labels`` each
-    head slot to its component's, and ``slot`` names this component.
+    The search ran over the entries of a marked set, the slots: ``ids``
+    takes each slot to its vertex, ``head`` each slot to its piece's head
+    slot and ``labels`` each head slot to its component's, whose label is
+    one of its head slots. ``best`` holds the labels of the components of
+    the heaviest weight (every head when that is 0), and ``cyclic`` the
+    labels of the components with a cycle. ``index()`` builds each
+    vertex's slot on the first call; only ``inside``, ``head_of`` and a
+    tie between the heaviest components need it. The repair loop reads
+    them only before a repair, and a tie never comes before one: two
+    components heavier than beta * W > W / 2 cannot both exist.
     """
 
     weight: int
-    slot: int
-    is_tree: bool
+    best: np.ndarray
+    cyclic: set[int]
     head: np.ndarray
     labels: np.ndarray
     removed: np.ndarray
-    index: np.ndarray
     ids: np.ndarray
+    index: Callable[[], np.ndarray]
+
+    @cached_property
+    def slot(self) -> int:
+        """The label of this component, -1 when G - S is empty; ties go to
+        the component holding the lowest vertex."""
+        if self.best.size <= 1:
+            return int(self.best[0]) if self.best.size else -1
+        tied = np.zeros(len(self.head), dtype=bool)
+        tied[self.best] = True
+        index = self.index()
+        first = int(np.argmax(tied[self.labels[self.head]][index] & ~self.removed))
+        return int(self.labels[self.head[index[first]]])
+
+    @property
+    def is_tree(self) -> bool:
+        return self.slot >= 0 and self.slot not in self.cyclic
 
     @property
     def label(self) -> int:
@@ -567,11 +628,11 @@ class _Heaviest:
 
     def head_of(self) -> np.ndarray:
         """Each vertex's piece head."""
-        return self.ids[self.head][self.index]
+        return self.ids[self.head][self.index()]
 
     def inside(self) -> np.ndarray:
         """Mask of its vertices."""
-        return (self.labels[self.head] == self.slot)[self.index] & ~self.removed
+        return (self.labels[self.head] == self.slot)[self.index()] & ~self.removed
 
 
 class _TreePlusExtra:
@@ -584,13 +645,15 @@ class _TreePlusExtra:
     an empty R.
 
     The slots are the entries of a marked set that holds S (``_entries``):
-    each steps to the entry of its parent and weighs what the vertices
-    whose entry it is weigh, and S's heads (S, its children and the root)
-    are among them. With ``cw`` the set starts as T1, whose entries cw
-    holds; without, as R's ends, which must be entries, collapsed by the
-    first search. An S with a vertex outside the set joins it and the
-    entries are collapsed again, so the set only grows. Vertices come back
-    only through ``inside``, when a repair needs them, and to break a tie.
+    each steps to its parent's entry slot (``up``, with ``top`` the
+    root's) and weighs what the vertices whose entry it is weigh, and S's
+    heads (S, its children and the root) are among them. With ``cw`` the
+    set starts as T1, whose entries, ``up``, ``top`` and sums cw holds;
+    without, as R's ends, which must be entries, collapsed by the first
+    search. An S with a vertex outside the set joins it and the entries
+    are collapsed again, so the set only grows. No vertex keeps its slot:
+    ``index()`` asks ``_entries`` for that n-length index, once per
+    marked set, when ``_Heaviest`` needs vertices back.
     """
 
     def __init__(self, G: Graph, T: SpanningTree, R: np.ndarray,
@@ -609,22 +672,22 @@ class _TreePlusExtra:
             self.stale = True
         else:
             self.marked = cw.T1.member  # R's ends are terminals, so members
-            self._use(cw.entries, cw.index, cw.sums)
+            self._use(cw.entries, cw.up, cw.top, cw.sums)
 
-    def _use(self, entries: np.ndarray, index: np.ndarray, sums: np.ndarray):
+    def _use(self, entries: np.ndarray, up: np.ndarray, top: int, sums: np.ndarray):
         """Search over these entries of the marked set from now on."""
-        self.index, self.sums = index, sums
+        self.up, self.top, self.sums = up, top, sums
         self.ids = entries.nonzero()[0]
-        self.up = index[self.parent[self.ids]].astype(np.int64)
-        self.top = int(index[self.root])
         self.ends = np.searchsorted(self.ids, self.edges)
+        parent, root, marked = self.parent, self.root, self.marked
+        self.index = cache(lambda: _entries(parent, root, marked, None, index=True)[4])
         self.stale = False
 
     def heaviest(self, removed: np.ndarray) -> _Heaviest:
         """The heaviest component of G - S, S given as a mask over the vertices."""
         if self.stale or not self.marked[removed.nonzero()[0]].all():
             self.marked = self.marked | removed
-            self._use(*_entries(self.parent, self.root, self.marked, self.weights))
+            self._use(*_entries(self.parent, self.root, self.marked, self.weights)[:4])
         # S is marked, so an entry's parent is in S when its entry is
         removed_s = removed[self.ids]
         head = removed_s | removed_s[self.up]
@@ -659,23 +722,13 @@ class _TreePlusExtra:
         if link:
             label[list(link)] = [find(x) for x in link]
         if heads.size == 0:
-            return _Heaviest(0, -1, False, ptr, label, removed, self.index, self.ids)
+            return _Heaviest(0, heads, set(), ptr, label, removed, self.ids, self.index)
         # a component's label is one of its heads: weigh them in heads' order
         comp_w = np.zeros(heads.size, dtype=np.int64)
         np.add.at(comp_w, np.searchsorted(heads, label[heads]), head_w)
         weight = comp_w.max()
-        best = heads[comp_w == weight]
-        if best.size > 1:
-            # ties go to the component holding the lowest vertex
-            tied = np.zeros(n, dtype=bool)
-            tied[best] = True
-            first = int(np.argmax(tied[label[ptr]][self.index] & ~removed))
-            best = label[ptr[self.index[first]]]
-        else:
-            best = best[0]
-        acyclic = all(find(x) != best for x in cyclic)
-        return _Heaviest(int(weight), int(best), acyclic, ptr, label, removed,
-                         self.index, self.ids)
+        return _Heaviest(int(weight), heads[comp_w == weight], {find(x) for x in cyclic},
+                         ptr, label, removed, self.ids, self.index)
 
 
 def heavy_vertex_fixup(

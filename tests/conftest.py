@@ -1,8 +1,12 @@
-"""Shared builders for small fixture graphs."""
+"""Shared builders for small fixture graphs, and a reader of the weight collapse."""
+
+from typing import NamedTuple
 
 import networkx as nx
+import numpy as np
 
 from atsep.graph import Graph, build_graph
+from atsep.pipeline import _entries
 
 
 def row(G: Graph, v: int) -> list[int]:
@@ -100,3 +104,27 @@ def path_lists(paths) -> list[list[int]]:
 def edge_ends(R) -> list[int]:
     """The distinct ends of the rows of R, ascending: the terminals."""
     return sorted(set(R.ravel().tolist()))
+
+
+class Collapse(NamedTuple):
+    nearest: list[int]
+    weights: list[int]
+
+
+def collapsed(cw) -> Collapse:
+    """A ``CollapsedWeights`` read back per vertex: each vertex's nearest
+    subtree vertex, and each vertex's collapsed weight (0 off the subtree),
+    as lists of ints. Reads ``cw.weights``, so call it before
+    ``build_compressed_graph`` takes them."""
+    T1 = cw.T1
+    index = _entries(T1.parent, cw.root, T1.member, None, index=True)[4]
+    # an entry's nearest subtree vertex is itself or its parent, or T1's
+    # top for a root that T1 misses
+    ids = cw.entries.nonzero()[0]
+    attach = np.where(T1.member[ids], ids, T1.parent[ids])
+    if not T1.member[cw.root]:
+        attach[attach == cw.root] = T1.top
+    nearest = attach[index]
+    weights = np.zeros(len(T1.member), dtype=np.int64)
+    weights[T1.member] = cw.weights
+    return Collapse(nearest.tolist(), weights.tolist())

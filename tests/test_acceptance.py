@@ -32,7 +32,7 @@ from atsep.pipeline import (
 )
 from atsep.planar import lt_separator
 
-from conftest import edge_ends, path_lists, random_parent_tree
+from conftest import collapsed, edge_ends, path_lists, random_parent_tree
 
 
 def report(capsys, name, ok, detail):
@@ -185,8 +185,8 @@ def test_06_structural_invariants(capsys):
         U = branch_vertices(T1, edge_ends(R))
         if len(U) > 4 * (r + 1):
             failures.append(("branch-bound", case))
-        cw = collapse_weights(G, T, T1)
-        if sum(cw.wprime) != G.total_weight:
+        cw = collapsed(collapse_weights(G, T, T1))
+        if sum(cw.weights) != G.total_weight:
             failures.append(("weight-conservation", case))
         Pi = path_lists(decompose_paths(T1, U))
         covered = sorted(
@@ -214,8 +214,8 @@ def test_06_structural_invariants(capsys):
         T1 = steiner_subtree(T, terms)
         if set(T1.vertices()) != steiner_subtree_oracle(T, terms):
             failures.append(("steiner-oracle", case))
-        cw = collapse_weights(G, T, T1)
-        if cw.attach != nearest_in_set_oracle(T, T1.vertices()):
+        cw = collapsed(collapse_weights(G, T, T1))
+        if cw.nearest != nearest_in_set_oracle(T, T1.vertices()):
             failures.append(("attach-oracle", case))
 
     report(

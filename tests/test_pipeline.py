@@ -58,6 +58,7 @@ from atsep.planar import bfs_levels, lt_separator
 from centroid_reference import reference_tree_centroid
 from conftest import (
     complete,
+    collapsed,
     cycle,
     edge_ends,
     path,
@@ -423,17 +424,17 @@ class TestCollapseWeights:
         G = path(5)
         T = compute_spanning_tree(G)
         T1 = steiner_subtree(T, {1, 3})
-        cw = collapse_weights(G, T, T1)
-        assert cw.wprime[1] == 2 and cw.wprime[2] == 1 and cw.wprime[3] == 2
-        assert sum(cw.wprime) == 5
+        weights = collapsed(collapse_weights(G, T, T1)).weights
+        assert weights == [0, 2, 1, 2, 0]
+        assert sum(weights) == 5
 
     def test_identity_when_subtree_covers_graph(self):
         G = path(4)
         T = compute_spanning_tree(G)
         T1 = steiner_subtree(T, {0, 3})
-        cw = collapse_weights(G, T, T1)
-        assert cw.wprime.tolist() == G.weights
-        assert cw.attach == list(range(4))
+        cw = collapsed(collapse_weights(G, T, T1))
+        assert cw.weights == G.weights
+        assert cw.nearest == list(range(4))
 
     def test_conservation_and_nearest_oracle(self):
         rng = random.Random(41)
@@ -444,17 +445,17 @@ class TestCollapseWeights:
             T = compute_spanning_tree(G)
             terms = rng.sample(range(n), rng.randint(1, n))
             T1 = steiner_subtree(T, terms)
-            cw = collapse_weights(G, T, T1)
-            assert sum(cw.wprime) == G.total_weight
-            assert cw.attach == nearest_in_set_oracle(T, T1.vertices())
+            cw = collapsed(collapse_weights(G, T, T1))
+            assert sum(cw.weights) == G.total_weight
+            assert cw.nearest == nearest_in_set_oracle(T, T1.vertices())
 
     @staticmethod
     def check_against_oracle(G, terms, root=0):
         T = compute_spanning_tree(G, root=root)
         T1 = steiner_subtree(T, terms)
-        cw = collapse_weights(G, T, T1)
-        assert cw.attach == nearest_in_set_oracle(T, T1.vertices())
-        assert sum(cw.wprime) == G.total_weight
+        cw = collapsed(collapse_weights(G, T, T1))
+        assert cw.nearest == nearest_in_set_oracle(T, T1.vertices())
+        assert sum(cw.weights) == G.total_weight
         return T, T1
 
     def test_wide_levels_match_oracle(self):
@@ -509,12 +510,12 @@ class TestCollapseWeights:
             R = extra_edges(G, T)
             for terms in (edge_ends(R), {n // 3, n // 3 + 700}, {n - 1}):
                 T1 = steiner_subtree(T, terms)
-                cw = collapse_weights(G, T, T1)
+                cw = collapsed(collapse_weights(G, T, T1))
                 near = self.nearest_by_walking_up(T, T1)
-                assert cw.attach == near
+                assert cw.nearest == near
                 want = np.bincount(near, weights=weights, minlength=n).astype(np.int64)
-                assert cw.wprime.tolist() == want.tolist()
-                assert int(cw.wprime.sum()) == G.total_weight
+                assert cw.weights == want.tolist()
+                assert sum(cw.weights) == G.total_weight
 
     def test_subtree_missing_root_matches_oracle(self):
         # a broom: a 150-vertex handle from the root, then 300 bristles
@@ -530,14 +531,20 @@ class TestCollapseWeights:
 
 class TestCompressedGraph:
     @staticmethod
-    def stages_for(G):
+    def stages_for(G, weights=None):
+        """The compressed graph, U and the paths; ``weights``, a list, gets
+        the collapsed weights, which the build takes from the collapse."""
         T = compute_spanning_tree(G)
         R = extra_edges(G, T)
         T1 = steiner_subtree(T, edge_ends(R))
         U = branch_vertices(T1, edge_ends(R))
         Pi = decompose_paths(T1, U)
         cw = collapse_weights(G, T, T1)
-        return build_compressed_graph(U, Pi, R, cw), U, Pi
+        if weights is not None:
+            weights += collapsed(cw).weights
+        C = build_compressed_graph(U, Pi, R, cw)
+        assert cw.weights is None
+        return C, U, Pi
 
     def test_theta_weights_and_size(self):
         C, U, Pi = self.stages_for(theta())
@@ -552,15 +559,17 @@ class TestCompressedGraph:
         assert sum(C.node_weights) == 3
 
     def test_interior_free_path_gets_zero_weight_node(self):
-        C, U, Pi = self.stages_for(theta())
+        weights = []
+        C, U, Pi = self.stages_for(theta(), weights)
         assert C.branch is U and C.paths is Pi
+        assert C.interior_weights.tolist() == [weights[v] for v in Pi.interiors.tolist()]
         Pi = path_lists(Pi)
         assert any(len(p) == 2 for p in Pi)
         for i, u in enumerate(U):
-            assert C.node_weights[i] == C.wprime[u]
+            assert C.node_weights[i] == weights[u]
         for j, p in enumerate(Pi):
             s = len(U) + j
-            assert C.node_weights[s] == sum(C.wprime[p[1:-1]].tolist())
+            assert C.node_weights[s] == sum(weights[v] for v in p[1:-1])
             assert type(C.node_weights[s]) is int
             if len(p) == 2:
                 assert C.node_weights[s] == 0
@@ -593,17 +602,16 @@ def paths_record(paths):
 
 
 def hand_built(branch, paths, weights):
-    """A CompressedGraph over the given paths; ``weights`` maps vertex -> w'."""
-    wprime = np.zeros(max(max(p) for p in paths) + 1, dtype=np.int64)
-    for v, w in weights.items():
-        wprime[v] = w
+    """A CompressedGraph over the given paths; ``weights`` maps an interior
+    vertex to its collapsed weight, 0 if missing."""
     node_of = {u: i for i, u in enumerate(branch)}
     edges = []
     for sub, p in enumerate(paths, start=len(branch)):
         edges += [(node_of[p[0]], sub), (sub, node_of[p[-1]])]
-    node_weights = [0] * len(branch) + [sum(wprime[p[1:-1]].tolist()) for p in paths]
+    node_weights = [0] * len(branch) + [sum(weights.get(v, 0) for v in p[1:-1]) for p in paths]
+    interior_weights = [weights.get(v, 0) for p in paths for v in p[1:-1]]
     return CompressedGraph(node_weights, np.array(edges, dtype=np.int64), branch,
-                           paths_record(paths), wprime)
+                           paths_record(paths), np.array(interior_weights, dtype=np.int64))
 
 
 class TestLiftSeparator:
@@ -690,7 +698,7 @@ class TestLiftSeparator:
                 left += w
             tied += costs.count(best_cost) > 1
             C = hand_built([1000, 1001], [[1000, *interior, 1001]], dict(zip(interior, weights)))
-            assert _median_cut(np.array(interior), C.wprime) == interior[i]
+            assert _median_cut(np.array(interior), C.interior_weights) == interior[i]
             assert C.node_weights[2] == prefix[-1]
             lifted, exact = lift_separator({2}, C)
             assert lifted == {interior[i]}
@@ -923,13 +931,15 @@ class TestTreePlusExtraCheck:
 
     @staticmethod
     def record_collapses(monkeypatch):
-        """The marked set of every ``_entries`` call from now on."""
+        """The marked set of every collapse from now on: an ``_entries``
+        call that sums weights, not one that builds the index."""
         marks = []
         real = atsep.pipeline._entries
 
-        def recording(parent, root, marked, weights):
-            marks.append(marked.copy())
-            return real(parent, root, marked, weights)
+        def recording(parent, root, marked, weights, index=False):
+            if weights is not None:
+                marks.append(marked.copy())
+            return real(parent, root, marked, weights, index)
 
         monkeypatch.setattr(atsep.pipeline, "_entries", recording)
         return marks
@@ -1021,6 +1031,70 @@ class TestTreePlusExtraCheck:
             heavy_vertex_fixup(G, T, R, set())
 
 
+class TestLazyIndex:
+    """The n-length index, each vertex's entry slot, is built only when a
+    repair reads vertices back: ``inside`` for a centroid, or a tie."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Per ``_entries`` call, whether it built the index; per search,
+        how many components tie for the heaviest."""
+        builds, ties = [], []
+        real_entries = atsep.pipeline._entries
+        real_heaviest = atsep.pipeline._TreePlusExtra.heaviest
+
+        def entries(parent, root, marked, weights, index=False):
+            builds.append(index)
+            return real_entries(parent, root, marked, weights, index)
+
+        def heaviest(self, removed):
+            found = real_heaviest(self, removed)
+            ties.append(found.best.size)
+            return found
+
+        monkeypatch.setattr(atsep.pipeline, "_entries", entries)
+        monkeypatch.setattr(atsep.pipeline._TreePlusExtra, "heaviest", heaviest)
+        return builds, ties
+
+    def test_balanced_call_builds_no_index(self, monkeypatch):
+        builds, ties = self.record(monkeypatch)
+        G = generate(GenSpec(n=200_000, r=16, seed=1))
+        sep = separate(G)
+        # the collapse alone calls _entries; the repair searches its entries
+        assert sep.repairs == 0 and builds == [False] and ties == [1]
+
+    def test_centroid_repair_builds_it_once(self, monkeypatch):
+        builds, ties = self.record(monkeypatch)
+        G = generate(GenSpec(n=200, r=8, seed=0, weight_mode=("single_heavy", Fraction(7, 10))))
+        sep = separate(G)
+        # the separator the stored index gave; the centroid lies outside
+        # T1, so the second search collapses again, with no index
+        assert sorted(sep.vertices) == [131, 139] and sep.repairs == 1
+        assert builds == [False, True, False] and ties == [1, 1]
+        assert verify_separator(G, sep.vertices).passed
+
+    def test_tie_after_a_repair_is_left_unbroken(self, monkeypatch):
+        # two components heavier than beta * W > W / 2 cannot both exist,
+        # so a tie for the heaviest never precedes a repair: it ends the
+        # loop, and only the repair before it built the index
+        builds, ties = self.record(monkeypatch)
+        G = generate(GenSpec(n=20, r=2, seed=13, weight_mode=("single_heavy", Fraction(7, 10))))
+        sep = separate(G)
+        assert sorted(sep.vertices) == [2, 9] and sep.repairs == 1
+        assert sep.max_component_weight == 6 and ties == [1, 2]
+        assert builds == [False, True, False]
+        # broken on request, the tie goes to the component of the lowest vertex
+        T = compute_spanning_tree(G)
+        check = atsep.pipeline._TreePlusExtra(G, T, extra_edges(G, T))
+        removed = np.zeros(G.n, dtype=bool)
+        removed[[2, 9]] = True
+        found = check.heaviest(removed)
+        # the search collapses onto R's ends and S, with no index
+        assert found.best.size == 2 and builds.count(True) == 1
+        TestTreePlusExtraCheck.assert_heaviest(G, found, {2, 9})
+        assert builds.count(True) == 2
+
+
 class TestRoot:
     @pytest.mark.parametrize("root", [-1, 300])
     def test_root_outside_the_graph_raises(self, root):
@@ -1041,14 +1115,16 @@ class TestRoot:
 class TestSeparate:
     def test_peak_memory_per_vertex(self):
         # the repair searches the entries of collapse_weights, decompose_paths
-        # works on T1's members and two arrays of n int64s outlive their
-        # stages, the spanning tree's parent array and the collapsed
-        # weights' wprime, so at 2 * 10^5 vertices the call
-        # allocates at most about 23.5 bytes per vertex above what was live
-        # (24.4 while the repair built an n-length mask to test S inside T1,
-        # 34 while T1 kept a degree per vertex and the weight collapse
-        # jumped through a fresh pointer array each round, 69 while the
-        # repair and the paths walked every vertex)
+        # works on T1's members, and one array of n int64s outlives its
+        # stage, the spanning tree's parent array: the collapsed weights
+        # are one per T1 member and then one per path interior vertex, so
+        # at 2 * 10^5 vertices the call allocates at most about 18.5 bytes
+        # per vertex above what was live, at the spanning tree (23.5 while
+        # the collapse kept an n-length wprime and entry index, 24.4 while
+        # the repair built an n-length mask to test S inside T1, 34 while
+        # T1 kept a degree per vertex and the weight collapse jumped
+        # through a fresh pointer array each round, 69 while the repair
+        # and the paths walked every vertex)
         G = generate(GenSpec(n=200_000, r=16, seed=1))
         separate(G)
         gc.collect()
@@ -1058,15 +1134,17 @@ class TestSeparate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 28 * G.n
+        assert peak <= 21 * G.n
 
     def test_stage_memory_per_vertex(self):
         # on the graph above: T1 leaves its member mask live, a byte a
         # vertex, and its forks (9 bytes a vertex while it kept a degree
-        # per vertex); collapse_weights holds its pointers, the entries'
-        # int32 positions and the entry mask, 13 bytes a vertex, and
-        # chunk-sized temporaries (about 17 while each jump round made a
-        # new pointer array)
+        # per vertex); collapse_weights holds the jump's n + k pointers,
+        # 8 bytes a vertex, and chunk-sized temporaries, and makes the
+        # entry mask and its members' position map only once they are
+        # freed, about 9.4 in all (13.7 while an int32 position per vertex
+        # and the entry mask lived beside the pointers, about 17 while
+        # each jump round made a new pointer array)
         G = generate(GenSpec(n=200_000, r=16, seed=1))
         T = compute_spanning_tree(G)
         terminals = edge_ends(extra_edges(G, T))
@@ -1084,7 +1162,7 @@ class TestSeparate:
         finally:
             tracemalloc.stop()
         assert live <= G.n + 16 * np.count_nonzero(T1.member) + 4096
-        assert peak <= 14 * G.n
+        assert peak <= 10 * G.n
 
     def test_stage_ns_of_a_tree(self):
         sep = separate(path(9))
