@@ -253,6 +253,11 @@ def _unique(a: np.ndarray) -> np.ndarray:
     return a[first.nonzero()[0]]
 
 
+# the leaves are found and hung this many vertices at a time, so what a
+# block holds, not one entry per leaf of the graph, is all that lives
+_LEAF_BLOCK = 2**16
+
+
 def _hang_leaves(G: Graph, root: int, parent: np.ndarray):
     """Hang each leaf (degree 1, not the root) off its one neighbour.
 
@@ -263,22 +268,32 @@ def _hang_leaves(G: Graph, root: int, parent: np.ndarray):
     marked 2. Two adjacent leaves form a component without the root;
     then nothing is hung, since the walk's check that every byte is
     marked would pass on that component's two leaves.
+
+    The vertices go in blocks of ``_LEAF_BLOCK``, and a block marks and
+    hangs its leaves before the next is read. Of two adjacent leaves, the
+    later block's finds the other one marked; it then unmarks and
+    unhangs every leaf.
     """
-    indptr, n = G.indptr, G.n
-    # the degrees, written into the buffer the walk refills
-    np.subtract(indptr[1:], indptr[:-1], out=parent)
-    leaf = parent == 1
-    leaf[root] = False
-    at = leaf.nonzero()[0]
-    # at most two leaf-length arrays live: each leaf's row start, gathered
-    # once, becomes its neighbour in place
-    up = indptr[at]
-    np.take(G.indices, up, out=up, mode="clip")
+    indptr, indices, n = G.indptr, G.indices, G.n
     parent.fill(n)
     seen = bytearray(n)
-    if not leaf[up].any():
+    mark = np.frombuffer(seen, dtype=np.uint8)
+    for lo in range(0, n, _LEAF_BLOCK):
+        row = indptr[lo:lo + _LEAF_BLOCK + 1]
+        degree = row[1:] - row[:-1]
+        if lo <= root < lo + degree.size:
+            degree[root - lo] = 0
+        at = (degree == 1).nonzero()[0]
+        # each leaf's row start, gathered once, becomes its neighbour in place
+        up = row[at]
+        np.take(indices, up, out=up, mode="clip")
+        at += lo
+        mark[at] = 2
+        if (mark[up] == 2).any():
+            parent.fill(n)
+            mark.fill(0)
+            break
         parent[at] = up
-        np.frombuffer(seen, dtype=np.uint8)[at] = 2
     return seen
 
 

@@ -47,11 +47,12 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
 
     The tree is the walk of ``graph._bfs_layers``: each vertex's parent is
     its lowest-ID neighbour one BFS layer up. Each leaf (degree 1, not the
-    root) is hung off its one neighbour before the walk, in one array
-    pass, so the walk steps through the other vertices only; the parents
-    are those of a full walk, and ``Disconnected.reached`` counts a hung
-    leaf only if its neighbour was reached. Raises BadVertexId for a
-    root outside [0, n).
+    root) is hung off its one neighbour before the walk, in array passes
+    over blocks of vertices, so the walk steps through the other vertices
+    only; the parents are those of a full walk, and
+    ``Disconnected.reached`` counts a hung leaf only if its neighbour was
+    reached. The int64 parent array is the one n-length numeric array the
+    call makes. Raises BadVertexId for a root outside [0, n).
     """
     parent = np.empty(G.n, dtype=np.int64)
     for _ in _bfs_layers(G, root, parent, hang_leaves=True):
@@ -59,25 +60,47 @@ def compute_spanning_tree(G: Graph, root: int = 0) -> SpanningTree:
     return SpanningTree(root=root, parent=parent)
 
 
+# extra_edges sums tree degrees per group of 2^_GROUP_SHIFT vertices,
+# reading the parent array _PARENT_BLOCK entries at a time, so its counts
+# take an eighth of the bytes of one count per vertex. A graph of one
+# block counts per vertex: its counts are small, and reading whole groups
+# of rows costs it more numpy work than it saves
+_GROUP_SHIFT = 3
+_PARENT_BLOCK = 2**16
+
+
 def extra_edges(G: Graph, T: SpanningTree) -> np.ndarray:
     """Non-tree edges R = E(G) \\ E(T) as an (m - n + 1, 2) int64 array.
 
     Rows (u, v) have u < v and come by u, then by v's place in u's
-    neighbour list. Only the vertices whose degree in G exceeds their
-    degree in T have non-tree edges, so only their rows are read.
+    neighbour list. Only a group of consecutive vertices whose rows hold
+    more entries than its vertices' tree degrees add up to holds a
+    non-tree edge, so only those groups' rows are read, and the exact
+    test keeps their non-tree edges. A group is 2^``_GROUP_SHIFT``
+    vertices on graphs of more than ``_PARENT_BLOCK`` vertices, else one.
     """
-    parent = T.parent
-    # a vertex's row ends past its start plus its tree degree, built in
-    # place; parent[root] == root counts the root as its own child,
-    # standing in for the parent edge it lacks
-    tree_end = np.bincount(parent, minlength=G.n)
-    tree_end += 1
-    tree_end[T.root] -= 2
-    tree_end += G.indptr[:-1]
-    ends = (G.indptr[1:] > tree_end).nonzero()[0]
-    del tree_end
-    nbrs, counts = _frontier_neighbors(G.indptr, G.indices, ends)
-    src = np.repeat(ends, counts)
+    parent, indptr, n = T.parent, G.indptr, G.n
+    shift = _GROUP_SHIFT if n > _PARENT_BLOCK else 0
+    size = 1 << shift
+    groups = ((n - 1) >> shift) + 1
+    # a group's tree degrees add up to its children, its vertices and one
+    # less for the root: parent[root] == root counts the root as its own
+    # child, standing in for the parent edge it lacks, so take two
+    tree = np.bincount(parent[:_PARENT_BLOCK] >> shift, minlength=groups)
+    for lo in range(_PARENT_BLOCK, n, _PARENT_BLOCK):
+        tree += np.bincount(parent[lo:lo + _PARENT_BLOCK] >> shift, minlength=groups)
+    tree += size
+    tree[-1] -= (groups << shift) - n  # the last group may be short
+    tree[T.root >> shift] -= 2
+    # a group's rows end past their start plus its tree degrees
+    tree += indptr[:-1:size]
+    verts = (np.concatenate((indptr[size:n:size], indptr[n:])) > tree).nonzero()[0]
+    del tree
+    if shift:
+        verts = ((verts << shift)[:, None] + np.arange(size)).ravel()
+        verts = verts[verts < n]
+    nbrs, counts = _frontier_neighbors(indptr, G.indices, verts)
+    src = np.repeat(verts, counts)
     keep = ((src < nbrs) & (parent[src] != nbrs) & (parent[nbrs] != src)).nonzero()[0]
     return np.column_stack((src[keep], nbrs[keep]))
 
@@ -299,7 +322,9 @@ class CollapsedWeights:
     the collapsed weight of each of T1's members, in ascending vertex
     order, until ``build_compressed_graph`` takes it. Only the entry mask
     is n-length: no vertex keeps its entry's slot (``_entries`` builds
-    that index on request).
+    that index on request, as int32 below ``_INT32_LIMIT``). ``_entries``
+    found the entries with int32 pointers, so the collapse held 4 bytes a
+    vertex for them, beside the spanning tree's 8-byte parents.
     """
 
     entries: np.ndarray
@@ -326,14 +351,17 @@ def _jump(ptr: np.ndarray, landed: Callable[[np.ndarray], bool]) -> None:
     tracking the pointers still moving). A round jumps a chunk at a time:
     a pointer only moves toward its fixed point, so reading a pointer
     that an earlier chunk already moved is as good as reading it unmoved,
-    and faster.
+    and faster. ``ptr`` may be int32 or int64: ``take`` reads it through
+    the chunk as native indices (a copy only for int32), which beats a
+    fancy-index gather through int32 indices, and buffers its output,
+    since that overlaps ``ptr``.
     """
     moved = True
     while moved:
         moved = False
         for lo in range(0, len(ptr), _JUMP_CHUNK):
             chunk = ptr[lo:lo + _JUMP_CHUNK]
-            chunk[...] = ptr[chunk]
+            ptr.take(chunk.astype(np.intp, copy=False), out=chunk, mode="clip")
             moved = moved or not landed(chunk)
 
 
@@ -352,42 +380,53 @@ def _nearest_marked(up: np.ndarray, mark: np.ndarray) -> np.ndarray:
     return ptr
 
 
+# _entries keeps its n + k pointers as int32 below this many, as
+# _position_map does for positions
+_INT32_LIMIT = 2**31
+
+
 def _entries(parent: np.ndarray, root: int, marked: np.ndarray, weights: np.ndarray | None,
              index: bool = False):
     """``(entries, up, top, sums, index)`` of a marked vertex set.
 
     ``entries`` masks its entries: the marked vertices, their children and
     the root. An entry's slot is its position among them; ``up`` gives
-    each entry its parent's entry slot and ``top`` is the root's slot. A
-    vertex's entry is the nearest entry on its root path, itself included.
-    ``sums`` holds what the vertices of each entry weigh (None without
-    ``weights``), and ``index``, each vertex's entry slot as n int64s, is
-    None unless asked for.
+    each entry its parent's entry slot (int64) and ``top`` is the root's
+    slot. A vertex's entry is the nearest entry on its root path, itself
+    included. ``sums`` holds what the vertices of each entry weigh (None
+    without ``weights``), and ``index``, each vertex's entry slot in the
+    pointers' dtype, is None unless asked for.
 
-    One ``_jump`` over n + k int64 pointers finds every entry, k being the
+    One ``_jump`` over n + k pointers finds every entry, k being the
     number of entries: a vertex points at its parent, an entry at the
     slot n + its position, and a slot at itself, so every vertex lands on
     its entry's slot, and the slots are the landed pointers less n. The
-    pointers are the call's only n-length numeric array; no position map
-    is kept beside them, and the entry mask is made again once they are
-    freed.
+    pointers are int32 while n + k < ``_INT32_LIMIT`` and int64 above,
+    and they are the call's only n-length numeric array: no position map
+    is kept beside them, the sums add up one chunk of slots at a time,
+    and the entry mask is made again once the pointers are freed.
     """
     n = len(parent)
     entries = marked | marked[parent]
     entries[root] = True
     ids = entries.nonzero()[0]
     del entries  # made again once the pointers are gone
-    ptr = np.concatenate((parent, np.arange(n, n + ids.size)))
+    total = n + ids.size
+    ptr = np.empty(total, dtype=np.int32 if total < _INT32_LIMIT else np.int64)
+    ptr[:n] = parent
+    ptr[n:] = np.arange(n, total)
     ptr[ids] = ptr[n:]
     _jump(ptr, lambda chunk: chunk.min() >= n)
     slot = ptr[:n]
     slot -= n
-    up = slot[parent[ids]]
+    up = slot[parent[ids]].astype(np.int64)
     top = int(slot[root])
     sums = None
     if weights is not None:
         sums = np.zeros(ids.size, dtype=np.int64)
-        np.add.at(sums, slot, weights)
+        # np.add.at makes its indices native: a chunk at a time, not n
+        for lo in range(0, n, _JUMP_CHUNK):
+            np.add.at(sums, slot[lo:lo + _JUMP_CHUNK], weights[lo:lo + _JUMP_CHUNK])
     index = slot if index else None
     del ptr, slot
     entries = np.zeros(n, dtype=bool)
