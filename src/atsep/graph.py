@@ -275,21 +275,23 @@ def _hang_leaves(G: Graph, root: int, parent: np.ndarray):
     unhangs every leaf.
     """
     indptr, indices, n = G.indptr, G.indices, G.n
-    parent.fill(n)
     seen = bytearray(n)
     mark = np.frombuffer(seen, dtype=np.uint8)
     for lo in range(0, n, _LEAF_BLOCK):
         row = indptr[lo:lo + _LEAF_BLOCK + 1]
-        degree = row[1:] - row[:-1]
+        # the block's degrees, written into its part of the parent array
+        degree = parent[lo:lo + _LEAF_BLOCK]
+        np.subtract(row[1:], row[:-1], out=degree)
         if lo <= root < lo + degree.size:
             degree[root - lo] = 0
         at = (degree == 1).nonzero()[0]
+        degree.fill(n)
         # each leaf's row start, gathered once, becomes its neighbour in place
         up = row[at]
         np.take(indices, up, out=up, mode="clip")
         at += lo
         mark[at] = 2
-        if (mark[up] == 2).any():
+        if mark[up].any():  # a marked neighbour, as only leaves are marked yet
             parent.fill(n)
             mark.fill(0)
             break

@@ -81,7 +81,12 @@ def test_02_validity_vs_oracle(capsys):
 
 
 def test_03_linear_time(capsys):
-    """r=16, n in {1e4, 1e5, 1e6}, 5 seeds: median wall grows <= 13x per 10x."""
+    """r=16, n in {1e4, 1e5, 1e6}, 5 seeds: median wall grows <= 13x per 10x.
+
+    Each graph gets one untimed warm-up call, then three timed calls, of
+    which the median counts for that seed: a single call per seed let one
+    slow moment of a shared host decide the ratio.
+    """
     import gc
 
     medians = []
@@ -89,14 +94,18 @@ def test_03_linear_time(capsys):
         walls = []
         for seed in range(5):
             G = generate(GenSpec(n=n, r=16, seed=seed))
+            sep = separate(G)
+            assert verify_separator(G, sep.vertices).passed
             # keep cyclic-GC pauses from earlier tests out of the timing
             gc.collect()
             gc.disable()
-            t0 = perf_counter()
-            sep = separate(G)
-            walls.append(perf_counter() - t0)
+            calls = []
+            for _ in range(3):
+                t0 = perf_counter()
+                separate(G)
+                calls.append(perf_counter() - t0)
             gc.enable()
-            assert verify_separator(G, sep.vertices).passed
+            walls.append(statistics.median(calls))
             del G
         medians.append(statistics.median(walls))
     ratios = [b / a for a, b in zip(medians, medians[1:])]

@@ -1115,16 +1115,17 @@ class TestRoot:
 class TestSeparate:
     def test_peak_memory_per_vertex(self):
         # the repair searches the entries of collapse_weights, decompose_paths
-        # works on T1's members, and one array of n int64s outlives its
-        # stage, the spanning tree's parent array: the collapsed weights
-        # are one per T1 member and then one per path interior vertex, so
-        # at 2 * 10^5 vertices the call allocates at most about 18.5 bytes
-        # per vertex above what was live, at the spanning tree (23.5 while
-        # the collapse kept an n-length wprime and entry index, 24.4 while
-        # the repair built an n-length mask to test S inside T1, 34 while
-        # T1 kept a degree per vertex and the weight collapse jumped
-        # through a fresh pointer array each round, 69 while the repair
-        # and the paths walked every vertex)
+        # works on T1's members, and one array of n int64s is made, the
+        # spanning tree's parent array: the leaves are hung a block at a
+        # time, and the collapsed weights are one per T1 member and then
+        # one per path interior vertex, so at 2 * 10^5 vertices the call
+        # allocates at most about 15.5 bytes per vertex above what was
+        # live, at the spanning tree's walk (18.5 while the leaf hanging
+        # held leaf-length arrays, 23.5 while the collapse kept an n-length
+        # wprime and entry index, 24.4 while the repair built an n-length
+        # mask to test S inside T1, 34 while T1 kept a degree per vertex
+        # and the weight collapse jumped through a fresh pointer array each
+        # round, 69 while the repair and the paths walked every vertex)
         G = generate(GenSpec(n=200_000, r=16, seed=1))
         separate(G)
         gc.collect()
@@ -1134,23 +1135,38 @@ class TestSeparate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 21 * G.n
+        assert peak <= 17 * G.n
 
     def test_stage_memory_per_vertex(self):
-        # on the graph above: T1 leaves its member mask live, a byte a
-        # vertex, and its forks (9 bytes a vertex while it kept a degree
-        # per vertex); collapse_weights holds the jump's n + k pointers,
-        # 8 bytes a vertex, and chunk-sized temporaries, and makes the
-        # entry mask and its members' position map only once they are
-        # freed, about 9.4 in all (13.7 while an int32 position per vertex
-        # and the entry mask lived beside the pointers, about 17 while
-        # each jump round made a new pointer array)
+        # on the graph above, above what was live before each stage:
+        # compute_spanning_tree returns its 8-byte parents and peaks at
+        # about 15.5 bytes a vertex, in its walk, with the leaves hung a
+        # block of 2^16 vertices at a time (18.5 while the leaf hanging
+        # held leaf-length arrays); extra_edges sums tree degrees per
+        # group of 8 vertices, about 4.6 (9.0 with a count per vertex); T1
+        # leaves its member mask live, a byte a vertex, and its forks (9
+        # bytes a vertex while it kept a degree per vertex);
+        # collapse_weights holds the jump's n + k int32 pointers, 4 bytes
+        # a vertex, and chunk-sized temporaries, and makes the entry mask
+        # and its members' position map only once they are freed, about
+        # 6.0 in all (9.4 with int64 pointers, 13.7 while an int32
+        # position per vertex and the entry mask lived beside them, about
+        # 17 while each jump round made a new pointer array)
         G = generate(GenSpec(n=200_000, r=16, seed=1))
-        T = compute_spanning_tree(G)
-        terminals = edge_ends(extra_edges(G, T))
         gc.collect()
         tracemalloc.start()
         try:
+            before = tracemalloc.get_traced_memory()[0]
+            T = compute_spanning_tree(G)
+            tree_peak = tracemalloc.get_traced_memory()[1] - before
+            R = extra_edges(G, T)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            extra_edges(G, T)
+            extra_peak = tracemalloc.get_traced_memory()[1] - before
+            terminals = edge_ends(R)
+            gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             T1 = steiner_subtree(T, terminals)
             live = tracemalloc.get_traced_memory()[0] - before
@@ -1161,8 +1177,10 @@ class TestSeparate:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        assert tree_peak <= 17 * G.n
+        assert extra_peak <= 5 * G.n
         assert live <= G.n + 16 * np.count_nonzero(T1.member) + 4096
-        assert peak <= 10 * G.n
+        assert peak <= 7 * G.n
 
     def test_stage_ns_of_a_tree(self):
         sep = separate(path(9))
