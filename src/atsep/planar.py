@@ -830,16 +830,18 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
     def cost_below(l):
         return len(levels[l]) + 2 * (l1 - l)
 
+    # level len(levels), one past the deepest, is empty: Lipton and Tarjan
+    # count it, and choosing it cuts nothing
     def cost_above(l):
-        return len(levels[l]) + 2 * (l - l1 - 1)
+        return (len(levels[l]) if l < len(levels) else 0) + 2 * (l - l1 - 1)
 
     lo_window = range(max(0, l1 - t), l1 + 1)
     l0 = min(lo_window, key=lambda l: (cost_below(l), l))
-    hi_window = range(l1 + 1, min(len(levels) - 1, l1 + t) + 1)
-    l2 = min(hi_window, key=lambda l: (cost_above(l), l)) if hi_window else None
+    hi_window = range(l1 + 1, min(len(levels), l1 + t) + 1)
+    l2 = min(hi_window, key=lambda l: (cost_above(l), l))
 
     S = set(levels[l0])
-    if l2 is not None:
+    if l2 < len(levels):
         S |= set(levels[l2])
     info = {"l0": l0, "l1": l1, "l2": l2, "num_levels": len(levels)}
 
