@@ -322,9 +322,9 @@ class CollapsedWeights:
     the collapsed weight of each of T1's members, in ascending vertex
     order, until ``build_compressed_graph`` takes it. Only the entry mask
     is n-length: no vertex keeps its entry's slot (``_entries`` builds
-    that index on request, as int32 below ``_INT32_LIMIT``). ``_entries``
-    found the entries with int32 pointers, so the collapse held 4 bytes a
-    vertex for them, beside the spanning tree's 8-byte parents.
+    that index on request, as int32 below ``_INT32_LIMIT``). The collapse
+    finds the entries with int32 pointers, 4 bytes a vertex beside the
+    spanning tree's 8-byte parents, and frees them before it returns.
     """
 
     entries: np.ndarray

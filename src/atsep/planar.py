@@ -831,7 +831,7 @@ def lt_separator(G: Graph, beta=Fraction(2, 3), root: int = 0) -> LTSeparator:
         return len(levels[l]) + 2 * (l1 - l)
 
     # level len(levels), one past the deepest, is empty: Lipton and Tarjan
-    # count it, and choosing it cuts nothing
+    # count it, and choosing it (l2 == num_levels) cuts nothing
     def cost_above(l):
         return (len(levels[l]) if l < len(levels) else 0) + 2 * (l - l1 - 1)
 
