@@ -6,7 +6,16 @@ import networkx as nx
 import numpy as np
 
 from atsep.graph import Graph, build_graph
-from atsep.pipeline import _entries
+from atsep.pipeline import (
+    _entries,
+    branch_vertices,
+    build_compressed_graph,
+    collapse_weights,
+    compute_spanning_tree,
+    decompose_paths,
+    extra_edges,
+    steiner_subtree,
+)
 
 
 def row(G: Graph, v: int) -> list[int]:
@@ -104,6 +113,17 @@ def path_lists(paths) -> list[list[int]]:
 def edge_ends(R) -> list[int]:
     """The distinct ends of the rows of R, ascending: the terminals."""
     return sorted(set(R.ravel().tolist()))
+
+
+def compressed_graph(G):
+    """The simple compressed graph that ``separate`` hands to LT."""
+    T = compute_spanning_tree(G)
+    R = extra_edges(G, T)
+    terminals = edge_ends(R)
+    T1 = steiner_subtree(T, terminals)
+    U = branch_vertices(T1, terminals)
+    C = build_compressed_graph(U, decompose_paths(T1, U), R, collapse_weights(G, T, T1))
+    return C.simple_graph()
 
 
 class Collapse(NamedTuple):

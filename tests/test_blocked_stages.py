@@ -17,8 +17,14 @@ import atsep.pipeline
 from atsep.errors import Disconnected
 from atsep.gen import GenSpec, generate
 from atsep.graph import build_graph
-from atsep.pipeline import _entries, collapse_weights, compute_spanning_tree, extra_edges, separate
-from atsep.pipeline import steiner_subtree
+from atsep.pipeline import (
+    _entries,
+    collapse_weights,
+    compute_spanning_tree,
+    extra_edges,
+    separate,
+    steiner_subtree,
+)
 
 from conftest import edge_ends, row
 

@@ -20,19 +20,18 @@ from atsep.errors import AtsepError, NotPlanar
 from atsep.fileformat import parse_graph
 from atsep.gen import GenSpec, generate, grid_graph
 from atsep.graph import build_graph
-from atsep.pipeline import (
-    branch_vertices,
-    build_compressed_graph,
-    collapse_weights,
-    compute_spanning_tree,
-    decompose_paths,
-    extra_edges,
-    separate,
-    steiner_subtree,
-)
+from atsep.pipeline import separate
 from atsep.planar import _planarity_kernel, lt_separator
 
-from conftest import chained, cycle, edge_ends, path, stacked_triangulation, star, subdivided
+from conftest import (
+    chained,
+    compressed_graph,
+    cycle,
+    path,
+    stacked_triangulation,
+    star,
+    subdivided,
+)
 from kernel_reference import reference_kernel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
@@ -42,17 +41,6 @@ import gen  # noqa: E402
 K4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
 K5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
 K33 = [(u, v) for u in range(3) for v in range(3, 6)]
-
-
-def compressed_graph(G):
-    """The simple compressed graph that ``separate`` hands to LT."""
-    T = compute_spanning_tree(G)
-    R = extra_edges(G, T)
-    terminals = edge_ends(R)
-    T1 = steiner_subtree(T, terminals)
-    U = branch_vertices(T1, terminals)
-    C = build_compressed_graph(U, decompose_paths(T1, U), R, collapse_weights(G, T, T1))
-    return C.simple_graph()
 
 
 def check(G):

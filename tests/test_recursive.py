@@ -25,19 +25,10 @@ import pytest
 from atsep.fileformat import load_graph
 from atsep.gen import GenSpec, generate
 from atsep.graph import build_graph, connected_components, verify_separator
-from atsep.pipeline import (
-    build_compressed_graph,
-    branch_vertices,
-    collapse_weights,
-    compute_spanning_tree,
-    decompose_paths,
-    extra_edges,
-    separate,
-    steiner_subtree,
-)
+from atsep.pipeline import separate
 from atsep.planar import bfs_levels, lt_separator
 
-from conftest import edge_ends, subdivided
+from conftest import compressed_graph, subdivided
 
 PIECE = Path(__file__).with_name("core2k_piece_1481.txt")
 SMALLEST = 8
@@ -103,17 +94,6 @@ def test_recursion_stays_within_contract():
     assert elapsed <= BUDGET_S, f"{sum(calls)} calls took {elapsed:.1f} s"
 
 
-def compressed(G):
-    """The compressed graph of G, as ``separate`` builds it."""
-    T = compute_spanning_tree(G)
-    R = extra_edges(G, T)
-    terminals = edge_ends(R)
-    T1 = steiner_subtree(T, terminals)
-    U = branch_vertices(T1, terminals)
-    return build_compressed_graph(U, decompose_paths(T1, U), R,
-                                  collapse_weights(G, T, T1)).simple_graph()
-
-
 def test_piece_takes_the_empty_last_level():
     # the compressed graph has 49 nodes on BFS levels of 1, 6, 6, 18 and
     # 18, and its weighted median falls on level 2: level 3 costs 18,
@@ -121,7 +101,7 @@ def test_piece_takes_the_empty_last_level():
     # costs 0 + 2 * 2, so LT takes it and cuts nothing above the median
     G = load_graph(PIECE)
     assert (G.n, G.m) == (1481, 1489)
-    Gc = compressed(G)
+    Gc = compressed_graph(G)
     levels = bfs_levels(Gc, 0)[1]
     assert [len(level) for level in levels] == [1, 6, 6, 18, 18]
     lt = lt_separator(Gc)
